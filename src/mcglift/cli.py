@@ -74,6 +74,14 @@ def _genus(value):
     return g
 
 
+def _budget(value):
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"budget must be a positive integer, got {n}")
+    return n
+
+
 def build_parser():
     parser = _Parser(
         prog="mcglift",
@@ -84,13 +92,13 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--genus", type=_genus, default=2)
+    def common(p, genus=2):
+        p.add_argument("--genus", type=_genus, default=genus)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--budget-tuples", type=int, default=None)
-        p.add_argument("--budget-points", type=int, default=None)
-        p.add_argument("--budget-enum", type=int, default=None)
+        p.add_argument("--budget-tuples", type=_budget, default=None)
+        p.add_argument("--budget-points", type=_budget, default=None)
+        p.add_argument("--budget-enum", type=_budget, default=None)
 
     p = sub.add_parser("enumerate",
                        help="count homomorphisms and epimorphisms")
@@ -114,7 +122,8 @@ def build_parser():
 
     p = sub.add_parser("alpha",
                        help="restriction suites on a characteristic cover")
-    common(p)
+    # the cover fixes the genus; an explicit --genus must agree with it
+    common(p, genus=None)
     p.add_argument("--cover", type=str, default="homology2")
     p.add_argument("--check",
                    choices=("all", "hom-law", "inner", "containment",
@@ -124,13 +133,16 @@ def build_parser():
 
 
 def resolve_budgets(args):
-    profile = BUDGET_PROFILES.get(
-        os.environ.get(BUDGET_ENV, "default"), BUDGET_PROFILES["default"])
-    return {
-        "tuples": args.budget_tuples or profile["tuples"],
-        "points": args.budget_points or profile["points"],
-        "enum": args.budget_enum or profile["enum"],
-    }
+    name = os.environ.get(BUDGET_ENV, "default")
+    if name not in BUDGET_PROFILES:
+        raise UsageError(
+            f"unknown {BUDGET_ENV} profile {name!r}; expected one of "
+            + ", ".join(BUDGET_PROFILES))
+    profile = BUDGET_PROFILES[name]
+    flags = {"tuples": args.budget_tuples, "points": args.budget_points,
+             "enum": args.budget_enum}
+    return {key: profile[key] if value is None else value
+            for key, value in flags.items()}
 
 
 def _emit_json(payload, path):
@@ -224,7 +236,7 @@ def _parse_cover(name):
 
 def cmd_alpha(args):
     genus = _parse_cover(args.cover)
-    if genus != args.genus and args.genus != 2:
+    if args.genus is not None and args.genus != genus:
         raise UsageError(
             f"--genus {args.genus} conflicts with cover {args.cover}")
     table, rec, cert = certified_homology_table(genus)
@@ -236,10 +248,12 @@ def cmd_alpha(args):
         f" generators, certificate on {rec.k} order-2 surjections)"
     ]
     suites = {}
-
-    if args.check in ("all", "hom-law"):
+    images = None
+    if args.check in ("all", "hom-law") or args.out:
         images = {g.name: alpha_apply(table, g.forward, name=g.name)
                   for g in gens}
+
+    if args.check in ("all", "hom-law"):
         fails = 0
         for g1 in gens:
             for g2 in gens:
@@ -293,10 +307,7 @@ def cmd_alpha(args):
         dump = {
             "cover": args.cover,
             "suites": suites,
-            "images": {
-                g.name: alpha_apply(table, g.forward, name=g.name).as_dict()
-                for g in gens
-            },
+            "images": {g.name: images[g.name].as_dict() for g in gens},
         }
         _emit_json(dump, args.out)
     if not all_ok:

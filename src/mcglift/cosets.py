@@ -8,12 +8,18 @@ non-tree table entries give Schreier generators for the subgroup —
 2g·d − (d−1) of them, a free generating set since the subgroup is itself a
 surface group of genus d(g−1)+1.
 
+Rewriting walks an integer step table, built once per table on first use:
+for each signed letter and coset it holds the next coset and the signed
+Schreier generator crossed (0 on a tree entry), so rewriting is one lookup
+per letter with free reduction done on the fly.
+
 For a subgroup invariant under an automorphism φ, restriction is computed
-extensionally: expand a Schreier generator into the ambient group, apply φ,
-and rewrite the result back over the Schreier generators by walking the
-coset table.  Expansion of a rewritten word telescopes back to the original
-word reduced, so round-trip identities hold freely; equalities involving
-genuinely different words go through the Dehn word-problem engine.
+extensionally: each Schreier generator's letters are replaced by their
+φ-images and walked through the step table back over the Schreier
+generators, without building the image word.  Expansion of a rewritten
+word telescopes back to the original word reduced, so round-trip
+identities hold freely; equalities involving genuinely different words go
+through the Dehn word-problem engine.
 """
 
 from __future__ import annotations
@@ -98,6 +104,7 @@ class CosetTable:
             self.act_pos.append(tuple(index[act(x, p)] for p in order))
             self.act_neg.append(tuple(index[act(-x, p)] for p in order))
         self._rs = None
+        self._steps = None
         relator = surface_relator(genus)
         for c in range(self.d):
             if self.apply_word(relator, c) != c:
@@ -183,9 +190,6 @@ class RSGenerators:
     def labels(self):
         return tuple(f"y{i + 1}" for i in range(len(self.pairs)))
 
-    def pair_index(self):
-        return {pair: i for i, pair in enumerate(self.pairs)}
-
 
 def schreier_generators(table):
     """The non-tree Schreier generators, memoized on the table."""
@@ -215,34 +219,66 @@ def schreier_generators(table):
     return rs
 
 
+def _step_table(table):
+    """The table's Reidemeister-Schreier steps, built on first use.
+
+    `steps[letter][c]` is (next coset, emitted letter) for each of the 4g
+    signed letters and d cosets: reading `letter` at coset c moves to the
+    next coset and emits the signed Schreier generator of the entry it
+    crosses, or 0 on a spanning-tree entry.  Reading x then x^-1 from any
+    coset emits e then -e (or nothing), so walking an unreduced word and
+    reducing the emitted letters as they come gives the same result as
+    walking its free reduction.
+    """
+    if table._steps is not None:
+        return table._steps
+    index = {pair: i + 1
+             for i, pair in enumerate(schreier_generators(table).pairs)}
+    steps = {}
+    for x in range(1, 2 * table.genus + 1):
+        forward = []
+        backward = []
+        for c in range(table.d):
+            up = table.act_pos[x - 1][c]
+            forward.append((up, index.get((c, x), 0)))
+            down = table.act_neg[x - 1][c]
+            backward.append((down, -index.get((down, x), 0)))
+        steps[x] = tuple(forward)
+        steps[-x] = tuple(backward)
+    table._steps = steps
+    return steps
+
+
+def _walk(rows, c, out):
+    """Read the step rows in order from coset c, pushing the emitted
+    letters onto the free-reduction stack `out`; returns the final coset."""
+    for row in rows:
+        c, e = row[c]
+        if e:
+            if out and out[-1] == -e:
+                out.pop()
+            else:
+                out.append(e)
+    return c
+
+
 def rewrite(table, word):
     """Express a subgroup element as a word over the Schreier generators.
 
-    Peels letters from the right, emitting the non-tree generator met at
-    each step; raises CosetEscape when the input is not in the subgroup.
+    Peels letters from the right through the step table, emitting the
+    non-tree generator met at each step and freely reducing as it goes;
+    raises CosetEscape when the input is not in the subgroup.
     """
-    rs = schreier_generators(table)
-    index = rs.pair_index()
-    emitted = []
-    c = 0
-    for letter in reversed(word):
-        if letter > 0:
-            pair = (c, letter)
-            c = table.apply_letter(letter, c)
-        else:
-            c = table.apply_letter(letter, c)
-            pair = (c, -letter)
-        if pair in table.tree_pairs:
-            continue
-        i = index[pair]
-        emitted.append(i + 1 if letter > 0 else -(i + 1))
+    steps = _step_table(table)
+    out = []
+    c = _walk([steps[letter] for letter in reversed(word)], 0, out)
     if c != 0:
         raise CosetEscape(
             f"word {format_word(word)} lands on coset {c}, not the subgroup",
             c,
         )
-    emitted.reverse()
-    return _rs_free_reduce(emitted)
+    out.reverse()
+    return tuple(out)
 
 
 def _rs_free_reduce(letters):
@@ -313,20 +349,32 @@ class AutImage:
 
 
 def alpha_apply(table, auto, name=None):
-    """Restrict the automorphism to the subgroup: expand each Schreier
-    generator, apply, and rewrite back.  A coset escape here falsifies the
+    """Restrict the automorphism to the subgroup: push each Schreier
+    generator's image under it back over the Schreier generators.
+
+    The image of each signed letter is read once into step rows, right to
+    left, and each Schreier word walks those rows through the step table
+    without building its image word.  A coset escape here falsifies the
     claim that the subgroup is invariant under the automorphism."""
     rs = schreier_generators(table)
+    steps = _step_table(table)
+    image_rows = {
+        letter: tuple(steps[y] for y in reversed(auto.apply_letter(letter)))
+        for letter in steps
+    }
     values = []
     for w in rs.words:
-        image = auto.apply_word(w)
-        try:
-            values.append(rewrite(table, image))
-        except CosetEscape as e:
+        out = []
+        c = 0
+        for letter in reversed(w):
+            c = _walk(image_rows[letter], c, out)
+        if c != 0:
             raise CharacteristicViolation(
                 f"automorphism {auto.name or name} moves the subgroup: "
-                f"image of {format_word(w)} reaches coset {e.coset}"
-            ) from e
+                f"image of {format_word(w)} reaches coset {c}"
+            )
+        out.reverse()
+        values.append(tuple(out))
     return AutImage(
         source_name=name or auto.name or "phi",
         rs=rs,

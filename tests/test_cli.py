@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from mcglift.autos import standard_autgens
 from mcglift.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 
 
@@ -37,6 +38,40 @@ def test_usage_errors(capsys):
     assert run(["alpha", "--cover", "donut"]) == EXIT_USAGE
     assert run(["no-such-command"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_alpha_genus_conflicting_with_cover(capsys):
+    assert run(["alpha", "--genus", "2", "--cover", "homology3",
+                "--check", "containment"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--genus 2 conflicts with cover homology3" in err
+
+
+def test_alpha_genus_matching_cover(capsys):
+    assert run(["alpha", "--genus", "3", "--cover", "homology3",
+                "--check", "containment"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "containment: ok, index 64" in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--budget-points", "0"),
+    ("--budget-tuples", "-5"),
+    ("--budget-enum", "0"),
+])
+def test_non_positive_budgets_are_usage_errors(flag, value, capsys):
+    assert run(["enumerate", "--genus", "2", "--target", "c2",
+                flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag in err and "positive integer" in err
+
+
+def test_unknown_budget_profile_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("MCGLIFT_BUDGET_PROFILE", "roomy")
+    assert run(["enumerate", "--genus", "2", "--target", "c2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'roomy'" in err
+    assert all(name in err for name in ("desk", "default", "wide"))
 
 
 def test_budget_exit_code(capsys):
@@ -111,6 +146,16 @@ def test_alpha_full_suite_with_dump(tmp_path, capsys):
         "hom-law", "inner", "containment", "injectivity"}
     assert all(data["suites"].values())
     assert "ta1" in data["images"]
+
+
+def test_alpha_dump_without_hom_law_has_every_image(tmp_path, capsys):
+    path = tmp_path / "alpha.json"
+    assert run(["alpha", "--cover", "homology2", "--check", "containment",
+                "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    assert set(data["suites"]) == {"containment"}
+    assert set(data["images"]) == {g.name for g in standard_autgens(2)}
 
 
 @pytest.mark.skipif(shutil.which("mcglift") is None,

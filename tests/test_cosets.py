@@ -4,6 +4,8 @@ automorphisms to finite-index subgroups."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcglift.autos import identity_auto, inner_auto, standard_autgens
 from mcglift.cosets import (
@@ -29,6 +31,7 @@ from mcglift.quotients import (
 )
 from mcglift.words import (
     SurfacePresentation,
+    format_word,
     free_reduce,
     inverse_word,
     surface_relator,
@@ -219,3 +222,115 @@ def test_tables_require_surjective_homs():
     h = FiniteHom(t, (t.identity,) * 4)
     with pytest.raises(CosetError):
         build_coset_table(h)
+
+
+# -- properties of rewriting on the homology2 table --------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+genus2_letters = st.sampled_from((1, 2, 3, 4, -1, -2, -3, -4))
+# a subgroup word: signed Schreier generator picks, then letter pairs x·x^-1
+# inserted at arbitrary positions (taken modulo the word length)
+subgroup_word_draws = st.tuples(
+    st.lists(st.tuples(st.integers(0, 48), st.booleans()), max_size=6),
+    st.lists(st.tuples(genus2_letters, st.integers(0, 10**4)), max_size=5),
+)
+
+
+def padded_subgroup_word(rs, draw):
+    picks, pads = draw
+    word = []
+    for j, inverted in picks:
+        w = rs.words[j]
+        word.extend(inverse_word(w) if inverted else w)
+    for x, at in pads:
+        at %= len(word) + 1
+        word[at:at] = [x, -x]
+    return tuple(word)
+
+
+def pair_index_rewrite(table, word):
+    """Rewriting by pair lookup: the route rewriting took before the step
+    table, kept here as an independent reference."""
+    rs = schreier_generators(table)
+    index = {pair: i for i, pair in enumerate(rs.pairs)}
+    emitted = []
+    c = 0
+    for letter in reversed(word):
+        if letter > 0:
+            pair = (c, letter)
+            c = table.apply_letter(letter, c)
+        else:
+            c = table.apply_letter(letter, c)
+            pair = (c, -letter)
+        if pair in table.tree_pairs:
+            continue
+        i = index[pair]
+        emitted.append(i + 1 if letter > 0 else -(i + 1))
+    assert c == 0
+    emitted.reverse()
+    return free_reduce(emitted)
+
+
+@PROPERTY_SETTINGS
+@given(draw=subgroup_word_draws)
+def test_rewrite_ignores_cancelling_pairs(homology_table, draw):
+    rs = schreier_generators(homology_table)
+    assert rs.count == 49
+    w = padded_subgroup_word(rs, draw)
+    v = rewrite(homology_table, w)
+    assert v == rewrite(homology_table, free_reduce(w))
+    assert v == pair_index_rewrite(homology_table, w)
+    assert expand(v, rs) == free_reduce(w)
+
+
+genus2_directions = [
+    auto for g in standard_autgens(2) for _, auto in g.directions()]
+# an automorphism: a composite of 1-3 factors, each a standard generator
+# direction or conjugation by a short word
+automorphism_factors = st.lists(
+    st.one_of(
+        st.sampled_from(genus2_directions),
+        st.lists(genus2_letters, max_size=4).map(
+            lambda u: inner_auto(2, tuple(u))),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@PROPERTY_SETTINGS
+@given(factors=automorphism_factors)
+def test_alpha_apply_matches_rewriting_the_image_word(homology_table,
+                                                       factors):
+    phi = factors[0]
+    for f in factors[1:]:
+        phi = phi.compose(f)
+    rs = schreier_generators(homology_table)
+    image = alpha_apply(homology_table, phi)
+    for i, w in enumerate(rs.words):
+        assert image.values[i] == pair_index_rewrite(
+            homology_table, phi.apply_word(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mask=st.integers(1, 15), auto=st.sampled_from(genus2_directions))
+def test_single_functional_kernel_violation(mask, auto):
+    # the kernel of the functional f is invariant under phi exactly when
+    # f∘phi = f on mod-2 homology; otherwise restriction raises, naming
+    # the first Schreier generator whose image leaves the subgroup and the
+    # coset it reaches
+    table = build_coset_table(c2_functional_hom(2, mask))
+    composed = 0
+    for j, column in enumerate(auto.mod2_matrix()):
+        composed |= (bin(mask & column).count("1") & 1) << j
+    if composed == mask:
+        alpha_apply(table, auto)
+        return
+    rs = schreier_generators(table)
+    escaping = next(w for w in rs.words
+                    if not table.contains(auto.apply_word(w)))
+    with pytest.raises(CharacteristicViolation) as err:
+        alpha_apply(table, auto)
+    assert str(err.value) == (
+        f"automorphism {auto.name} moves the subgroup: image of "
+        f"{format_word(escaping)} reaches coset 1")
