@@ -92,7 +92,9 @@ print("inner compatibility for u:",
 # nontrivially (no collapse on the cover).
 ok, d = verify_finite_index_containment(table, pres)
 print("finite-index containment:", ok, "at index", d)
-held = all(verify_injectivity_mechanism(table, g.forward, pres)
-           for g in gens)
+held = all(
+    verify_injectivity_mechanism(alpha_apply(table, g.forward), g.forward,
+                                 pres)
+    for g in gens)
 print("injectivity mechanism holds for all", len(gens),
       "generator directions:", held)

@@ -8,10 +8,13 @@ each generator.  Each generator carries an explicit inverse; compositions
 are verified modulo the surface relation, not just freely.
 
 Orbits of homomorphisms under precomposition are finite and computed by
-breadth-first closure.  Closure of a member set under every generator (and
-inverse) is exactly what makes the intersection of the member kernels
-invariant under those automorphisms; `certify_characteristic` records the
-induced index permutations as evidence.
+breadth-first closure, the package's one closure engine.  As it expands each
+member, `orbit` records the index of the member's image under every
+generator direction, and returns that action table with the sorted members.
+Closure of a member set under every generator (and inverse) is exactly what
+makes the intersection of the member kernels invariant under those
+automorphisms; `certify_characteristic` reads the table, without
+precomposing again, and records the induced index permutations as evidence.
 """
 
 from __future__ import annotations
@@ -232,7 +235,12 @@ def precompose(hom, auto):
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """Closure of one homomorphism under the generator set, sorted."""
+    """Closure of one homomorphism under the generator set, sorted.
+
+    `action[label][i]` is the index of the image of member i under that
+    generator direction, None for a member never expanded.  `complete` is
+    False when `stop_at` ended the closure: its table then certifies
+    nothing."""
 
     genus: int
     target_name: str
@@ -240,104 +248,112 @@ class OrbitRecord:
     members: tuple
     generator_names: tuple
     mod_target_auts: bool
+    action: dict
+    complete: bool
 
     @property
     def k(self):
         return len(self.members)
 
-    def member_index(self):
-        return {h.key(): i for i, h in enumerate(self.members)}
 
-
-def _canonicalize(hom, mod_target_auts):
-    return canonical_rep_mod_auts(hom) if mod_target_auts else hom
-
-
-def orbit(seed, gens=None, mod_target_auts=False, cap=DEFAULT_ORBIT_CAP):
+def orbit(seed, gens=None, mod_target_auts=False, cap=DEFAULT_ORBIT_CAP,
+          stop_at=None):
     """Breadth-first closure of the seed hom under precomposition by every
-    generator and inverse, optionally reduced modulo target automorphisms."""
+    generator and inverse, optionally reduced modulo target automorphisms,
+    recording the action of every direction on the members.
+
+    At most `cap` members are admitted.  With `stop_at`, the closure
+    finishes the level in which the member count reaches it and stops
+    there, flagged incomplete even if that level was the last."""
     if gens is None:
         gens = standard_autgens(seed.genus)
-    start = _canonicalize(seed, mod_target_auts)
-    seen = {start.key(): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for member in frontier:
-            for gen in gens:
-                for _, auto in gen.directions():
-                    image = _canonicalize(
-                        precompose(member, auto), mod_target_auts)
-                    key = image.key()
-                    if key not in seen:
-                        if len(seen) >= cap:
-                            raise EnumerationBoundExceeded(
-                                f"orbit closure exceeded cap {cap}"
-                            )
-                        seen[key] = image
-                        nxt.append(image)
-        frontier = nxt
-    members = tuple(seen[k] for k in sorted(seen))
+    directions = [d for gen in gens for d in gen.directions()]
+    start = canonical_rep_mod_auts(seed) if mod_target_auts else seed
+    found = [start]  # members in insertion order, which is expansion order
+    seen = {start.key(): 0}  # key -> insertion number
+    rows = {label: [] for label, _ in directions}
+    expanded = 0
+    stopped = False
+    while expanded < len(found) and not stopped:
+        level = found[expanded:]
+        expanded = len(found)
+        for member in level:
+            for label, auto in directions:
+                image = precompose(member, auto)
+                if mod_target_auts:
+                    image = canonical_rep_mod_auts(image)
+                key = image.key()
+                j = seen.get(key)
+                if j is None:
+                    if len(seen) >= cap:
+                        raise EnumerationBoundExceeded(
+                            f"orbit closure exceeded cap {cap}")
+                    j = seen[key] = len(found)
+                    found.append(image)
+                    stopped = stop_at is not None and len(found) >= stop_at
+                rows[label].append(j)
+    order = [i for _, i in sorted(seen.items())]
+    rank = sorted(range(len(order)), key=order.__getitem__)  # i -> position
+    action = {
+        label: tuple(rank[row[i]] if i < expanded else None for i in order)
+        for label, row in rows.items()
+    }
     return OrbitRecord(
         genus=seed.genus,
         target_name=seed.target.name,
         seed_key=start.key(),
-        members=members,
+        members=tuple(found[i] for i in order),
         generator_names=tuple(g.name for g in gens),
         mod_target_auts=mod_target_auts,
+        action=action,
+        complete=not stopped,
     )
 
 
-def certify_characteristic(members, gens, mod_target_auts=False):
-    """Check the member set is closed under every generator direction.
+def certify_characteristic(record, members):
+    """Check the member set, a sub-list of `record.members`, is closed under
+    every generator direction, reading the record's action table.
 
     Returns a dict: pass flag, the index permutation induced by each
     generator direction (the evidence), and for every member a witness pair
     (direction label, source index) showing deletion of that member breaks
     closure.  On failure: the offending (direction, member index, image key).
     """
-    members = list(members)
-    index = {h.key(): i for i, h in enumerate(members)}
-    if len(index) != len(members):
+    if not record.complete:
+        raise AutError("the orbit closure stopped early; its action table"
+                       " cannot certify closure")
+    where = {h.key(): j for j, h in enumerate(record.members)}
+    sources = [where.get(h.key()) for h in members]  # indices in the record
+    if None in sources:
+        raise AutError("member is not in the orbit record")
+    index = {j: i for i, j in enumerate(sources)}
+    if len(index) != len(sources):
         raise AutError("duplicate members in characteristic certification")
     permutations = {}
-    for gen in gens:
-        for label, auto in gen.directions():
-            images = []
-            for i, member in enumerate(members):
-                image = _canonicalize(
-                    precompose(member, auto), mod_target_auts)
-                j = index.get(image.key())
-                if j is None:
-                    return {
-                        "pass": False,
-                        "failure": {
-                            "direction": label,
-                            "member": i,
-                            "escaped_to": image.key(),
-                        },
-                    }
-                images.append(j)
-            if sorted(images) != list(range(len(members))):
-                return {
-                    "pass": False,
-                    "failure": {
-                        "direction": label,
-                        "member": None,
-                        "escaped_to": "not a bijection",
-                    },
-                }
-            permutations[label] = tuple(images)
+    for label, row in record.action.items():
+        images = []
+        for i, j in enumerate(sources):
+            if row[j] not in index:
+                return {"pass": False, "failure": {
+                    "direction": label, "member": i,
+                    "escaped_to": record.members[row[j]].key()}}
+            images.append(index[row[j]])
+        if sorted(images) != list(range(len(sources))):
+            return {"pass": False, "failure": {
+                "direction": label, "member": None,
+                "escaped_to": "not a bijection"}}
+        permutations[label] = tuple(images)
     witnesses = {}
-    for m in range(len(members)):
+    for m in range(len(sources)):
         for label, perm in permutations.items():
-            hit = [i for i in range(len(members)) if perm[i] == m and i != m]
-            if hit:
-                witnesses[m] = (label, hit[0])
+            src = perm.index(m)  # the one preimage: perm is a bijection
+            if src != m:
+                witnesses[m] = (label, src)
                 break
     return {
         "pass": True,
-        "size": len(members),
+        "size": len(sources),
         "permutations": permutations,
         "deletion_witnesses": witnesses,
     }
+

@@ -205,7 +205,7 @@ def cmd_search(args):
     routes = ("hall", "s3") if args.route == "all" else (args.route,)
     report = minimal_degree_search(
         args.genus, routes=routes, budget=args.budget, seed=args.seed,
-        point_cap=budgets["points"])
+        point_cap=budgets["points"], enum_bound=budgets["enum"])
     if args.out:
         base, ext = os.path.splitext(args.out)
         for i, job in enumerate(report["jobs"]):
@@ -249,7 +249,7 @@ def cmd_alpha(args):
     ]
     suites = {}
     images = None
-    if args.check in ("all", "hom-law") or args.out:
+    if args.check in ("all", "hom-law", "injectivity") or args.out:
         images = {g.name: alpha_apply(table, g.forward, name=g.name)
                   for g in gens}
 
@@ -292,12 +292,15 @@ def cmd_alpha(args):
         lines.append(f"containment: {'ok' if ok else 'FAILED'}, index {d}")
 
     if args.check in ("all", "injectivity"):
-        autos = [identity_auto(genus)] + [g.forward for g in gens]
+        ident = identity_auto(genus)
+        restricted = [(alpha_apply(table, ident), ident)] + [
+            (images[g.name], g.forward) for g in gens]
         held = sum(
-            1 for a in autos if verify_injectivity_mechanism(table, a, pres))
-        suites["injectivity"] = held == len(autos)
+            1 for image, auto in restricted
+            if verify_injectivity_mechanism(image, auto, pres))
+        suites["injectivity"] = held == len(restricted)
         lines.append(
-            f"injectivity: implication held on {held}/{len(autos)} maps")
+            f"injectivity: implication held on {held}/{len(restricted)} maps")
 
     for line in lines:
         print(line)

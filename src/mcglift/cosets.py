@@ -414,14 +414,14 @@ def verify_finite_index_containment(table, presentation=None):
     return True, table.d
 
 
-def verify_injectivity_mechanism(table, auto, presentation=None, bound=4096):
+def verify_injectivity_mechanism(image, auto, presentation=None, bound=4096):
     """Desk-scale check of the unique-roots implication: if the restriction
-    fixes every Schreier generator, the automorphism fixes every ambient
-    generator.  True when the implication holds for this automorphism."""
-    rs = schreier_generators(table)
+    `image` (from `alpha_apply`) fixes every Schreier generator, the
+    automorphism `auto` fixes every ambient generator.  True when the
+    implication holds for this automorphism."""
+    rs = image.rs
     if presentation is None:
-        presentation = SurfacePresentation(table.genus)
-    image = alpha_apply(table, auto)
+        presentation = SurfacePresentation(rs.table.genus)
     for v in image.values:
         if sum(len(rs.words[abs(x) - 1]) for x in v) > bound:
             raise CosetError(
@@ -458,7 +458,7 @@ def certified_homology_table(genus, gens=None):
             f"closure found {rec.k} order-2 surjections, expected {expected};"
             " the generator set does not act fully on mod-2 homology"
         )
-    cert = certify_characteristic(rec.members, gens)
+    cert = certify_characteristic(rec, rec.members)
     if not cert["pass"]:
         raise CosetError("characteristic certification failed unexpectedly")
     hom = mod2_homology_hom(genus)

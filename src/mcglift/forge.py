@@ -24,7 +24,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .autos import certify_characteristic, orbit, precompose, standard_autgens
+from .autos import (
+    DEFAULT_ORBIT_CAP,
+    certify_characteristic,
+    orbit,
+    standard_autgens,
+)
 from .cosets import build_coset_table, schreier_generators
 from .perm import (
     EnumerationBoundExceeded,
@@ -152,7 +157,7 @@ def structural_order_s3(members):
 
     Returns a dict with the order, both ranks, the sign-pivot factors, and
     permutations generating the odd part (images of explicit words, hence
-    certified members of G).
+    certified members of G).  Breaches of its invariants raise RuntimeError.
     """
     members = list(members)
     k = len(members)
@@ -192,7 +197,7 @@ def structural_order_s3(members):
         sign_images.append(perm)
     sign_hom = FiniteHom(c2r, sign_images)
     if not sign_hom.is_surjective():
-        raise SubdirectError("sign quotient unexpectedly not surjective")
+        raise RuntimeError("sign quotient unexpectedly not surjective")
     table = build_coset_table(sign_hom)
     rs = schreier_generators(table)
 
@@ -204,7 +209,7 @@ def structural_order_s3(members):
         for member in members:
             p = member.evaluate(w)
             if _sign_bit(p):
-                raise SubdirectError(
+                raise RuntimeError(
                     "sign-kernel word evaluates to a transposition"
                 )
             row.append(_a3_exponent(p))
@@ -369,7 +374,8 @@ def _invalid_certificate(route, genus, k, stage, detail, seed_material,
 
 
 def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
-                         orbit_cap=200000, point_cap=DEFAULT_POINT_CAP,
+                         orbit_cap=DEFAULT_ORBIT_CAP,
+                         point_cap=DEFAULT_POINT_CAP,
                          enum_bound=DEFAULT_ENUM_BOUND):
     """Run the sylow-s3 pipeline and emit a certificate.
 
@@ -403,7 +409,7 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
     timing["orbit_s"] = round(time.time() - t0, 3)
 
     t0 = time.time()
-    char = certify_characteristic(members, gens)
+    char = certify_characteristic(rec, members)
     char_entry = {
         "pass": bool(char["pass"]),
         "gens": gen_label,
@@ -498,8 +504,8 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
 
 def collect_inequivalent_members(seed_epi, gens, want, cap=500000):
     """First `want` members (sorted canonical representatives) of the orbit
-    closure modulo target automorphisms, stopping the closure early once
-    enough distinct classes are found.
+    closure modulo target automorphisms, stopping the closure at the end of
+    the level in which `want` distinct classes are found.
 
     Returns (members, truncated); truncated means the closure was not run to
     completion, so the collection cannot claim to be automorphism-invariant.
@@ -508,32 +514,12 @@ def collect_inequivalent_members(seed_epi, gens, want, cap=500000):
     """
     if want < 1:
         raise ForgeError(f"collection size must be >= 1, got {want}")
-    start = canonical_rep_mod_auts(seed_epi)
-    seen = {start.key(): start}
-    frontier = [start]
-    truncated = False
-    while frontier and not truncated:
-        nxt = []
-        for member in frontier:
-            for gen in gens:
-                for _, auto in gen.directions():
-                    image = canonical_rep_mod_auts(precompose(member, auto))
-                    key = image.key()
-                    if key not in seen:
-                        seen[key] = image
-                        nxt.append(image)
-                        if len(seen) >= want:
-                            truncated = True
-                if len(seen) > cap:
-                    raise EnumerationBoundExceeded(
-                        f"orbit closure exceeded {cap}")
-        frontier = nxt
-    members = sorted(seen.values(), key=lambda h: h.key())[:want]
-    if len(members) < want:
+    rec = orbit(seed_epi, gens, mod_target_auts=True, cap=cap, stop_at=want)
+    if rec.k < want:
         raise ForgeError(
-            f"orbit closure has only {len(members)} classes, wanted {want}"
+            f"orbit closure has only {rec.k} classes, wanted {want}"
         )
-    return members, truncated
+    return list(rec.members[:want]), not rec.complete
 
 
 def _pairwise_inequivalent(members):
@@ -593,7 +579,10 @@ def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
         "note": "collection-truncated" if truncated else "closure-complete",
     }
     if not truncated:
-        char = certify_characteristic(members, gens, mod_target_auts=True)
+        # the quota flags every closure it stops, so an unflagged collection
+        # is a whole closure of one member; rebuild its record to certify it
+        rec = orbit(seed_epi, gens, mod_target_auts=True)
+        char = certify_characteristic(rec, members)
         char_entry["pass"] = bool(char["pass"])
 
     clash = _pairwise_inequivalent(members)
@@ -733,7 +722,8 @@ def gamma_set_isomorphic(table1, table2, bound=4096):
 
 
 def minimal_degree_search(genus, routes=("hall", "s3"), budget=0, seed=0,
-                          point_cap=DEFAULT_POINT_CAP):
+                          point_cap=DEFAULT_POINT_CAP,
+                          enum_bound=DEFAULT_ENUM_BOUND):
     """Sweep forge jobs in a fixed order within the budget and report the
     best VALID and best flagged (structurally sound but uncertified) degrees
     found.  No claim is made beyond the searched space."""
@@ -750,9 +740,10 @@ def minimal_degree_search(genus, routes=("hall", "s3"), budget=0, seed=0,
         if route == "hall":
             cert = forge_certificate_hall(
                 genus, params["p"], collection=params["collection"],
-                seed=seed, point_cap=point_cap)
+                seed=seed, point_cap=point_cap, enum_bound=enum_bound)
         else:
-            cert = forge_certificate_s3(genus, seed=seed, point_cap=point_cap)
+            cert = forge_certificate_s3(genus, seed=seed, point_cap=point_cap,
+                                        enum_bound=enum_bound)
         entry = {
             "route": cert.route,
             "params": params,

@@ -384,9 +384,6 @@ class PermGroup:
             out = nxt
         return out
 
-    def base_points(self):
-        return tuple(lvl.base for lvl in self._levels)
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 

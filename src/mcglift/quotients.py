@@ -146,11 +146,6 @@ def _is_prime(n):
     return True
 
 
-def _psl2_points(p):
-    """Projective line over F_p: index x in 0..p-1 is [x:1], index p is [1:0]."""
-    return p + 1
-
-
 def psl2_matrix_perm(mat, p):
     """The permutation of P1(F_p) induced by a matrix [[a,b],[c,d]]."""
     a, b, c, d = (x % p for x in mat)
@@ -380,10 +375,6 @@ def mod2_homology_hom(genus):
         raise QuotientError(f"genus must be >= 2, got {genus}")
     target = target_c2k(2 * genus)
     return FiniteHom(target, target.generators)
-
-
-def canonical_key(hom):
-    return hom.key()
 
 
 def canonical_rep_mod_auts(hom):

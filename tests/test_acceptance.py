@@ -293,12 +293,12 @@ def test_criterion_10_orbit_sanity():
     gens = standard_autgens(2)
     rec = orbit(seed, gens)
     assert rec.k == 15
-    cert = certify_characteristic(rec.members, gens)
+    cert = certify_characteristic(rec, rec.members)
     assert cert["pass"] is True
     victim, (label, src) = next(iter(cert["deletion_witnesses"].items()))
     assert cert["permutations"][label][src] == victim
     pruned = [m for i, m in enumerate(rec.members) if i != victim]
-    broken = certify_characteristic(pruned, gens)
+    broken = certify_characteristic(rec, pruned)
     assert broken["pass"] is False
     assert broken["failure"]["direction"]
     report(10, "15-member orbit closure certified; single deletion"

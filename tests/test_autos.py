@@ -203,13 +203,37 @@ def test_orbit_cap():
         orbit(s3_standard_epi(), cap=5)
 
 
-def test_certify_characteristic_pass_with_evidence():
+def test_orbit_records_the_action_of_every_direction():
     gens = standard_autgens(2)
-    rec = orbit(c2_functional_hom(2, 1), gens)
-    cert = certify_characteristic(rec.members, gens)
+    rec = orbit(s3_standard_epi(), gens)
+    assert rec.complete is True
+    assert list(rec.action) == [
+        label for g in gens for label, _ in g.directions()]
+    for g in gens:
+        for label, auto in g.directions():
+            row = rec.action[label]
+            assert sorted(row) == list(range(rec.k)), label
+            for i in (0, 17, rec.k - 1):
+                image = precompose(rec.members[i], auto)
+                assert rec.members[row[i]].key() == image.key(), label
+
+
+def test_orbit_stop_at_finishes_its_level_and_flags_it():
+    rec = orbit(s3_standard_epi(), stop_at=2)
+    assert rec.complete is False
+    # the first level is finished although the second member stopped it
+    assert 2 < rec.k < 360
+    assert any(None in row for row in rec.action.values())
+    with pytest.raises(AutError):
+        certify_characteristic(rec, rec.members)
+
+
+def test_certify_characteristic_pass_with_evidence():
+    rec = orbit(c2_functional_hom(2, 1), standard_autgens(2))
+    cert = certify_characteristic(rec, rec.members)
     assert cert["pass"] is True
     assert cert["size"] == 15
-    assert len(cert["permutations"]) == 2 * len(gens)
+    assert len(cert["permutations"]) == 2 * len(standard_autgens(2))
     for label, images in cert["permutations"].items():
         assert sorted(images) == list(range(15)), label
     assert set(cert["deletion_witnesses"]) == set(range(15))
@@ -219,12 +243,11 @@ def test_certify_characteristic_pass_with_evidence():
 
 
 def test_certify_characteristic_detects_deletion():
-    gens = standard_autgens(2)
-    rec = orbit(c2_functional_hom(2, 1), gens)
-    cert = certify_characteristic(rec.members, gens)
+    rec = orbit(c2_functional_hom(2, 1), standard_autgens(2))
+    cert = certify_characteristic(rec, rec.members)
     victim = next(iter(cert["deletion_witnesses"]))
     pruned = [m for i, m in enumerate(rec.members) if i != victim]
-    broken = certify_characteristic(pruned, gens)
+    broken = certify_characteristic(rec, pruned)
     assert broken["pass"] is False
     assert "direction" in broken["failure"]
 
@@ -232,4 +255,71 @@ def test_certify_characteristic_detects_deletion():
 def test_certify_characteristic_rejects_duplicates():
     h = c2_functional_hom(2, 1)
     with pytest.raises(AutError):
-        certify_characteristic([h, h], standard_autgens(2))
+        certify_characteristic(orbit(h), [h, h])
+
+
+def test_certify_characteristic_rejects_a_stranger():
+    rec = orbit(c2_functional_hom(2, 1))
+    with pytest.raises(AutError):
+        certify_characteristic(rec, [s3_standard_epi()])
+
+
+def _two_pass_certificate(members, gens, mod_target_auts=False):
+    """Reference: the certificate recomputed by precomposing every member
+    again, as a second pass after the closure."""
+    from mcglift.quotients import canonical_rep_mod_auts
+
+    members = list(members)
+    index = {h.key(): i for i, h in enumerate(members)}
+    permutations = {}
+    for gen in gens:
+        for label, auto in gen.directions():
+            images = []
+            for i, member in enumerate(members):
+                image = precompose(member, auto)
+                if mod_target_auts:
+                    image = canonical_rep_mod_auts(image)
+                j = index.get(image.key())
+                if j is None:
+                    return {"pass": False,
+                            "failure": {"direction": label, "member": i,
+                                        "escaped_to": image.key()}}
+                images.append(j)
+            if sorted(images) != list(range(len(members))):
+                return {"pass": False,
+                        "failure": {"direction": label, "member": None,
+                                    "escaped_to": "not a bijection"}}
+            permutations[label] = tuple(images)
+    witnesses = {}
+    for m in range(len(members)):
+        for label, perm in permutations.items():
+            hit = [i for i in range(len(members)) if perm[i] == m and i != m]
+            if hit:
+                witnesses[m] = (label, hit[0])
+                break
+    return {"pass": True, "size": len(members), "permutations": permutations,
+            "deletion_witnesses": witnesses}
+
+
+@pytest.mark.parametrize("seed, mod", [
+    (c2_functional_hom(2, 1), False),
+    (s3_standard_epi(), False),
+    (s3_standard_epi(), True),
+])
+def test_certificate_from_the_table_matches_the_two_pass_reference(seed, mod):
+    gens = standard_autgens(2)
+    rec = orbit(seed, gens, mod_target_auts=mod)
+    cert = certify_characteristic(rec, rec.members)
+    assert cert["pass"] is True
+    assert cert == _two_pass_certificate(rec.members, gens, mod)
+
+
+def test_table_reading_matches_the_reference_on_prefixes_and_deletions():
+    gens = standard_autgens(2)
+    rec = orbit(c2_functional_hom(2, 1), gens)
+    members = list(rec.members)
+    subsets = [members[:n] for n in range(1, rec.k + 1)]
+    subsets += [members[:i] + members[i + 1:] for i in range(rec.k)]
+    for sub in subsets:
+        assert (certify_characteristic(rec, sub)
+                == _two_pass_certificate(sub, gens)), len(sub)

@@ -3,11 +3,13 @@
 import json
 import shutil
 import subprocess
+from types import SimpleNamespace
 
 import pytest
 
 from mcglift.autos import standard_autgens
-from mcglift.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from mcglift import forge
+from mcglift.cli import EXIT_BREACH, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 
 
 def run(argv):
@@ -107,6 +109,27 @@ def test_forge_is_deterministic_modulo_timing(tmp_path, capsys):
         data.pop("timing")
         blobs.append(json.dumps(data, sort_keys=True))
     assert blobs[0] == blobs[1]
+
+
+def test_forge_invariant_breach_exits_3(monkeypatch, tmp_path, capsys):
+    # single generators posing as sign-kernel words: a surjection onto S3
+    # sends one of them to a transposition, which the construction forbids
+    monkeypatch.setattr(forge, "schreier_generators", lambda table:
+                        SimpleNamespace(words=((1,), (2,), (3,), (4,))))
+    assert run(["forge", "--genus", "2", "--route", "s3", "--truncate-k",
+                "1", "--out", str(tmp_path / "c.json")]) == EXIT_BREACH
+    err = capsys.readouterr().err
+    assert "sign-kernel word evaluates to a transposition" in err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_search_passes_the_enumeration_budget(capsys):
+    assert run(["search", "--genus", "2", "--route", "hall", "--budget", "2",
+                "--budget-enum", "100"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    methods = [job["certificate"]["checks"]["a"]["method"]
+               for job in report["jobs"]]
+    assert methods == ["enumeration", "structural"]
 
 
 def test_search_zero_budget(capsys):

@@ -177,14 +177,17 @@ def test_finite_index_containment(homology_table):
 
 def test_injectivity_mechanism(homology_table):
     pres = SurfacePresentation(2)
+    ident = identity_auto(2)
     assert verify_injectivity_mechanism(
-        homology_table, identity_auto(2), pres)
+        alpha_apply(homology_table, ident), ident, pres)
     for gen in standard_autgens(2):
         assert verify_injectivity_mechanism(
-            homology_table, gen.forward, pres), gen.name
+            alpha_apply(homology_table, gen.forward), gen.forward,
+            pres), gen.name
+    first = standard_autgens(2)[0].forward
     with pytest.raises(CosetError):
         verify_injectivity_mechanism(
-            homology_table, standard_autgens(2)[0].forward, pres, bound=0)
+            alpha_apply(homology_table, first), first, pres, bound=0)
 
 
 def test_certified_homology_table_genus2():
