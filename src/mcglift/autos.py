@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .budgets import ORBIT_CAP
 from .perm import EnumerationBoundExceeded
 from .quotients import FiniteHom, canonical_rep_mod_auts
 from .words import (
@@ -30,8 +31,6 @@ from .words import (
     inverse_word,
     surface_relator,
 )
-
-DEFAULT_ORBIT_CAP = 200000
 
 
 class AutError(ValueError):
@@ -256,7 +255,7 @@ class OrbitRecord:
         return len(self.members)
 
 
-def orbit(seed, gens=None, mod_target_auts=False, cap=DEFAULT_ORBIT_CAP,
+def orbit(seed, gens=None, mod_target_auts=False, cap=ORBIT_CAP,
           stop_at=None):
     """Breadth-first closure of the seed hom under precomposition by every
     generator and inverse, optionally reduced modulo target automorphisms,

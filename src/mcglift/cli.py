@@ -13,12 +13,14 @@ error, 2 budget exceeded, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import __version__
 from .autos import AutError, identity_auto, standard_autgens
+from .budgets import PROFILES
 from .cosets import (
     CosetError,
     alpha_apply,
@@ -49,11 +51,6 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_BREACH = 3
 
-BUDGET_PROFILES = {
-    "desk": {"tuples": 10**7, "points": 4000, "enum": 10**5},
-    "default": {"tuples": 10**8, "points": 30000, "enum": 10**6},
-    "wide": {"tuples": 5 * 10**8, "points": 120000, "enum": 5 * 10**6},
-}
 BUDGET_ENV = "MCGLIFT_BUDGET_PROFILE"
 
 
@@ -133,16 +130,18 @@ def build_parser():
 
 
 def resolve_budgets(args):
+    """The Budgets of the profile named by the environment, with every
+    budget flag that was given in place of the profile's value."""
     name = os.environ.get(BUDGET_ENV, "default")
-    if name not in BUDGET_PROFILES:
+    if name not in PROFILES:
         raise UsageError(
             f"unknown {BUDGET_ENV} profile {name!r}; expected one of "
-            + ", ".join(BUDGET_PROFILES))
-    profile = BUDGET_PROFILES[name]
+            + ", ".join(PROFILES))
     flags = {"tuples": args.budget_tuples, "points": args.budget_points,
              "enum": args.budget_enum}
-    return {key: profile[key] if value is None else value
-            for key, value in flags.items()}
+    return dataclasses.replace(
+        PROFILES[name],
+        **{key: value for key, value in flags.items() if value is not None})
 
 
 def _emit_json(payload, path):
@@ -153,10 +152,9 @@ def _emit_json(payload, path):
     return text
 
 
-def cmd_enumerate(args):
-    budgets = resolve_budgets(args)
+def cmd_enumerate(args, budgets):
     target = get_target(args.target, prime=args.prime)
-    homs = enumerate_homs(args.genus, target, budget=budgets["tuples"])
+    homs = enumerate_homs(args.genus, target, budget=budgets.tuples)
     epis = [h for h in homs if h.is_surjective()]
     try:
         oracle = count_homs_oracle(args.genus, target)
@@ -182,17 +180,15 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
-def cmd_forge(args):
-    budgets = resolve_budgets(args)
+def cmd_forge(args, budgets):
     if args.route == "s3":
         cert = forge_certificate_s3(
             args.genus, truncate_k=args.truncate_k, seed=args.seed,
-            point_cap=budgets["points"], enum_bound=budgets["enum"])
+            budgets=budgets)
     else:
         cert = forge_certificate_hall(
             args.genus, args.prime, collection=args.collection,
-            seed=args.seed, point_cap=budgets["points"],
-            enum_bound=budgets["enum"])
+            seed=args.seed, budgets=budgets)
     out = args.out or f"certificate-{args.route}-g{args.genus}.json"
     _emit_json(cert.json_dict(), out)
     print(f"{cert.status}: route={cert.route} k={cert.k} degree={cert.degree}"
@@ -200,12 +196,11 @@ def cmd_forge(args):
     return EXIT_OK
 
 
-def cmd_search(args):
-    budgets = resolve_budgets(args)
+def cmd_search(args, budgets):
     routes = ("hall", "s3") if args.route == "all" else (args.route,)
     report = minimal_degree_search(
         args.genus, routes=routes, budget=args.budget, seed=args.seed,
-        point_cap=budgets["points"], enum_bound=budgets["enum"])
+        budgets=budgets)
     if args.out:
         base, ext = os.path.splitext(args.out)
         for i, job in enumerate(report["jobs"]):
@@ -234,7 +229,7 @@ def _parse_cover(name):
     raise UsageError(f"unknown cover name {name!r}; expected homology<g>")
 
 
-def cmd_alpha(args):
+def cmd_alpha(args, budgets):
     genus = _parse_cover(args.cover)
     if args.genus is not None and args.genus != genus:
         raise UsageError(
@@ -322,13 +317,14 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        budgets = resolve_budgets(args)
         handler = {
             "enumerate": cmd_enumerate,
             "forge": cmd_forge,
             "search": cmd_search,
             "alpha": cmd_alpha,
         }[args.command]
-        return handler(args)
+        return handler(args, budgets)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

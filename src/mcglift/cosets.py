@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autos import inner_auto
+from .budgets import DEFAULT
 from .quotients import FiniteHom, mod2_homology_hom, target_c2
 from .words import (
     SurfacePresentation,
@@ -35,8 +36,6 @@ from .words import (
     inverse_word,
     surface_relator,
 )
-
-DEFAULT_SUBGROUP_ELEMENT_BOUND = 10**6
 
 
 class CosetError(ValueError):
@@ -128,7 +127,7 @@ class CosetTable:
         return f"CosetTable(genus={self.genus}, d={self.d}, {self.label})"
 
 
-def build_coset_table(hom, sub=None, bound=DEFAULT_SUBGROUP_ELEMENT_BOUND):
+def build_coset_table(hom, sub=None, bound=DEFAULT.enum):
     """Coset table of the preimage of `sub` under hom (kernel when sub is
     None).  `sub` is a SubgroupWitness inside the hom's target group."""
     if not hom.is_surjective():

@@ -24,12 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .autos import (
-    DEFAULT_ORBIT_CAP,
-    certify_characteristic,
-    orbit,
-    standard_autgens,
-)
+from .autos import certify_characteristic, orbit, standard_autgens
+from .budgets import COLLECTION_CAP, DEFAULT
 from .cosets import build_coset_table, schreier_generators
 from .perm import (
     EnumerationBoundExceeded,
@@ -38,6 +34,7 @@ from .perm import (
     Permutation,
     StructuralFormError,
     Sylow2Stalled,
+    _block_sign_vector,
     normalizer_is_self,
     subgroup_witness,
     sylow2,
@@ -53,8 +50,6 @@ from .quotients import (
 )
 from .words import cover_genus
 
-DEFAULT_POINT_CAP = 30000
-DEFAULT_ENUM_BOUND = 10**6
 SKIPPED = "skipped"
 
 CERTIFICATE_VERSION = "1"
@@ -102,7 +97,7 @@ def product_images(members):
 
 
 def build_subdirect_image(members, known_order=None, extra_gens=None,
-                          point_cap=DEFAULT_POINT_CAP):
+                          point_cap=DEFAULT.points):
     """Group generated by the product images, with per-factor surjectivity
     verified.  `extra_gens` may supply already-proven elements of the image
     (products of images of explicit words) to speed up the chain build."""
@@ -134,12 +129,6 @@ def build_subdirect_image(members, known_order=None, extra_gens=None,
 # -- structural order for S3 products ----------------------------------------
 
 
-def _sign_bit(p):
-    """Parity of a permutation of 3 points: 1 for the transpositions."""
-    fixed = sum(1 for i in range(3) if p.images[i] == i)
-    return 1 if fixed == 1 else 0
-
-
 def _a3_exponent(p):
     """Exponent e with p = (0 1 2)^e, for p in the rotation subgroup."""
     return p.images[0]
@@ -163,24 +152,16 @@ def structural_order_s3(members):
     k = len(members)
     if members[0].target is not target_s3():
         raise SubdirectError("structural order requires S3 members")
-    n_gens = len(members[0].images)
-    sign_vectors = []
-    for i in range(n_gens):
-        mask = 0
-        for j, member in enumerate(members):
-            if _sign_bit(member.images[i]):
-                mask |= 1 << j
-        sign_vectors.append(mask)
+    prod_gens, _, total = product_images(members)
+    sign_vectors = [_block_sign_vector(g, k) for g in prod_gens]
 
     # F2 elimination, remembering pivot columns
     basis = []  # (pivot, mask)
-    reduced_images = []
     for mask in sign_vectors:
         m = mask
         for pivot, bmask in basis:
             if m >> pivot & 1:
                 m ^= bmask
-        reduced_images.append(m)
         if m:
             basis.append((m.bit_length() - 1, m))
     r = len(basis)
@@ -208,7 +189,7 @@ def structural_order_s3(members):
         row = []
         for member in members:
             p = member.evaluate(w)
-            if _sign_bit(p):
+            if _block_sign_vector(p, 1):
                 raise RuntimeError(
                     "sign-kernel word evaluates to a transposition"
                 )
@@ -245,7 +226,6 @@ def structural_order_s3(members):
         rix += 1
         col += 1
 
-    prod_gens, _, total = product_images(members)
     odd_basis = []
     for i in pivot_rows:
         perm = Permutation.identity(total)
@@ -374,9 +354,7 @@ def _invalid_certificate(route, genus, k, stage, detail, seed_material,
 
 
 def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
-                         orbit_cap=DEFAULT_ORBIT_CAP,
-                         point_cap=DEFAULT_POINT_CAP,
-                         enum_bound=DEFAULT_ENUM_BOUND):
+                         budgets=DEFAULT):
     """Run the sylow-s3 pipeline and emit a certificate.
 
     `truncate_k` cuts the closed orbit down to its first members — the unit
@@ -386,6 +364,8 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
     t_start = time.time()
     if genus < 2:
         raise ForgeError(f"genus must be >= 2, got {genus}")
+    if truncate_k is not None and truncate_k < 1:
+        raise ForgeError(f"truncate_k must be >= 1, got {truncate_k}")
     target = target_s3()
     if seed_epi is None:
         seed_epi = standard_epi(genus, target)
@@ -402,7 +382,7 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
     timing = {}
 
     t0 = time.time()
-    rec = orbit(seed_epi, gens, mod_target_auts=False, cap=orbit_cap)
+    rec = orbit(seed_epi, gens, mod_target_auts=False)
     members = list(rec.members)
     if truncate_k is not None:
         members = members[:truncate_k]
@@ -429,7 +409,7 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
             members,
             known_order=structural["order"],
             extra_gens=structural["odd_basis"],
-            point_cap=point_cap,
+            point_cap=budgets.points,
         )
         timing["group_s"] = round(time.time() - t0, 3)
     except EnumerationBoundExceeded as e:
@@ -461,9 +441,10 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
                                     seed_material, char_entry)
 
     t0 = time.time()
-    method_a = "enumeration" if G.order <= enum_bound else "structural"
+    method_a = "enumeration" if G.order <= budgets.enum else "structural"
     try:
-        pass_a = normalizer_is_self(witness, bound=enum_bound, method=method_a)
+        pass_a = normalizer_is_self(witness, bound=budgets.enum,
+                                    method=method_a)
     except (StructuralFormError, EnumerationBoundExceeded) as e:
         return _invalid_certificate("sylow-s3", genus, k, "normalizer",
                                     str(e), seed_material, char_entry)
@@ -502,7 +483,7 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
     return cert
 
 
-def collect_inequivalent_members(seed_epi, gens, want, cap=500000):
+def collect_inequivalent_members(seed_epi, gens, want):
     """First `want` members (sorted canonical representatives) of the orbit
     closure modulo target automorphisms, stopping the closure at the end of
     the level in which `want` distinct classes are found.
@@ -514,7 +495,8 @@ def collect_inequivalent_members(seed_epi, gens, want, cap=500000):
     """
     if want < 1:
         raise ForgeError(f"collection size must be >= 1, got {want}")
-    rec = orbit(seed_epi, gens, mod_target_auts=True, cap=cap, stop_at=want)
+    rec = orbit(seed_epi, gens, mod_target_auts=True, cap=COLLECTION_CAP,
+                stop_at=want)
     if rec.k < want:
         raise ForgeError(
             f"orbit closure has only {rec.k} classes, wanted {want}"
@@ -535,8 +517,7 @@ def _pairwise_inequivalent(members):
 
 
 def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
-                           members=None, point_cap=DEFAULT_POINT_CAP,
-                           enum_bound=DEFAULT_ENUM_BOUND):
+                           members=None, budgets=DEFAULT):
     """Run the hall-psl2 pipeline and emit a certificate.
 
     The collection is drawn from the orbit closure modulo Aut(target) unless
@@ -596,7 +577,7 @@ def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
 
     t0 = time.time()
     try:
-        sub = build_subdirect_image(members, point_cap=point_cap)
+        sub = build_subdirect_image(members, point_cap=budgets.points)
     except (SubdirectError, EnumerationBoundExceeded) as e:
         return _invalid_certificate(f"hall-psl2({p})", genus, k,
                                     "subdirect-image", str(e),
@@ -620,13 +601,13 @@ def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
     timing["subgroup_s"] = round(time.time() - t0, 3)
 
     t0 = time.time()
-    if G.order <= enum_bound:
+    if G.order <= budgets.enum:
         method_a = "enumeration"
-        pass_a = normalizer_is_self(witness, bound=enum_bound,
+        pass_a = normalizer_is_self(witness, bound=budgets.enum,
                                     method="enumeration")
     else:
         method_a = "structural"
-        pass_a = normalizer_is_self(bw, bound=enum_bound,
+        pass_a = normalizer_is_self(bw, bound=budgets.enum,
                                     method="enumeration")
     timing["normalizer_s"] = round(time.time() - t0, 3)
 
@@ -722,11 +703,12 @@ def gamma_set_isomorphic(table1, table2, bound=4096):
 
 
 def minimal_degree_search(genus, routes=("hall", "s3"), budget=0, seed=0,
-                          point_cap=DEFAULT_POINT_CAP,
-                          enum_bound=DEFAULT_ENUM_BOUND):
+                          budgets=DEFAULT):
     """Sweep forge jobs in a fixed order within the budget and report the
     best VALID and best flagged (structurally sound but uncertified) degrees
     found.  No claim is made beyond the searched space."""
+    if budget < 0:
+        raise ForgeError(f"search budget must be >= 0, got {budget}")
     jobs = []
     if "hall" in routes:
         for p in (5, 7, 11, 13):
@@ -740,10 +722,9 @@ def minimal_degree_search(genus, routes=("hall", "s3"), budget=0, seed=0,
         if route == "hall":
             cert = forge_certificate_hall(
                 genus, params["p"], collection=params["collection"],
-                seed=seed, point_cap=point_cap, enum_bound=enum_bound)
+                seed=seed, budgets=budgets)
         else:
-            cert = forge_certificate_s3(genus, seed=seed, point_cap=point_cap,
-                                        enum_bound=enum_bound)
+            cert = forge_certificate_s3(genus, seed=seed, budgets=budgets)
         entry = {
             "route": cert.route,
             "params": params,

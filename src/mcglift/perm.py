@@ -11,10 +11,11 @@ decided by sifting.  Groups are immutable once constructed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-DEFAULT_ENUMERATION_BOUND = 10**6
+from .budgets import DEFAULT
 
 
 class PermError(ValueError):
@@ -151,12 +152,7 @@ class Permutation:
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
 
     def order(self):
-        n = 1
-        for c in self.cycles():
-            k = len(c)
-            g = _gcd(n, k)
-            n = n // g * k
-        return n
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -169,12 +165,6 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def compose(p, q):
@@ -360,7 +350,7 @@ class PermGroup:
     def identity(self):
         return Permutation.identity(self.degree)
 
-    def elements(self, bound=DEFAULT_ENUMERATION_BOUND):
+    def elements(self, bound=DEFAULT.enum):
         """All elements, by deterministic transversal products.
 
         Raises EnumerationBoundExceeded if the order exceeds `bound`.
@@ -562,7 +552,7 @@ def _sylow2_growth(group, seed, bound):
     return subgroup_witness(group, sub)
 
 
-def sylow2(group, seed=0, method="auto", bound=DEFAULT_ENUMERATION_BOUND):
+def sylow2(group, seed=0, method="auto", bound=DEFAULT.enum):
     """A Sylow 2-subgroup of `group`, as a SubgroupWitness.
 
     method: "auto" picks the structural path for groups in S3-block form and
@@ -625,12 +615,13 @@ def _normalizer_is_self_structural(witness):
         )
     chosen = [None] * k
     for p in h.generators:
+        signs = _block_sign_vector(p, k)
         for j in range(k):
             lo = 3 * j
             rest = tuple(p.images[lo + i] - lo for i in range(3))
             if rest == (0, 1, 2):
                 continue
-            if sorted(rest) != [0, 1, 2] or _restriction_order(rest) != 2:
+            if sorted(rest) != [0, 1, 2] or not signs >> j & 1:
                 raise StructuralFormError(
                     f"subgroup restriction to block {j} is not an involution"
                 )
@@ -647,23 +638,7 @@ def _normalizer_is_self_structural(witness):
     return True
 
 
-def _restriction_order(rest):
-    seen = 0
-    order = 1
-    for start in range(3):
-        if seen >> start & 1:
-            continue
-        n = 0
-        x = start
-        while not seen >> x & 1:
-            seen |= 1 << x
-            x = rest[x]
-            n += 1
-        order = order * n // _gcd(order, n)
-    return order
-
-
-def normalizer_is_self(witness, bound=DEFAULT_ENUMERATION_BOUND, method="auto"):
+def normalizer_is_self(witness, bound=DEFAULT.enum, method="auto"):
     """Decide whether N_G(H) = H.
 
     method "enumeration" scans every ambient element; "structural" certifies
@@ -681,7 +656,7 @@ def normalizer_is_self(witness, bound=DEFAULT_ENUMERATION_BOUND, method="auto"):
     return _normalizer_is_self_structural(witness)
 
 
-def mulclose(generators, degree=None, bound=DEFAULT_ENUMERATION_BOUND):
+def mulclose(generators, degree=None, bound=DEFAULT.enum):
     """Brute-force closure; the independent oracle for BSGS orders."""
     if degree is None:
         degree = generators[0].degree

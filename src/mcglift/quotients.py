@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .budgets import DEFAULT
 from .perm import (
     EnumerationBoundExceeded,
     PermGroup,
@@ -26,8 +27,6 @@ from .perm import (
     subgroup_witness,
 )
 from .words import surface_relator
-
-DEFAULT_TUPLE_BUDGET = 10**8
 
 
 class QuotientError(ValueError):
@@ -301,7 +300,7 @@ def _commutator_index(target):
     return pairs, by_comm
 
 
-def enumerate_homs(genus, target, budget=DEFAULT_TUPLE_BUDGET):
+def enumerate_homs(genus, target, budget=DEFAULT.tuples):
     """All homomorphisms from the genus-g surface group to the target,
     ordered lexicographically by element indices."""
     if genus < 2:
@@ -326,7 +325,7 @@ def enumerate_homs(genus, target, budget=DEFAULT_TUPLE_BUDGET):
     return homs
 
 
-def enumerate_epis(genus, target, budget=DEFAULT_TUPLE_BUDGET):
+def enumerate_epis(genus, target, budget=DEFAULT.tuples):
     return [h for h in enumerate_homs(genus, target, budget) if h.is_surjective()]
 
 

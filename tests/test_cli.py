@@ -1,15 +1,29 @@
 """Command-line interface: exit codes, output shapes, and determinism."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from mcglift.autos import standard_autgens
 from mcglift import forge
-from mcglift.cli import EXIT_BREACH, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from mcglift.budgets import Budgets
+from mcglift.cli import (
+    EXIT_BREACH,
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+    resolve_budgets,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -74,6 +88,44 @@ def test_unknown_budget_profile_is_a_usage_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "'roomy'" in err
     assert all(name in err for name in ("desk", "default", "wide"))
+
+
+def test_alpha_validates_the_budget_profile(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("MCGLIFT_BUDGET_PROFILE", "roomy")
+    out = tmp_path / "alpha.json"
+    assert run(["alpha", "--cover", "homology2", "--check", "containment",
+                "--out", str(out)]) == EXIT_USAGE
+    assert "'roomy'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flags_replace_the_profile_values(monkeypatch):
+    monkeypatch.setenv("MCGLIFT_BUDGET_PROFILE", "desk")
+    args = build_parser().parse_args(["forge", "--budget-points", "7"])
+    assert resolve_budgets(args) == Budgets(
+        tuples=10**7, points=7, enum=10**5)
+
+
+def test_points_flag_gives_a_partial_forge(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert run(["forge", "--route", "s3", "--budget-points", "100",
+                "--out", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("PARTIAL: route=sylow-s3 k=360")
+    assert json.loads(path.read_text())["status"] == "PARTIAL"
+
+
+@pytest.mark.parametrize("argv", [
+    ["forge", "--route", "s3", "--truncate-k", "0"],
+    ["forge", "--route", "s3", "--truncate-k", "-1"],
+    ["search", "--route", "s3", "--budget", "-1"],
+])
+def test_out_of_range_counts_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_exit_code(capsys):
@@ -179,6 +231,21 @@ def test_alpha_dump_without_hom_law_has_every_image(tmp_path, capsys):
     data = json.loads(path.read_text())
     assert set(data["suites"]) == {"containment"}
     assert set(data["images"]) == {g.name for g in standard_autgens(2)}
+
+
+@pytest.mark.parametrize("profile, argv, code", [
+    ("default", ["enumerate", "--target", "a5", "--budget-tuples", "1000"],
+     EXIT_BUDGET),
+    ("roomy", ["enumerate", "--target", "c2"], EXIT_USAGE),
+])
+def test_module_entrypoint_exit_codes(profile, argv, code):
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               MCGLIFT_BUDGET_PROFILE=profile)
+    proc = subprocess.run([sys.executable, "-m", "mcglift.cli"] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("mcglift") is None,

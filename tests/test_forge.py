@@ -7,6 +7,7 @@ import random
 import pytest
 
 from mcglift.autos import orbit, standard_autgens
+from mcglift.budgets import Budgets
 from mcglift.cosets import build_coset_table
 from mcglift.forge import (
     SKIPPED,
@@ -151,7 +152,7 @@ def test_full_s3_certificate_schema(full_s3_certificate):
 
 
 def test_s3_point_cap_gives_partial():
-    cert = forge_certificate_s3(2, point_cap=100)
+    cert = forge_certificate_s3(2, budgets=Budgets(points=100))
     assert cert.status == "PARTIAL"
     assert cert.k == 360
     assert cert.G_order == 0
