@@ -10,7 +10,6 @@ and extracting certified Sylow 2-subgroups two independent ways.
 from mcglift import (
     PermGroup,
     Permutation,
-    is_member,
     normalizer_is_self,
     subgroup_witness,
     sylow2,
@@ -32,8 +31,8 @@ print("\n|A5| =", a5.order)
 
 even = Permutation.parse("(0 1 2)", 5)
 odd = Permutation.parse("(3 4)", 5)
-print("contains (0 1 2):", is_member(a5, even))
-print("contains (3 4):  ", is_member(a5, odd))
+print("contains (0 1 2):", even in a5)
+print("contains (3 4):  ", odd in a5)
 
 # The same machinery scales to products.  Three copies of the symmetric
 # group on {0,1,2}, acting on disjoint triples, give a group of order 216.

@@ -11,10 +11,7 @@ from .perm import (
     Permutation,
     PermGroup,
     SubgroupWitness,
-    build_bsgs,
-    compose,
     conjugate_subgroup,
-    is_member,
     mulclose,
     normalizer_is_self,
     subgroup_witness,

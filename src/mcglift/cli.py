@@ -107,9 +107,13 @@ def build_parser():
     p = sub.add_parser("forge", help="forge a cover certificate")
     common(p)
     p.add_argument("--route", choices=("s3", "hall"), default="s3")
-    p.add_argument("--prime", type=int, default=5)
-    p.add_argument("--collection", type=int, default=2)
-    p.add_argument("--truncate-k", type=int, default=None)
+    # each route's own flags; giving the other route's is a usage error
+    p.add_argument("--prime", type=int, default=None,
+                   help="hall route only (default 5)")
+    p.add_argument("--collection", type=int, default=None,
+                   help="hall route only (default 2)")
+    p.add_argument("--truncate-k", type=int, default=None,
+                   help="s3 route only")
 
     p = sub.add_parser("search", help="sweep routes for small cover degrees")
     common(p)
@@ -180,14 +184,25 @@ def cmd_enumerate(args, budgets):
     return EXIT_OK
 
 
+FOREIGN_FORGE_FLAGS = {"s3": ("prime", "collection"),
+                       "hall": ("truncate_k",)}
+
+
 def cmd_forge(args, budgets):
+    foreign = [f"--{name.replace('_', '-')}"
+               for name in FOREIGN_FORGE_FLAGS[args.route]
+               if getattr(args, name) is not None]
+    if foreign:
+        raise UsageError(
+            f"{', '.join(foreign)} does not apply to --route {args.route}")
     if args.route == "s3":
         cert = forge_certificate_s3(
             args.genus, truncate_k=args.truncate_k, seed=args.seed,
             budgets=budgets)
     else:
         cert = forge_certificate_hall(
-            args.genus, args.prime, collection=args.collection,
+            args.genus, 5 if args.prime is None else args.prime,
+            collection=2 if args.collection is None else args.collection,
             seed=args.seed, budgets=budgets)
     out = args.out or f"certificate-{args.route}-g{args.genus}.json"
     _emit_json(cert.json_dict(), out)

@@ -280,16 +280,6 @@ def rewrite(table, word):
     return tuple(out)
 
 
-def _rs_free_reduce(letters):
-    out = []
-    for letter in letters:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def expand(rs_word, rs):
     """Push a Schreier-generator word back down to a surface-group word."""
     out = []
@@ -315,7 +305,7 @@ class AutImage:
             v = self.values[letter - 1] if letter > 0 else tuple(
                 -x for x in reversed(self.values[-letter - 1]))
             out.extend(v)
-        return _rs_free_reduce(out)
+        return free_reduce(out)
 
     def compose(self, other):
         """self after other, as maps on the subgroup."""
@@ -392,7 +382,7 @@ def inner_compatibility_holds(table, u, presentation=None):
     ru = rewrite(table, u)
     rui = [-x for x in reversed(ru)]
     for j, v in enumerate(image.values):
-        direct = _rs_free_reduce(list(ru) + [j + 1] + rui)
+        direct = free_reduce(list(ru) + [j + 1] + rui)
         if v != direct and not presentation.words_equal(
                 expand(v, rs), expand(direct, rs)):
             return False

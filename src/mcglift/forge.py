@@ -22,6 +22,7 @@ the chain cannot reach it.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .autos import certify_characteristic, orbit, standard_autgens
@@ -35,6 +36,7 @@ from .perm import (
     StructuralFormError,
     Sylow2Stalled,
     _block_sign_vector,
+    _independent_rows,
     normalizer_is_self,
     subgroup_witness,
     sylow2,
@@ -65,13 +67,23 @@ class SubdirectError(ForgeError):
 
 @dataclass(frozen=True)
 class SubdirectImage:
-    """The image of the product homomorphism inside the k-fold product."""
+    """The product homomorphism into the k-fold product, as the product
+    images of the surface generators on k * block_degree points."""
 
     k: int
     factor_homs: tuple
     block_degree: int
     product_gens: tuple
-    G: PermGroup
+
+    def group(self, known_order=None, extra_gens=()):
+        """The image group.  `extra_gens` may supply already-proven elements
+        of the image to speed up the chain build; `known_order` is passed to
+        the chain, which raises if it cannot reach it."""
+        # the extra generators go first: with the S3 odd basis the chain then
+        # reaches a declared order after far fewer Schreier generators
+        return PermGroup(tuple(extra_gens) + self.product_gens,
+                         degree=self.k * self.block_degree,
+                         known_order=known_order)
 
 
 def _embed_block(p, block, block_degree, total):
@@ -82,25 +94,10 @@ def _embed_block(p, block, block_degree, total):
     return Permutation(images)
 
 
-def product_images(members):
-    """The 2g product permutations of a member list, on k*deg points."""
-    k = len(members)
-    deg = members[0].target.degree
-    total = k * deg
-    gens = []
-    for i in range(len(members[0].images)):
-        images = []
-        for j, member in enumerate(members):
-            images.extend(deg * j + x for x in member.images[i].images)
-        gens.append(Permutation(images))
-    return gens, deg, total
-
-
-def build_subdirect_image(members, known_order=None, extra_gens=None,
-                          point_cap=DEFAULT.points):
-    """Group generated by the product images, with per-factor surjectivity
-    verified.  `extra_gens` may supply already-proven elements of the image
-    (products of images of explicit words) to speed up the chain build."""
+def build_subdirect_image(members, point_cap=DEFAULT.points):
+    """The product homomorphism of a member list, with per-factor
+    surjectivity verified and the point count checked against the budget
+    before any permutation is built."""
     members = list(members)
     if not members:
         raise SubdirectError("empty member list")
@@ -110,81 +107,73 @@ def build_subdirect_image(members, known_order=None, extra_gens=None,
             raise SubdirectError("members disagree in genus or target")
         if not member.is_surjective():
             raise SubdirectError(f"factor {j} is not surjective")
-    gens, deg, total = product_images(members)
-    if total > point_cap:
+    k = len(members)
+    deg = members[0].target.degree
+    if k * deg > point_cap:
         raise EnumerationBoundExceeded(
-            f"{total} points exceed the chain budget {point_cap}"
+            f"{k * deg} points exceed the chain budget {point_cap}"
         )
-    all_gens = gens + list(extra_gens or ())
-    G = PermGroup(all_gens, degree=total, known_order=known_order)
-    return SubdirectImage(
-        k=len(members),
-        factor_homs=tuple(members),
-        block_degree=deg,
-        product_gens=tuple(gens),
-        G=G,
-    )
+    gens = []
+    for i in range(genus2):
+        images = []
+        for j, member in enumerate(members):
+            images.extend(deg * j + x for x in member.images[i].images)
+        gens.append(Permutation(images))
+    return SubdirectImage(k=k, factor_homs=tuple(members), block_degree=deg,
+                          product_gens=tuple(gens))
 
 
 # -- structural order for S3 products ----------------------------------------
 
 
-def _a3_exponent(p):
-    """Exponent e with p = (0 1 2)^e, for p in the rotation subgroup."""
-    return p.images[0]
+def _rotation_product(exponents):
+    """The element of A3^k acting on block j as x -> x + e_j (mod 3)."""
+    images = []
+    for j, e in enumerate(exponents):
+        images.extend(3 * j + (x + e) % 3 for x in range(3))
+    return Permutation(images)
 
 
 def structural_order_s3(members):
     """|G| for the product image of S3-valued members, as 2^r * 3^m.
 
-    r is the rank over F2 of the generator sign vectors (G surjects onto its
+    r is the rank over F2 of the generator sign rows (G surjects onto its
     sign image).  The kernel of the sign map meets the product in a subgroup
     of the rotation part, which is elementary abelian of exponent 3; its
     dimension m is the F3-rank of the Schreier generators of the sign-kernel
     subgroup of the surface group, evaluated factor-wise.  Both counts are
     exact, so |G| = 2^r * 3^m exactly.
 
-    Returns a dict with the order, both ranks, the sign-pivot factors, and
-    permutations generating the odd part (images of explicit words, hence
-    certified members of G).  Breaches of its invariants raise RuntimeError.
+    Returns a dict with the order, both ranks, and permutations generating
+    the odd part (images of explicit words, hence certified members of G).
+    Breaches of its invariants raise RuntimeError.
     """
     members = list(members)
-    k = len(members)
     if members[0].target is not target_s3():
         raise SubdirectError("structural order requires S3 members")
-    prod_gens, _, total = product_images(members)
-    sign_vectors = [_block_sign_vector(g, k) for g in prod_gens]
-
-    # F2 elimination, remembering pivot columns
-    basis = []  # (pivot, mask)
-    for mask in sign_vectors:
-        m = mask
-        for pivot, bmask in basis:
-            if m >> pivot & 1:
-                m ^= bmask
-        if m:
-            basis.append((m.bit_length() - 1, m))
-    r = len(basis)
-    pivots = sorted(p for p, _ in basis)
+    # row i: the sign of generator i's image in each factor
+    sign_rows = [[_block_sign_vector(member.images[i], 1) for member in members]
+                 for i in range(len(members[0].images))]
+    chosen, pivots = _independent_rows(sign_rows, 2)
+    r = len(chosen)
 
     # sign quotient as a homomorphism onto C2^r via the pivot coordinates
     c2r = target_c2k(r)
     sign_images = []
-    for mask in sign_vectors:
+    for row in sign_rows:
         perm = Permutation.identity(2 * r)
         for b, pivot in enumerate(pivots):
-            if mask >> pivot & 1:
+            if row[pivot]:
                 perm = perm * c2r.generators[b]
         sign_images.append(perm)
     sign_hom = FiniteHom(c2r, sign_images)
     if not sign_hom.is_surjective():
         raise RuntimeError("sign quotient unexpectedly not surjective")
-    table = build_coset_table(sign_hom)
-    rs = schreier_generators(table)
+    rs = schreier_generators(build_coset_table(sign_hom))
 
-    # factor-wise rotation exponents of each Schreier generator word
-    rows = []
-    words = []
+    # factor-wise rotation exponents of each Schreier generator word; a
+    # rotation p of {0, 1, 2} is x -> x + p(0)
+    exponent_rows = []
     for w in rs.words:
         row = []
         for member in members:
@@ -193,53 +182,14 @@ def structural_order_s3(members):
                 raise RuntimeError(
                     "sign-kernel word evaluates to a transposition"
                 )
-            row.append(_a3_exponent(p))
-        rows.append(row)
-        words.append(w)
-
-    # F3 elimination, remembering which original rows are pivots
-    m_rank = 0
-    pivot_rows = []
-    mat = [list(row) for row in rows]
-    row_origin = list(range(len(mat)))
-    col = 0
-    rix = 0
-    while rix < len(mat) and col < k:
-        sel = None
-        for i in range(rix, len(mat)):
-            if mat[i][col] % 3:
-                sel = i
-                break
-        if sel is None:
-            col += 1
-            continue
-        mat[rix], mat[sel] = mat[sel], mat[rix]
-        row_origin[rix], row_origin[sel] = row_origin[sel], row_origin[rix]
-        inv = 1 if mat[rix][col] % 3 == 1 else 2
-        mat[rix] = [(x * inv) % 3 for x in mat[rix]]
-        for i in range(len(mat)):
-            if i != rix and mat[i][col] % 3:
-                f = mat[i][col] % 3
-                mat[i] = [(a - f * b) % 3 for a, b in zip(mat[i], mat[rix])]
-        pivot_rows.append(row_origin[rix])
-        m_rank += 1
-        rix += 1
-        col += 1
-
-    odd_basis = []
-    for i in pivot_rows:
-        perm = Permutation.identity(total)
-        for letter in words[i]:
-            p = (prod_gens[letter - 1] if letter > 0
-                 else prod_gens[-letter - 1].inverse())
-            perm = perm * p
-        odd_basis.append(perm)
+            row.append(p.images[0])
+        exponent_rows.append(row)
+    chosen, _ = _independent_rows(exponent_rows, 3)
     return {
-        "order": (2**r) * (3**m_rank),
+        "order": 2**r * 3**len(chosen),
         "two_rank": r,
-        "three_rank": m_rank,
-        "sign_pivots": pivots,
-        "odd_basis": odd_basis,
+        "three_rank": len(chosen),
+        "odd_basis": [_rotation_product(exponent_rows[i]) for i in chosen],
     }
 
 
@@ -333,8 +283,21 @@ def standard_epi(genus, target):
     return hom
 
 
+@contextmanager
+def _stage(timing, key):
+    """Record the wall time of the block as timing[key], in seconds rounded
+    to three places, also when the block returns or raises."""
+    start = time.time()
+    try:
+        yield
+    finally:
+        timing[key] = round(time.time() - start, 3)
+
+
 def _invalid_certificate(route, genus, k, stage, detail, seed_material,
-                         characteristic=None):
+                         characteristic, timing, status="INVALID"):
+    """A certificate that stopped at `stage`: INVALID, or PARTIAL when a
+    budget ran out."""
     return CoverCertificate(
         route=route,
         genus_in=genus,
@@ -345,11 +308,12 @@ def _invalid_certificate(route, genus, k, stage, detail, seed_material,
         genus_out=0,
         check_a={"pass": False, "method": "not-run"},
         check_b={"pass": False, "method": "not-run"},
-        characteristic=characteristic or {"pass": False, "gens": ""},
+        characteristic=characteristic,
         K_trivial=False,
         seed_material=seed_material,
-        status="INVALID",
+        status=status,
         failing_stage=f"{stage}: {detail}",
+        timing=timing,
     )
 
 
@@ -381,51 +345,45 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
     }
     timing = {}
 
-    t0 = time.time()
-    rec = orbit(seed_epi, gens, mod_target_auts=False)
-    members = list(rec.members)
-    if truncate_k is not None:
-        members = members[:truncate_k]
-    timing["orbit_s"] = round(time.time() - t0, 3)
+    with _stage(timing, "orbit_s"):
+        rec = orbit(seed_epi, gens, mod_target_auts=False)
+        members = list(rec.members)
+        if truncate_k is not None:
+            members = members[:truncate_k]
 
-    t0 = time.time()
-    char = certify_characteristic(rec, members)
-    char_entry = {
-        "pass": bool(char["pass"]),
-        "gens": gen_label,
-    }
-    if not char["pass"]:
-        char_entry["failure"] = {
-            "direction": char["failure"]["direction"],
-            "member": char["failure"]["member"],
+    with _stage(timing, "characteristic_s"):
+        char = certify_characteristic(rec, members)
+        char_entry = {
+            "pass": bool(char["pass"]),
+            "gens": gen_label,
         }
-    timing["characteristic_s"] = round(time.time() - t0, 3)
+        if not char["pass"]:
+            char_entry["failure"] = {
+                "direction": char["failure"]["direction"],
+                "member": char["failure"]["member"],
+            }
 
     k = len(members)
-    try:
-        t0 = time.time()
+    with _stage(timing, "group_s"):
+        # the point budget is checked before the structural order runs
+        try:
+            sub = build_subdirect_image(members, point_cap=budgets.points)
+        except EnumerationBoundExceeded as e:
+            return _invalid_certificate(
+                "sylow-s3", genus, k, "subdirect-image", str(e),
+                seed_material, char_entry, timing, status="PARTIAL")
+        except SubdirectError as e:
+            return _invalid_certificate(
+                "sylow-s3", genus, k, "subdirect-image", str(e),
+                seed_material, char_entry, timing)
         structural = structural_order_s3(members)
-        sub = build_subdirect_image(
-            members,
-            known_order=structural["order"],
-            extra_gens=structural["odd_basis"],
-            point_cap=budgets.points,
-        )
-        timing["group_s"] = round(time.time() - t0, 3)
-    except EnumerationBoundExceeded as e:
-        cert = _invalid_certificate("sylow-s3", genus, k, "subdirect-image",
-                                    str(e), seed_material, char_entry)
-        cert.status = "PARTIAL"
-        cert.timing = timing
-        return cert
-    except SubdirectError as e:
-        return _invalid_certificate("sylow-s3", genus, k, "subdirect-image",
-                                    str(e), seed_material, char_entry)
-    except PermError as e:
-        # the declared structural order and the chain disagree: a breach of
-        # the dual-route invariant, not a mere failed check
-        raise RuntimeError(f"order cross-check failed: {e}") from e
-    G = sub.G
+        try:
+            G = sub.group(known_order=structural["order"],
+                          extra_gens=structural["odd_basis"])
+        except PermError as e:
+            # the declared structural order and the chain disagree: a breach
+            # of the dual-route invariant, not a mere failed check
+            raise RuntimeError(f"order cross-check failed: {e}") from e
     if G.order != structural["order"]:
         raise RuntimeError(
             f"chain order {G.order} disagrees with structural order"
@@ -433,22 +391,20 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
         )
 
     try:
-        t0 = time.time()
-        witness = sylow2(G, seed=seed, method="structural")
-        timing["sylow_s"] = round(time.time() - t0, 3)
+        with _stage(timing, "sylow_s"):
+            witness = sylow2(G, seed=seed, method="structural")
     except (Sylow2Stalled, StructuralFormError) as e:
         return _invalid_certificate("sylow-s3", genus, k, "sylow2", str(e),
-                                    seed_material, char_entry)
+                                    seed_material, char_entry, timing)
 
-    t0 = time.time()
     method_a = "enumeration" if G.order <= budgets.enum else "structural"
     try:
-        pass_a = normalizer_is_self(witness, bound=budgets.enum,
-                                    method=method_a)
+        with _stage(timing, "normalizer_s"):
+            pass_a = normalizer_is_self(witness, bound=budgets.enum,
+                                        method=method_a)
     except (StructuralFormError, EnumerationBoundExceeded) as e:
         return _invalid_certificate("sylow-s3", genus, k, "normalizer",
-                                    str(e), seed_material, char_entry)
-    timing["normalizer_s"] = round(time.time() - t0, 3)
+                                    str(e), seed_material, char_entry, timing)
 
     pass_b = witness.sub.order == two_part(G.order)
     degree = G.order // witness.sub.order
@@ -544,15 +500,14 @@ def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
     }
     timing = {}
 
-    t0 = time.time()
-    if members is None:
-        members, truncated = collect_inequivalent_members(
-            seed_epi, gens, collection)
-    else:
-        members = list(members)
-        truncated = True
+    with _stage(timing, "collection_s"):
+        if members is None:
+            members, truncated = collect_inequivalent_members(
+                seed_epi, gens, collection)
+        else:
+            members = list(members)
+            truncated = True
     k = len(members)
-    timing["collection_s"] = round(time.time() - t0, 3)
 
     char_entry = {
         "pass": False,
@@ -568,52 +523,51 @@ def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
 
     clash = _pairwise_inequivalent(members)
     if clash is not None:
-        cert = _invalid_certificate(
+        return _invalid_certificate(
             f"hall-psl2({p})", genus, k, "hall-hypothesis",
             f"members {clash[0]} and {clash[1]} are Aut(target)-equivalent",
-            seed_material, char_entry)
-        cert.timing = timing
-        return cert
+            seed_material, char_entry, timing)
 
-    t0 = time.time()
-    try:
-        sub = build_subdirect_image(members, point_cap=budgets.points)
-    except (SubdirectError, EnumerationBoundExceeded) as e:
-        return _invalid_certificate(f"hall-psl2({p})", genus, k,
-                                    "subdirect-image", str(e),
-                                    seed_material, char_entry)
-    G = sub.G
-    timing["group_s"] = round(time.time() - t0, 3)
+    with _stage(timing, "group_s"):
+        try:
+            sub = build_subdirect_image(members, point_cap=budgets.points)
+        except EnumerationBoundExceeded as e:
+            return _invalid_certificate(
+                f"hall-psl2({p})", genus, k, "subdirect-image", str(e),
+                seed_material, char_entry, timing, status="PARTIAL")
+        except SubdirectError as e:
+            return _invalid_certificate(
+                f"hall-psl2({p})", genus, k, "subdirect-image", str(e),
+                seed_material, char_entry, timing)
+        G = sub.group()
     full = target.order ** k
     if G.order != full:
         raise RuntimeError(
             f"inequivalent simple factors gave |G| = {G.order}, not {full}"
         )
 
-    t0 = time.time()
-    bw = borel_subgroup(p)
-    hgens = []
-    for j in range(k):
-        for bg in bw.sub.generators:
-            hgens.append(_embed_block(bg, j, target.degree, k * target.degree))
-    H = PermGroup(hgens, degree=k * target.degree)
-    witness = subgroup_witness(G, H)
-    timing["subgroup_s"] = round(time.time() - t0, 3)
+    with _stage(timing, "subgroup_s"):
+        bw = borel_subgroup(p)
+        hgens = []
+        for j in range(k):
+            for bg in bw.sub.generators:
+                hgens.append(
+                    _embed_block(bg, j, target.degree, k * target.degree))
+        H = PermGroup(hgens, degree=k * target.degree)
+        witness = subgroup_witness(G, H)
 
-    t0 = time.time()
-    if G.order <= budgets.enum:
-        method_a = "enumeration"
-        pass_a = normalizer_is_self(witness, bound=budgets.enum,
-                                    method="enumeration")
-    else:
-        method_a = "structural"
-        pass_a = normalizer_is_self(bw, bound=budgets.enum,
-                                    method="enumeration")
-    timing["normalizer_s"] = round(time.time() - t0, 3)
+    with _stage(timing, "normalizer_s"):
+        if G.order <= budgets.enum:
+            method_a = "enumeration"
+            pass_a = normalizer_is_self(witness, bound=budgets.enum,
+                                        method="enumeration")
+        else:
+            method_a = "structural"
+            pass_a = normalizer_is_self(bw, bound=budgets.enum,
+                                        method="enumeration")
 
-    t0 = time.time()
-    pass_b, conj_witness = _hall_check_b(p, bw)
-    timing["check_b_s"] = round(time.time() - t0, 3)
+    with _stage(timing, "check_b_s"):
+        pass_b, conj_witness = _hall_check_b(p, bw)
 
     degree = G.order // H.order
     gout = cover_genus(genus, degree)

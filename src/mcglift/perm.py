@@ -167,11 +167,6 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
 
 
-def compose(p, q):
-    """(p * q)(x) = p(q(x)); q acts first."""
-    return p * q
-
-
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators
     placed at this level (they fix all earlier base points and move this
@@ -240,9 +235,7 @@ class PermGroup:
         self.generators = tuple(generators)
         self._levels = []
         self._build(known_order)
-        self._order = 1
-        for lvl in self._levels:
-            self._order *= len(lvl.tree)
+        self._order = self._chain_count()
 
     # -- construction -------------------------------------------------------
 
@@ -378,15 +371,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def build_bsgs(generators, degree=None, known_order=None):
-    """Construct a PermGroup (base and strong generating set) from generators."""
-    return PermGroup(generators, degree=degree, known_order=known_order)
-
-
-def is_member(group, p):
-    return p in group
-
-
 @dataclass(frozen=True)
 class SubgroupWitness:
     """A subgroup H of an ambient group G together with its exact index."""
@@ -465,6 +449,30 @@ def _block_sign_vector(p, k):
     return mask
 
 
+def _independent_rows(rows, p):
+    """Greedy row reduction over F_p, p prime, in input order.
+
+    Returns (chosen, pivots): the indices of the rows that are not in the
+    span of the rows before them, and the pivot column of each.  Every kept
+    row is reduced against the earlier kept rows, so it is zero on their
+    pivot columns and a row in their span reduces to zero.
+    """
+    basis = []  # (pivot, row scaled to 1 at the pivot)
+    chosen = []
+    for i, row in enumerate(rows):
+        row = [x % p for x in row]
+        for pivot, b in basis:
+            f = row[pivot]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is not None:
+            inv = pow(row[pivot], -1, p)
+            basis.append((pivot, [x * inv % p for x in row]))
+            chosen.append(i)
+    return chosen, [pivot for pivot, _ in basis]
+
+
 def _sylow2_structural(group, seed):
     """2-Sylow of G <= S3^k as a complement to the odd part G n A3^k.
 
@@ -478,19 +486,12 @@ def _sylow2_structural(group, seed):
     gens = list(group.generators)
     rng.shuffle(gens)
 
-    # Row-reduce the generator sign vectors over F2, tracking group elements.
-    # Entries are kept in insertion order: each stored mask is then reduced
-    # against every earlier entry, so earlier pivot bits never reappear and
-    # dependent vectors always cancel to zero.
-    basis = []  # list of (pivot_bit, mask, element)
-    for g in gens:
-        mask, elem = _block_sign_vector(g, k), g
-        for pivot, bmask, belem in basis:
-            if mask >> pivot & 1:
-                mask ^= bmask
-                elem = belem.inverse() * elem
-        if mask:
-            basis.append((mask.bit_length() - 1, mask, elem))
+    # Generators with independent sign vectors span V, so products of them
+    # give a section t of the sign map whose cocycle lies in the odd part.
+    signs = [_block_sign_vector(g, k) for g in gens]
+    chosen, _ = _independent_rows(
+        [[mask >> j & 1 for j in range(k)] for mask in signs], 2)
+    basis = [gens[i] for i in chosen]
     r = len(basis)
     if r == 0:
         return subgroup_witness(group, PermGroup([], degree=group.degree))
@@ -501,7 +502,7 @@ def _sylow2_structural(group, seed):
         e = ident
         for i in range(r):
             if bits >> i & 1:
-                e = e * basis[i][2]
+                e = e * basis[i]
         return e
 
     t = [section(bits) for bits in range(1 << r)]

@@ -112,7 +112,7 @@ def test_criterion_03_sylow_certification():
     assert cert.G_order == 6 and cert.H_order == 2 and cert.degree == 3
     assert cert.check_a["pass"] is True
     unit = build_subdirect_image([standard_epi(2, target_s3())])
-    w1 = sylow2(unit.G)
+    w1 = sylow2(unit.group())
     assert w1.sub.order == 2 and w1.index == 3
     assert normalizer_is_self(w1, method="enumeration") is True
 
@@ -136,15 +136,15 @@ def test_criterion_04_structural_equals_enumeration():
     while tested < 50:
         k = rng.randint(1, 6)
         chosen = rng.sample(members, k)
-        sub = build_subdirect_image(chosen)
-        if sub.G.order > 10**6:
+        group = build_subdirect_image(chosen).group()
+        if group.order > 10**6:
             continue
-        if sub.G.order > 20000 and tested % 10 != 0:
+        if group.order > 20000 and tested % 10 != 0:
             continue  # keep the enumeration side affordable, but sample big ones
-        witness = sylow2(sub.G, method="structural")
+        witness = sylow2(group, method="structural")
         structural = normalizer_is_self(witness, method="structural")
         enumerated = normalizer_is_self(witness, method="enumeration")
-        assert structural == enumerated, (k, sub.G.order)
+        assert structural == enumerated, (k, group.order)
         tested += 1
     assert tested >= 50
     report(4, f"structural and enumeration normalizer decisions agree on"
@@ -172,7 +172,7 @@ def test_criterion_06_hall_route():
     members, _ = collect_inequivalent_members(
         standard_epi(2, target_a5()), gens, 2)
     pair = build_subdirect_image(members)
-    assert pair.G.order == 3600
+    assert pair.group().order == 3600
     seed = standard_epi(2, target_a5())
     t = target_a5().generators[0]
     ti = t.inverse()
@@ -180,7 +180,7 @@ def test_criterion_06_hall_route():
                      tuple(t * img * ti for img in seed.images),
                      validate=False)
     diagonal = build_subdirect_image([seed, twin])
-    assert diagonal.G.order == 60  # negative control: equivalent pair
+    assert diagonal.group().order == 60  # negative control: equivalent pair
     borel_results = {}
     for p in (5, 7, 11, 13):
         w = borel_subgroup(p)

@@ -128,6 +128,30 @@ def test_out_of_range_counts_are_usage_errors(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["forge", "--route", "hall", "--truncate-k", "5"],
+    ["forge", "--route", "s3", "--prime", "11"],
+    ["forge", "--route", "s3", "--collection", "7"],
+    ["forge", "--truncate-k", "1", "--collection", "7", "--prime", "11"],
+])
+def test_other_route_flags_are_usage_errors(argv, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "does not apply to --route" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hall_flag_defaults(tmp_path, capsys):
+    path = tmp_path / "hall.json"
+    assert run(["forge", "--route", "hall", "--out", str(path)]) == EXIT_OK
+    material = json.loads(path.read_text())["seed_material"]
+    assert (material["prime"], material["collection"]) == (5, 2)
+
+
 def test_budget_exit_code(capsys):
     assert run(["enumerate", "--genus", "2", "--target", "a5",
                 "--budget-tuples", "1000"]) == EXIT_BUDGET

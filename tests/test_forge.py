@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from mcglift import forge
 from mcglift.autos import orbit, standard_autgens
 from mcglift.budgets import Budgets
 from mcglift.cosets import build_coset_table
@@ -23,6 +24,7 @@ from mcglift.forge import (
     standard_epi,
     structural_order_s3,
 )
+from mcglift.perm import _block_sign_vector
 from mcglift.quotients import (
     FiniteHom,
     target_a5,
@@ -63,7 +65,7 @@ def test_build_subdirect_single_factor():
     sub = build_subdirect_image([standard_epi(2, target_s3())])
     assert sub.k == 1
     assert sub.block_degree == 3
-    assert sub.G.order == 6
+    assert sub.group().order == 6
 
 
 def test_build_subdirect_rejects_bad_members():
@@ -80,7 +82,7 @@ def test_structural_order_matches_chain_small_k(s3_orbit_members):
         members = list(s3_orbit_members[:k])
         structural = structural_order_s3(members)
         sub = build_subdirect_image(members)  # independent chain, no hints
-        assert sub.G.order == structural["order"]
+        assert sub.group().order == structural["order"]
         assert structural["order"] == (
             2 ** structural["two_rank"] * 3 ** structural["three_rank"])
 
@@ -92,7 +94,19 @@ def test_structural_order_random_subsets(s3_orbit_members):
         members = rng.sample(s3_orbit_members, k)
         structural = structural_order_s3(members)
         sub = build_subdirect_image(members)
-        assert sub.G.order == structural["order"]
+        assert sub.group().order == structural["order"]
+
+
+def test_odd_basis_lies_in_the_image_and_is_even(s3_orbit_members):
+    rng = random.Random(11)
+    for k in range(1, 7):
+        members = rng.sample(s3_orbit_members, k)
+        structural = structural_order_s3(members)
+        group = build_subdirect_image(members).group()  # no hints
+        assert len(structural["odd_basis"]) == structural["three_rank"]
+        for element in structural["odd_basis"]:
+            assert element in group
+            assert _block_sign_vector(element, k) == 0
 
 
 def test_structural_order_requires_s3():
@@ -151,11 +165,35 @@ def test_full_s3_certificate_schema(full_s3_certificate):
     assert parsed.status == "VALID"
 
 
-def test_s3_point_cap_gives_partial():
+def test_s3_point_cap_gives_partial(monkeypatch):
+    def refuse(members):
+        raise AssertionError("structural order ran past the point budget")
+
+    # the budget is checked before the structural order would run
+    monkeypatch.setattr(forge, "structural_order_s3", refuse)
     cert = forge_certificate_s3(2, budgets=Budgets(points=100))
     assert cert.status == "PARTIAL"
     assert cert.k == 360
     assert cert.G_order == 0
+    assert cert.failing_stage.startswith("subdirect-image: 1080 points")
+
+
+def test_hall_point_cap_gives_partial():
+    cert = forge_certificate_hall(2, 5, collection=2,
+                                  budgets=Budgets(points=5))
+    assert cert.status == "PARTIAL"
+    assert cert.k == 2
+    assert cert.G_order == 0
+    assert cert.failing_stage.startswith("subdirect-image: 12 points")
+    assert {"collection_s", "group_s"} <= set(cert.timing)
+
+
+def test_hall_non_surjective_member_stays_invalid():
+    seed = standard_epi(2, target_a5())
+    non_epi = FiniteHom(target_a5(), (target_a5().identity,) * 4)
+    cert = forge_certificate_hall(2, 5, members=[seed, non_epi])
+    assert cert.status == "INVALID"
+    assert cert.failing_stage == "subdirect-image: factor 1 is not surjective"
 
 
 def test_forge_input_validation():
@@ -217,9 +255,9 @@ def test_inequivalent_pair_gives_full_product():
     members, _ = collect_inequivalent_members(
         standard_epi(2, target_a5()), gens, 2)
     pair = build_subdirect_image(members)
-    assert pair.G.order == 3600
+    assert pair.group().order == 3600
     single = build_subdirect_image(members[:1])
-    assert single.G.order == 60
+    assert single.group().order == 60
 
 
 def test_equivalent_pair_gives_diagonal():
@@ -227,7 +265,7 @@ def test_equivalent_pair_gives_diagonal():
     seed = standard_epi(2, target)
     twin = conjugated(seed, target.generators[0])
     sub = build_subdirect_image([seed, twin])
-    assert sub.G.order == 60
+    assert sub.group().order == 60
 
 
 def test_gamma_set_isomorphic_positive():

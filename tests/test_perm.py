@@ -1,9 +1,12 @@
 """Permutation groups: orders against brute-force closure, Sylow 2-subgroups,
 and the self-normalizing check."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcglift.perm import (
     EnumerationBoundExceeded,
@@ -12,10 +15,8 @@ from mcglift.perm import (
     PermGroup,
     Permutation,
     StructuralFormError,
-    build_bsgs,
-    compose,
+    _independent_rows,
     conjugate_subgroup,
-    is_member,
     mulclose,
     normalizer_is_self,
     s3_block_count,
@@ -43,7 +44,6 @@ def test_composition_convention():
     p = perm("(0 1)", 3)
     q = perm("(0 1 2)", 3)
     assert (p * q).images == (0, 2, 1)
-    assert compose(p, q).images == (0, 2, 1)
     assert (q * p).images == (2, 1, 0)
     x = 0
     assert (p * q)(x) == p(q(x))
@@ -102,7 +102,7 @@ def test_bsgs_against_mulclose_random_sweep():
         assert group.order == len(closure)
         sample = rng.sample(sorted(closure), min(5, len(closure)))
         for e in sample:
-            assert is_member(group, e)
+            assert e in group
         images = list(range(degree))
         rng.shuffle(images)
         candidate = Permutation(images)
@@ -110,7 +110,7 @@ def test_bsgs_against_mulclose_random_sweep():
 
 
 def test_membership_negative():
-    a5 = build_bsgs([perm("(0 1 2 3 4)", 5), perm("(0 1 2)", 5)])
+    a5 = PermGroup([perm("(0 1 2 3 4)", 5), perm("(0 1 2)", 5)])
     assert perm("(0 1 2)", 5) in a5
     assert perm("(0 1)", 5) not in a5
     assert perm("(0 1)", 4) not in a5  # degree mismatch is just "no"
@@ -241,6 +241,39 @@ def test_sylow2_structural_dependent_sign_vectors():
         w = sylow2(group, seed=seed, method="structural")
         assert w.sub.order == 4 == two_part(group.order)
         assert normalizer_is_self(w, method="enumeration") is True
+
+
+def span(rows, p, width):
+    """Every F_p combination of `rows`, by brute force."""
+    out = set()
+    for coeffs in itertools.product(range(p), repeat=len(rows)):
+        out.add(tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % p
+                      for i in range(width)))
+    return out
+
+
+@st.composite
+def matrices(draw):
+    p = draw(st.sampled_from([2, 3]))
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=width,
+                                  max_size=width), max_size=5))
+    return p, width, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_independent_rows_against_brute_force_span(case):
+    p, width, rows = case
+    chosen, pivots = _independent_rows(rows, p)
+    assert len(pivots) == len(chosen) == len(set(pivots))
+    spanned = span([rows[i] for i in chosen], p, width)
+    # independent: the span has p^rank elements; spanning: it holds every row
+    assert len(spanned) == p ** len(chosen)
+    assert all(tuple(row) in spanned for row in rows)
+    for i, row in enumerate(rows):
+        outside = tuple(row) not in span(rows[:i], p, width)
+        assert (i in chosen) == outside
 
 
 def test_sylow2_structural_requires_block_form():
