@@ -11,7 +11,6 @@ from .perm import (
     Permutation,
     PermGroup,
     SubgroupWitness,
-    conjugate_subgroup,
     mulclose,
     normalizer_is_self,
     subgroup_witness,
@@ -70,7 +69,6 @@ from .forge import (
     build_subdirect_image,
     forge_certificate_hall,
     forge_certificate_s3,
-    gamma_set_isomorphic,
     minimal_degree_search,
     structural_order_s3,
 )

@@ -26,6 +26,7 @@ from .perm import EnumerationBoundExceeded
 from .quotients import FiniteHom, canonical_rep_mod_auts
 from .words import (
     SurfacePresentation,
+    conjugate_word,
     format_word,
     free_reduce,
     inverse_word,
@@ -140,8 +141,7 @@ def identity_auto(genus, name="id"):
 def inner_auto(genus, word, name=None):
     """Conjugation x -> w x w^-1 by a fixed word."""
     word = free_reduce(word)
-    winv = inverse_word(word)
-    images = [free_reduce(word + (i + 1,) + winv) for i in range(2 * genus)]
+    images = [conjugate_word((i + 1,), word) for i in range(2 * genus)]
     if name is None:
         name = f"inn[{format_word(word)}]"
     return SurfaceAuto(genus, images, name=name)

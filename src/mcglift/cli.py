@@ -44,7 +44,7 @@ from .quotients import (
     enumerate_homs,
     get_target,
 )
-from .words import SurfacePresentation, WordError
+from .words import SurfacePresentation, WordError, inverse_word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,7 +102,8 @@ def build_parser():
     common(p)
     p.add_argument("--target", choices=("s3", "c2", "a5", "psl2"),
                    required=True)
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--prime", type=int, default=None,
+                   help="psl2 target only")
 
     p = sub.add_parser("forge", help="forge a cover certificate")
     common(p)
@@ -157,6 +158,8 @@ def _emit_json(payload, path):
 
 
 def cmd_enumerate(args, budgets):
+    if args.prime is not None and args.target != "psl2":
+        raise UsageError(f"--prime does not apply to --target {args.target}")
     target = get_target(args.target, prime=args.prime)
     homs = enumerate_homs(args.genus, target, budget=budgets.tuples)
     epis = [h for h in homs if h.is_surjective()]
@@ -289,8 +292,7 @@ def cmd_alpha(args, budgets):
             for _ in range(rng.randint(1, 6)):
                 j = rng.randint(1, rs.count)
                 w = rs.words[j - 1]
-                u.extend(w if rng.random() < 0.5
-                         else [-x for x in reversed(w)])
+                u.extend(w if rng.random() < 0.5 else inverse_word(w))
             if not inner_compatibility_holds(table, tuple(u), pres):
                 fails += 1
         suites["inner"] = fails == 0

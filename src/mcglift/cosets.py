@@ -31,6 +31,7 @@ from .budgets import DEFAULT
 from .quotients import FiniteHom, mod2_homology_hom, target_c2
 from .words import (
     SurfacePresentation,
+    conjugate_word,
     format_word,
     free_reduce,
     inverse_word,
@@ -302,8 +303,8 @@ class AutImage:
     def apply_rs_word(self, rs_word):
         out = []
         for letter in rs_word:
-            v = self.values[letter - 1] if letter > 0 else tuple(
-                -x for x in reversed(self.values[-letter - 1]))
+            v = self.values[letter - 1] if letter > 0 else inverse_word(
+                self.values[-letter - 1])
             out.extend(v)
         return free_reduce(out)
 
@@ -380,9 +381,8 @@ def inner_compatibility_holds(table, u, presentation=None):
     conj = inner_auto(table.genus, u)
     image = alpha_apply(table, conj)
     ru = rewrite(table, u)
-    rui = [-x for x in reversed(ru)]
     for j, v in enumerate(image.values):
-        direct = free_reduce(list(ru) + [j + 1] + rui)
+        direct = conjugate_word((j + 1,), ru)
         if v != direct and not presentation.words_equal(
                 expand(v, rs), expand(direct, rs)):
             return False

@@ -52,8 +52,6 @@ from .quotients import (
 )
 from .words import cover_genus
 
-SKIPPED = "skipped"
-
 CERTIFICATE_VERSION = "1"
 
 
@@ -614,46 +612,6 @@ def _hall_check_b(p, bw):
         if all(x * mg * xi in bw.sub for mg in moved):
             return True, x.cycle_string()
     return False, ""
-
-
-def gamma_set_isomorphic(table1, table2, bound=4096):
-    """Whether two transitive generator actions are isomorphic as actions,
-    by backtracking over the image of the base point.  Returns True, False,
-    or SKIPPED when the degree exceeds the bound."""
-    if table1.genus != table2.genus:
-        return False
-    if table1.d != table2.d:
-        return False
-    if table1.d > bound:
-        return SKIPPED
-    letters = []
-    for x in range(1, 2 * table1.genus + 1):
-        letters.extend((x, -x))
-    for b in range(table2.d):
-        fwd = {0: b}
-        back = {b: 0}
-        queue = [0]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            y = fwd[x]
-            for letter in letters:
-                xi = table1.apply_letter(letter, x)
-                yi = table2.apply_letter(letter, y)
-                if xi in fwd:
-                    if fwd[xi] != yi:
-                        ok = False
-                        break
-                elif yi in back:
-                    ok = False
-                    break
-                else:
-                    fwd[xi] = yi
-                    back[yi] = xi
-                    queue.append(xi)
-        if ok and len(fwd) == table1.d:
-            return True
-    return False
 
 
 def minimal_degree_search(genus, routes=("hall", "s3"), budget=0, seed=0,

@@ -10,11 +10,14 @@ Enumeration splits off the last handle: the commutator map is tabulated once
 per target, so a genus-g count costs |Q|^(2g-2) prefix tuples plus lookups
 instead of |Q|^(2g) full tuples.  The independent check is the character
 count |Hom| = |Q|^(2g-1) * sum over irreducible degrees d of d^(2-2g).
+
+A homomorphism is surjective when the closure of its generator images under
+multiplication is the whole target.  The closure lies inside the target,
+whose elements are listed anyway, so no stabilizer chain is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -216,9 +219,10 @@ def get_target(tag, prime=None):
 
 class FiniteHom:
     """A homomorphism from the genus-g surface group to a finite target,
-    recorded as the 2g-tuple of generator images."""
+    recorded as the 2g-tuple of generator images.  It is surjective when
+    the closure of its images inside the target is the whole target."""
 
-    __slots__ = ("target", "images", "_group")
+    __slots__ = ("target", "images")
 
     def __init__(self, target, images, validate=True):
         images = tuple(images)
@@ -226,7 +230,6 @@ class FiniteHom:
             raise QuotientError("images must be a 2g-tuple")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_group", None)
         if validate:
             for img in images:
                 if img not in target.element_index:
@@ -257,16 +260,11 @@ class FiniteHom:
             result = result * p
         return result
 
-    def image_group(self):
-        if self._group is None:
-            object.__setattr__(
-                self, "_group",
-                PermGroup(list(self.images), degree=self.target.degree),
-            )
-        return self._group
-
     def is_surjective(self):
-        return self.image_group().order == self.target.order
+        # the closure lies inside the target, so its order bounds it
+        target = self.target
+        return len(mulclose(set(self.images), degree=target.degree,
+                            bound=target.order)) == target.order
 
     def key(self):
         return tuple(p.images for p in self.images)

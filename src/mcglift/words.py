@@ -97,11 +97,6 @@ def format_word(word):
     return "".join(parts)
 
 
-def generator_letters(genus):
-    """Letters a1, b1, ..., ag, bg as positive ints 1..2g."""
-    return tuple(range(1, 2 * genus + 1))
-
-
 def surface_relator(genus):
     rel = []
     for i in range(genus):
@@ -117,7 +112,6 @@ class SurfacePresentation:
         if genus < 2:
             raise WordError(f"genus must be >= 2, got {genus}")
         self.genus = genus
-        self.num_generators = 2 * genus
         self.relator = surface_relator(genus)
         self._half = 2 * genus  # half the relator length
         self._table = self._majority_table()
@@ -159,13 +153,6 @@ class SurfacePresentation:
         if ru == rv:
             return True
         return self.is_trivial(ru + inverse_word(rv))
-
-    def validate_letters(self, word):
-        for letter in word:
-            if letter == 0 or abs(letter) > self.num_generators:
-                raise WordError(
-                    f"letter {letter} out of range for genus {self.genus}"
-                )
 
     def __repr__(self):
         return f"SurfacePresentation(genus={self.genus})"

@@ -145,6 +145,29 @@ def test_other_route_flags_are_usage_errors(argv, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--target", "s3", "--prime", "7"],
+    ["enumerate", "--target", "c2", "--prime", "4"],
+])
+def test_prime_without_psl2_is_a_usage_error(argv, tmp_path, monkeypatch,
+                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "--prime does not apply to --target" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_prime_with_psl2_is_accepted(capsys):
+    # the prime passes validation and the run reaches the tuple budget
+    assert run(["enumerate", "--target", "psl2", "--prime", "5",
+                "--budget-tuples", "1000"]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 def test_hall_flag_defaults(tmp_path, capsys):
     path = tmp_path / "hall.json"
     assert run(["forge", "--route", "hall", "--out", str(path)]) == EXIT_OK

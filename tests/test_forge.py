@@ -1,5 +1,5 @@
 """Cover certificates: subdirect images, the dual-route order check, both
-pipelines, action isomorphism, and the degree sweep."""
+pipelines, and the degree sweep."""
 
 import json
 import random
@@ -9,16 +9,13 @@ import pytest
 from mcglift import forge
 from mcglift.autos import orbit, standard_autgens
 from mcglift.budgets import Budgets
-from mcglift.cosets import build_coset_table
 from mcglift.forge import (
-    SKIPPED,
     ForgeError,
     SubdirectError,
     build_subdirect_image,
     collect_inequivalent_members,
     forge_certificate_hall,
     forge_certificate_s3,
-    gamma_set_isomorphic,
     minimal_degree_search,
     parse_certificate,
     standard_epi,
@@ -28,7 +25,6 @@ from mcglift.perm import _block_sign_vector
 from mcglift.quotients import (
     FiniteHom,
     target_a5,
-    target_c2,
     target_psl2,
     target_s3,
 )
@@ -266,27 +262,6 @@ def test_equivalent_pair_gives_diagonal():
     twin = conjugated(seed, target.generators[0])
     sub = build_subdirect_image([seed, twin])
     assert sub.group().order == 60
-
-
-def test_gamma_set_isomorphic_positive():
-    target = target_s3()
-    h = standard_epi(2, target)
-    t1 = build_coset_table(h)
-    t2 = build_coset_table(conjugated(h, target.generators[1]))
-    assert gamma_set_isomorphic(t1, t2) is True
-    assert gamma_set_isomorphic(t1, build_coset_table(h)) is True
-
-
-def test_gamma_set_isomorphic_negative_and_skip():
-    c2 = target_c2()
-    flip = c2.generators[0]
-    h1 = FiniteHom(c2, (flip, c2.identity, c2.identity, c2.identity))
-    h2 = FiniteHom(c2, (c2.identity, flip, c2.identity, c2.identity))
-    t1, t2 = build_coset_table(h1), build_coset_table(h2)
-    assert gamma_set_isomorphic(t1, t2) is False
-    t3 = build_coset_table(standard_epi(2, target_s3()))
-    assert gamma_set_isomorphic(t1, t3) is False  # degree mismatch
-    assert gamma_set_isomorphic(t3, t3, bound=2) == SKIPPED
 
 
 def test_minimal_degree_search_budgets():

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from mcglift.perm import (
     EnumerationBoundExceeded,
-    MembershipError,
     PermError,
     PermGroup,
     Permutation,
     StructuralFormError,
     _independent_rows,
-    conjugate_subgroup,
     mulclose,
     normalizer_is_self,
     s3_block_count,
@@ -158,17 +156,6 @@ def test_subgroup_witness_rejects_foreign_generator():
         subgroup_witness(s3, a3)  # degree mismatch surfaces as PermError
 
 
-def test_conjugate_subgroup():
-    s3 = PermGroup([perm("(0 1)", 3), perm("(0 1 2)", 3)])
-    h = PermGroup([perm("(0 1)", 3)])
-    moved = conjugate_subgroup(s3, h, perm("(1 2)", 3))
-    assert perm("(0 2)", 3) in moved
-    assert moved.order == 2
-    with pytest.raises(MembershipError):
-        conjugate_subgroup(PermGroup([perm("(0 1 2)", 3)]), h,
-                           perm("(0 1)", 3))
-
-
 def test_two_part():
     assert two_part(1) == 1
     assert two_part(48) == 16
@@ -299,11 +286,53 @@ def test_normalizer_in_s3():
     assert normalizer_is_self(subgroup_witness(s3, h3)) is False
 
 
+S3_IMAGES = list(itertools.permutations(range(3)))
+
+
+def random_block_element(rng, k):
+    """A random element of S3^k in block form on 3k points."""
+    images = []
+    for j in range(k):
+        images.extend(3 * j + x for x in rng.choice(S3_IMAGES))
+    return Permutation(images)
+
+
 def test_normalizer_structural_agrees_with_enumeration():
     group = s3_product_group(2)
     w = sylow2(group, method="structural")
     assert normalizer_is_self(w, method="enumeration") is True
     assert normalizer_is_self(w, method="structural") is True
+    # block 0 projects onto C2 only, so G is not subdirect; the structural
+    # argument does not need it to be
+    partial = PermGroup([perm("(0 1)", 6), perm("(3 4)", 6),
+                         perm("(3 4 5)", 6)])
+    assert partial.order == 12
+    w = sylow2(partial, method="structural")
+    assert normalizer_is_self(w, method="structural") is True
+    assert normalizer_is_self(w, method="enumeration") is True
+
+    # random block-form subgroups of S3^k, with a 2-Sylow from either route:
+    # whenever the structural check answers, it agrees with enumeration
+    rng = random.Random(6)
+    answered = not_subdirect = 0
+    for trial in range(400):
+        k = rng.randint(1, 3)
+        gens = [random_block_element(rng, k) for _ in range(rng.randint(1, 3))]
+        group = PermGroup(gens, degree=3 * k)
+        method = rng.choice(("structural", "growth"))
+        w = sylow2(group, seed=trial, method=method)
+        try:
+            structural = normalizer_is_self(w, method="structural")
+        except StructuralFormError:
+            continue
+        assert structural == normalizer_is_self(w, method="enumeration")
+        answered += 1
+        not_subdirect += any(
+            len(mulclose([Permutation([x - 3 * j for x in
+                                       g.images[3 * j:3 * j + 3]])
+                          for g in gens], degree=3)) != 6
+            for j in range(k))
+    assert answered > 100 and not_subdirect > 20
 
 
 def test_normalizer_diagonal_subdirect():

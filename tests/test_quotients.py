@@ -1,5 +1,7 @@
 """Finite targets, homomorphism enumeration, and the counting oracle."""
 
+import random
+
 import pytest
 
 from mcglift.perm import EnumerationBoundExceeded, PermGroup, Permutation
@@ -160,6 +162,57 @@ def test_mod2_homology_hom():
     assert group.order == 16
     with pytest.raises(QuotientError):
         mod2_homology_hom(1)
+
+
+def random_homs(target, elements, rng, count):
+    """Seeded genus-2 homs with every image in `elements`, a subgroup of the
+    target: a random first handle, then a second handle drawn from the pairs
+    whose commutator cancels it."""
+    by_comm = {}
+    for z in elements:
+        for w in elements:
+            c = z * w * z.inverse() * w.inverse()
+            by_comm.setdefault(c, []).append((z, w))
+    homs = []
+    for _ in range(count):
+        x, y = rng.choice(elements), rng.choice(elements)
+        z, w = rng.choice(by_comm[(x * y * x.inverse() * y.inverse()).inverse()])
+        homs.append(FiniteHom(target, (x, y, z, w)))
+    return homs
+
+
+def chain_says_surjective(hom):
+    """The reference route: the order of the image's stabilizer chain."""
+    group = PermGroup(list(hom.images), degree=hom.target.degree)
+    return group.order == hom.target.order
+
+
+def test_is_surjective_matches_the_chain_order():
+    rng = random.Random(11)
+    a5 = target_a5()
+    a4 = [p for p in a5.elements if p(4) == 4]
+    psl7 = target_psl2(7)
+    borel = borel_subgroup(7).sub.elements()
+    cases = (random_homs(a5, list(a5.elements), rng, 30)
+             + random_homs(a5, a4, rng, 15)
+             + random_homs(psl7, list(psl7.elements), rng, 15)
+             + random_homs(psl7, borel, rng, 15))
+    seen = set()
+    for hom in cases:
+        assert hom.is_surjective() == chain_says_surjective(hom)
+        seen.add((hom.target.name, hom.is_surjective()))
+    # both answers occur on both targets
+    assert seen == {("A5", True), ("A5", False),
+                    ("PSL2(7)", True), ("PSL2(7)", False)}
+
+    trivial = target_trivial()
+    hom = FiniteHom(trivial, (trivial.identity,) * 4)
+    assert hom.is_surjective() and chain_says_surjective(hom)
+    full = mod2_homology_hom(3)
+    assert full.is_surjective() and chain_says_surjective(full)
+    first = full.target.generators[0]
+    part = FiniteHom(full.target, (first,) * 6)
+    assert not part.is_surjective() and not chain_says_surjective(part)
 
 
 def test_canonical_rep_collapses_conjugates():

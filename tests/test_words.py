@@ -12,7 +12,6 @@ from mcglift.words import (
     cyclic_reduce,
     format_word,
     free_reduce,
-    generator_letters,
     inverse_word,
     parse_word,
     surface_relator,
@@ -86,7 +85,6 @@ def test_parse_errors():
 
 def test_surface_relator_form():
     assert surface_relator(2) == (1, 2, -1, -2, 3, 4, -3, -4)
-    assert generator_letters(2) == (1, 2, 3, 4)
     assert len(surface_relator(5)) == 20
 
 
@@ -173,15 +171,6 @@ def test_dehn_reduce_is_stable():
         reduced = pres.dehn_reduce(w)
         assert reduced == pres.dehn_reduce(reduced)
         assert free_reduce(reduced) == reduced
-
-
-def test_validate_letters():
-    pres = SurfacePresentation(2)
-    pres.validate_letters((1, -4))
-    with pytest.raises(WordError):
-        pres.validate_letters((5,))
-    with pytest.raises(WordError):
-        pres.validate_letters((0,))
 
 
 def test_cover_genus_values():
