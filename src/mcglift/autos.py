@@ -8,9 +8,12 @@ each generator.  Each generator carries an explicit inverse; compositions
 are verified modulo the surface relation, not just freely.
 
 Orbits of homomorphisms under precomposition are finite and computed by
-breadth-first closure, the package's one closure engine.  As it expands each
-member, `orbit` records the index of the member's image under every
-generator direction, and returns that action table with the sorted members.
+breadth-first closure, the package's one closure engine.  Precomposition
+walks the target's multiplication rows; on the start of every closure,
+`orbit` checks that result against permutation products first.  As it
+expands each member, `orbit` records the index of the member's image under
+every generator direction, and returns that action table with the sorted
+members.
 Closure of a member set under every generator (and inverse) is exactly what
 makes the intersection of the member kernels invariant under those
 automorphisms; `certify_characteristic` reads the table, without
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 from .budgets import ORBIT_CAP
 from .perm import EnumerationBoundExceeded
-from .quotients import FiniteHom, canonical_rep_mod_auts
+from .quotients import FiniteHom, RelatorViolation, canonical_rep_mod_auts
 from .words import (
     SurfacePresentation,
     conjugate_word,
@@ -42,7 +45,7 @@ class SurfaceAuto:
     """An endomorphism of the rank-2g free group, recorded by generator
     images, intended to descend to the genus-g surface group."""
 
-    __slots__ = ("genus", "images", "name")
+    __slots__ = ("genus", "images", "name", "_relator")
 
     def __init__(self, genus, images, name=""):
         images = tuple(tuple(w) for w in images)
@@ -51,6 +54,7 @@ class SurfaceAuto:
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_relator", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceAuto is immutable")
@@ -76,7 +80,11 @@ class SurfaceAuto:
         )
 
     def relator_image(self):
-        return self.apply_word(surface_relator(self.genus))
+        """The reduced image of the surface relator, computed once."""
+        if self._relator is None:
+            object.__setattr__(self, "_relator",
+                               self.apply_word(surface_relator(self.genus)))
+        return self._relator
 
     def preserves_relator(self, presentation=None):
         """True when the relator maps to a trivial word of the surface group,
@@ -225,11 +233,17 @@ def standard_autgens(genus):
 
 
 def precompose(hom, auto):
-    """The homomorphism hom∘auto; raises RelatorViolation for a broken auto."""
-    if 2 * auto.genus != len(hom.images):
+    """The homomorphism hom∘auto, by table lookups.  Its relator image is
+    hom(auto(relator)), read through the same rows as its generator images;
+    raises RelatorViolation for a broken auto."""
+    if 2 * auto.genus != len(hom.idx):
         raise AutError("genus mismatch between hom and automorphism")
-    images = [hom.evaluate(w) for w in auto.images]
-    return FiniteHom(hom.target, images, validate=True)
+    *idx, relator = hom.evaluate_indices(
+        auto.images + (auto.relator_image(),))
+    if relator != hom.target.identity_index:
+        raise RelatorViolation(
+            f"{auto.name or 'the automorphism'} breaks the surface relation")
+    return FiniteHom.from_indices(hom.target, idx, validate=False)
 
 
 @dataclass(frozen=True)
@@ -263,11 +277,15 @@ def orbit(seed, gens=None, mod_target_auts=False, cap=ORBIT_CAP,
 
     At most `cap` members are admitted.  With `stop_at`, the closure
     finishes the level in which the member count reaches it and stops
-    there, flagged incomplete even if that level was the last."""
+    there, flagged incomplete even if that level was the last.  Before
+    expanding, the start member's images under every direction are read
+    both from the tables and from permutation products; a disagreement
+    raises RuntimeError."""
     if gens is None:
         gens = standard_autgens(seed.genus)
     directions = [d for gen in gens for d in gen.directions()]
     start = canonical_rep_mod_auts(seed) if mod_target_auts else seed
+    _check_tables_on(start, directions)
     found = [start]  # members in insertion order, which is expansion order
     seen = {start.key(): 0}  # key -> insertion number
     rows = {label: [] for label, _ in directions}
@@ -309,6 +327,18 @@ def orbit(seed, gens=None, mod_target_auts=False, cap=ORBIT_CAP,
     )
 
 
+def _check_tables_on(hom, directions):
+    """The second route: the image of `hom` under every direction, from
+    permutation products, must equal the table result."""
+    index = hom.target.element_index
+    for label, auto in directions:
+        by_perm = [index[hom.evaluate(w)] for w in auto.images]
+        if by_perm != hom.evaluate_indices(auto.images):
+            raise RuntimeError(
+                f"table and permutation images of the seed under {label}"
+                " disagree")
+
+
 def certify_characteristic(record, members):
     """Check the member set, a sub-list of `record.members`, is closed under
     every generator direction, reading the record's action table.
@@ -342,12 +372,16 @@ def certify_characteristic(record, members):
                 "direction": label, "member": None,
                 "escaped_to": "not a bijection"}}
         permutations[label] = tuple(images)
+    preimages = {}  # label -> the inverse of its bijection
+    for label, perm in permutations.items():
+        inverse = preimages[label] = [0] * len(perm)
+        for i, j in enumerate(perm):
+            inverse[j] = i
     witnesses = {}
     for m in range(len(sources)):
-        for label, perm in permutations.items():
-            src = perm.index(m)  # the one preimage: perm is a bijection
-            if src != m:
-                witnesses[m] = (label, src)
+        for label, inverse in preimages.items():
+            if inverse[m] != m:
+                witnesses[m] = (label, inverse[m])
                 break
     return {
         "pass": True,

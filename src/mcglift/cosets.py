@@ -136,19 +136,18 @@ def build_coset_table(hom, sub=None, bound=DEFAULT.enum):
     genus = hom.genus
     target = hom.target
     if sub is None:
-        elems = target.elements
-        eindex = target.element_index
+        inv, right = target.inv, target.right
 
         def act(letter, point):
-            p = target.elements[point]
-            img = hom.images[abs(letter) - 1]
-            if letter < 0:
-                img = img.inverse()
-            return eindex[img * p]
+            # img * p, read as (p^-1 * img^-1)^-1: only the rows of the
+            # generator images and their inverses are needed
+            x = hom.idx[abs(letter) - 1]
+            if letter > 0:
+                x = inv(x)
+            return inv(right(x)[inv(point)])
 
-        identity_point = eindex[target.identity]
-        return CosetTable(hom, genus, range(len(elems)), identity_point,
-                          act, "kernel")
+        return CosetTable(hom, genus, range(target.order),
+                          target.identity_index, act, "kernel")
     if sub.ambient.degree != target.degree:
         raise CosetError("subgroup witness does not live in the hom's target")
     sub_elems = frozenset(sub.sub.elements(bound))
@@ -160,8 +159,10 @@ def build_coset_table(hom, sub=None, bound=DEFAULT.enum):
             f"found {len(cosets)} cosets, expected index {sub.index}"
         )
 
+    images = hom.images
+
     def act(letter, point):
-        img = hom.images[abs(letter) - 1]
+        img = images[abs(letter) - 1]
         if letter < 0:
             img = img.inverse()
         return frozenset(img * q for q in point)

@@ -99,14 +99,15 @@ def build_subdirect_image(members, point_cap=DEFAULT.points):
     members = list(members)
     if not members:
         raise SubdirectError("empty member list")
-    genus2 = len(members[0].images)
+    target = members[0].target
+    genus2 = len(members[0].idx)
     for j, member in enumerate(members):
-        if len(member.images) != genus2 or member.target is not members[0].target:
+        if len(member.idx) != genus2 or member.target is not target:
             raise SubdirectError("members disagree in genus or target")
         if not member.is_surjective():
             raise SubdirectError(f"factor {j} is not surjective")
     k = len(members)
-    deg = members[0].target.degree
+    deg = target.degree
     if k * deg > point_cap:
         raise EnumerationBoundExceeded(
             f"{k * deg} points exceed the chain budget {point_cap}"
@@ -147,11 +148,16 @@ def structural_order_s3(members):
     Breaches of its invariants raise RuntimeError.
     """
     members = list(members)
-    if members[0].target is not target_s3():
+    s3 = target_s3()
+    if members[0].target is not s3:
         raise SubdirectError("structural order requires S3 members")
+    # per element index: its sign, and the shift p(0) of a rotation p of
+    # {0, 1, 2}, which is x -> x + p(0)
+    odd = [_block_sign_vector(p, 1) for p in s3.elements]
+    shift = [p.images[0] for p in s3.elements]
     # row i: the sign of generator i's image in each factor
-    sign_rows = [[_block_sign_vector(member.images[i], 1) for member in members]
-                 for i in range(len(members[0].images))]
+    sign_rows = [[odd[member.idx[i]] for member in members]
+                 for i in range(len(members[0].idx))]
     chosen, pivots = _independent_rows(sign_rows, 2)
     r = len(chosen)
 
@@ -169,19 +175,14 @@ def structural_order_s3(members):
         raise RuntimeError("sign quotient unexpectedly not surjective")
     rs = schreier_generators(build_coset_table(sign_hom))
 
-    # factor-wise rotation exponents of each Schreier generator word; a
-    # rotation p of {0, 1, 2} is x -> x + p(0)
-    exponent_rows = []
-    for w in rs.words:
-        row = []
-        for member in members:
-            p = member.evaluate(w)
-            if _block_sign_vector(p, 1):
-                raise RuntimeError(
-                    "sign-kernel word evaluates to a transposition"
-                )
-            row.append(p.images[0])
-        exponent_rows.append(row)
+    # factor-wise rotation exponents of each Schreier generator word
+    columns = []
+    for member in members:
+        values = member.evaluate_indices(rs.words)
+        if any(odd[v] for v in values):
+            raise RuntimeError("sign-kernel word evaluates to a transposition")
+        columns.append([shift[v] for v in values])
+    exponent_rows = list(zip(*columns))
     chosen, _ = _independent_rows(exponent_rows, 3)
     return {
         "order": 2**r * 3**len(chosen),

@@ -53,6 +53,15 @@ class Permutation:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))
 
+    @classmethod
+    def _trusted(cls, images):
+        """A permutation from an image tuple known to be one; products and
+        inverses of permutations come here and skip the validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        object.__setattr__(p, "_hash", hash(images))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -116,14 +125,14 @@ class Permutation:
             return NotImplemented
         if other.degree != self.degree:
             raise PermError("degree mismatch")
-        img = self.images
-        return Permutation([img[x] for x in other.images])
+        return Permutation._trusted(
+            tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self):
         inv = [0] * len(self.images)
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
@@ -642,7 +651,7 @@ def normalizer_is_self(witness, bound=DEFAULT.enum, method="auto"):
 
 def mulclose(generators, degree=None, bound=DEFAULT.enum):
     """Brute-force closure: the independent oracle for BSGS orders, and the
-    surjectivity test of `FiniteHom` for the small quotient targets."""
+    element lists of the quotient targets."""
     if degree is None:
         degree = generators[0].degree
     elems = {Permutation.identity(degree)}

@@ -6,6 +6,16 @@ abelian 2-groups on paired points, and the trivial group.  A homomorphism
 from the genus-g surface group is a 2g-tuple of target elements whose product
 of commutators is the identity.
 
+Inside the hot loops a target element is its index in the target's sorted
+element list, and a homomorphism is the tuple of its images' indices.
+Products, inverses and conjugates are then table lookups.  The tables are
+built one row or column at a time, for an element the first time it is
+used, and kept on the target; a target never builds a whole |Q|^2 or
+|Aut| x |Q| table up front.  `Permutation` stays the type at the edges
+(cycle strings, product groups, coset sets) and is the independent route:
+`FiniteHom.evaluate` multiplies permutations, and `autos.orbit` compares it
+with the table route on the seed of every closure.
+
 Enumeration splits off the last handle: the commutator map is tabulated once
 per target, so a genus-g count costs |Q|^(2g-2) prefix tuples plus lookups
 instead of |Q|^(2g) full tuples.  The independent check is the character
@@ -47,6 +57,11 @@ class FiniteTarget:
     "c2^k", "trivial".  `elements` is sorted by image tuples, which fixes
     element indices for enumeration order.  `character_degrees` is set for
     the targets whose irreducible degree lists the counting oracle knows.
+
+    `right(x)`, `inv(x)` and `conj_column(x)` answer products, inverses and
+    automorphism images by element index.  Each is built for one element on
+    its first use and memoized; neither the constructor nor `aut_reps`
+    builds any of them.
     """
 
     def __init__(self, kind, param, elements, generators, name,
@@ -61,8 +76,13 @@ class FiniteTarget:
         self.order = len(self.elements)
         self.element_index = {p: i for i, p in enumerate(self.elements)}
         self.identity = Permutation.identity(self.degree)
+        self.identity_index = self.element_index[self.identity]
         self._aut_rep_builder = aut_rep_builder
         self._aut_reps = None
+        self._right = {}  # x -> row r -> index of elements[r] * elements[x]
+        self._inv = {}  # x -> index of elements[x]^-1
+        self._conj = {}  # x -> column t -> index of a x a^-1, a = aut_reps[t]
+        self._aut_pairs = None  # (t, t^-1) for t in aut_reps(), on first use
 
     def aut_reps(self):
         """Permutations whose conjugation action realizes Aut(target)."""
@@ -73,6 +93,34 @@ class FiniteTarget:
                 )
             self._aut_reps = tuple(sorted(self._aut_rep_builder()))
         return self._aut_reps
+
+    def right(self, x):
+        """Right multiplication by element x: row[r] is the index of
+        elements[r] * elements[x]."""
+        row = self._right.get(x)
+        if row is None:
+            index, p = self.element_index, self.elements[x]
+            row = self._right[x] = tuple(index[e * p] for e in self.elements)
+        return row
+
+    def inv(self, x):
+        """The index of the inverse of element x."""
+        i = self._inv.get(x)
+        if i is None:
+            i = self._inv[x] = self.element_index[self.elements[x].inverse()]
+        return i
+
+    def conj_column(self, x):
+        """Element x under every stored automorphism: column[t] is the index
+        of aut_reps()[t] * elements[x] * aut_reps()[t]^-1."""
+        column = self._conj.get(x)
+        if column is None:
+            if self._aut_pairs is None:
+                self._aut_pairs = [(t, t.inverse()) for t in self.aut_reps()]
+            index, p = self.element_index, self.elements[x]
+            column = self._conj[x] = tuple(
+                index[t * p * ti] for t, ti in self._aut_pairs)
+        return column
 
     def __repr__(self):
         return f"FiniteTarget({self.name}, order={self.order})"
@@ -218,39 +266,63 @@ def get_target(tag, prime=None):
 
 
 class FiniteHom:
-    """A homomorphism from the genus-g surface group to a finite target,
-    recorded as the 2g-tuple of generator images.  It is surjective when
-    the closure of its images inside the target is the whole target."""
+    """A homomorphism from the genus-g surface group to a finite target.
 
-    __slots__ = ("target", "images")
+    Its state is the target and `idx`, the 2g-tuple of the element indices
+    of the generator images; `images` gives the images as permutations.
+    Sorting by `idx` is sorting by image tuples, since the target's elements
+    are sorted that way.  `evaluate_index` walks a word through the
+    target's right-multiplication rows, which the hom looks up once and
+    keeps; `evaluate` multiplies permutations and is the independent route
+    that cross-checks it.  The hom is surjective when the closure of its
+    images inside the target is the whole target."""
+
+    __slots__ = ("target", "idx", "_rows")
 
     def __init__(self, target, images, validate=True):
-        images = tuple(images)
-        if len(images) % 2 or not images:
+        index = target.element_index
+        idx = tuple(index.get(p) for p in images)
+        if None in idx:
+            raise QuotientError("image is not a target element")
+        self._set(target, idx, validate)
+
+    @classmethod
+    def from_indices(cls, target, idx, validate=True):
+        """The hom whose generator images are the elements `idx` index."""
+        idx = tuple(idx)
+        if validate and not all(0 <= i < target.order for i in idx):
+            raise QuotientError("image index is not a target element")
+        hom = object.__new__(cls)
+        hom._set(target, idx, validate)
+        return hom
+
+    def _set(self, target, idx, validate):
+        if len(idx) % 2 or not idx:
             raise QuotientError("images must be a 2g-tuple")
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
-        if validate:
-            for img in images:
-                if img not in target.element_index:
-                    raise QuotientError("image is not a target element")
-            if not self.relator_image().is_identity():
-                raise RelatorViolation(
-                    "generator images do not satisfy the surface relation"
-                )
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "_rows", None)
+        if validate and (self.evaluate_index(surface_relator(self.genus))
+                         != target.identity_index):
+            raise RelatorViolation(
+                "generator images do not satisfy the surface relation"
+            )
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteHom is immutable")
 
     @property
     def genus(self):
-        return len(self.images) // 2
+        return len(self.idx) // 2
 
-    def relator_image(self):
-        return self.evaluate(surface_relator(self.genus))
+    @property
+    def images(self):
+        elements = self.target.elements
+        return tuple(elements[i] for i in self.idx)
 
     def evaluate(self, word):
-        """Image of a word; letters multiply left to right."""
+        """Image of a word, as a permutation; letters multiply left to
+        right.  The permutation route, kept apart from the tables."""
         result = self.target.identity
         images = self.images
         for letter in word:
@@ -260,42 +332,74 @@ class FiniteHom:
             result = result * p
         return result
 
+    def evaluate_index(self, word):
+        """Element index of the image of a word, by table lookups."""
+        return self.evaluate_indices((word,))[0]
+
+    def evaluate_indices(self, words):
+        """Element indices of the images of several words."""
+        rows = self._letter_rows()
+        e = self.target.identity_index
+        out = []
+        for word in words:
+            r = e
+            for letter in word:
+                r = rows[letter][r]
+            out.append(r)
+        return out
+
+    def _letter_rows(self):
+        """rows[letter] for letter in +-1..+-2g: the right-multiplication
+        row of that letter's image, looked up once per hom.  Negative
+        letters index from the end, where the inverse rows sit in reverse
+        order."""
+        if self._rows is None:
+            right, inv = self.target.right, self.target.inv
+            rows = ([None] + [right(x) for x in self.idx]
+                    + [right(inv(x)) for x in reversed(self.idx)])
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
     def is_surjective(self):
-        # the closure lies inside the target, so its order bounds it
+        """Whether the closure of the images inside the target is all of
+        it.  The closure stops once it holds more than half the target: a
+        subgroup that large is the whole group, by Lagrange."""
         target = self.target
-        return len(mulclose(set(self.images), degree=target.degree,
-                            bound=target.order)) == target.order
+        rows = [target.right(x) for x in set(self.idx)]
+        seen = bytearray(target.order)
+        seen[target.identity_index] = 1
+        frontier = [target.identity_index]
+        count = 1
+        while 2 * count <= target.order:
+            if not frontier:
+                return False
+            nxt = []
+            for r in frontier:
+                for row in rows:
+                    y = row[r]
+                    if not seen[y]:
+                        seen[y] = 1
+                        nxt.append(y)
+            count += len(nxt)
+            frontier = nxt
+        return True
 
     def key(self):
-        return tuple(p.images for p in self.images)
+        return self.idx
 
     def __eq__(self, other):
         return (
             isinstance(other, FiniteHom)
             and self.target is other.target
-            and self.images == other.images
+            and self.idx == other.idx
         )
 
     def __hash__(self):
-        return hash((id(self.target), self.images))
+        return hash((id(self.target), self.idx))
 
     def __repr__(self):
         imgs = ", ".join(p.cycle_string() for p in self.images)
         return f"FiniteHom({self.target.name}; {imgs})"
-
-
-def _commutator_index(target):
-    """All ordered pairs grouped by commutator value, in index order."""
-    elems = target.elements
-    by_comm = {}
-    pairs = []
-    for x in elems:
-        xi = x.inverse()
-        for y in elems:
-            c = x * y * xi * y.inverse()
-            by_comm.setdefault(c, []).append((x, y))
-            pairs.append((x, y, c))
-    return pairs, by_comm
 
 
 def enumerate_homs(genus, target, budget=DEFAULT.tuples):
@@ -307,19 +411,30 @@ def enumerate_homs(genus, target, budget=DEFAULT.tuples):
         raise EnumerationBoundExceeded(
             f"{target.order}^{2 * genus} tuples exceed budget {budget}"
         )
-    pairs, by_comm = _commutator_index(target)
+    n, inv = target.order, target.inv
+    rows = [target.right(y) for y in range(n)]
+    inv_rows = [rows[inv(y)] for y in range(n)]
+    # every ordered pair (x, y) with its commutator x y x^-1 y^-1, in index
+    # order, and the pairs grouped by commutator
+    pairs = []
+    by_comm = {}
+    for x in range(n):
+        for y in range(n):
+            c = inv_rows[y][inv_rows[x][rows[y][x]]]
+            by_comm.setdefault(c, []).append((x, y))
+            pairs.append((x, y, c))
     homs = []
 
     def descend(depth, prefix, product):
         if depth == genus - 1:
-            tail = by_comm.get(product.inverse(), ())
-            for x, y in tail:
-                homs.append(FiniteHom(target, prefix + (x, y), validate=False))
+            for x, y in by_comm.get(inv(product), ()):
+                homs.append(FiniteHom.from_indices(
+                    target, prefix + (x, y), validate=False))
             return
         for x, y, c in pairs:
-            descend(depth + 1, prefix + (x, y), product * c)
+            descend(depth + 1, prefix + (x, y), rows[c][product])
 
-    descend(0, (), target.identity)
+    descend(0, (), target.identity_index)
     return homs
 
 
@@ -375,14 +490,18 @@ def mod2_homology_hom(genus):
 
 
 def canonical_rep_mod_auts(hom):
-    """Lexicographically least target-conjugate of the hom under the stored
-    automorphism realization; the representative of its Aut(target)-class."""
-    best_key = None
-    best_images = None
-    for t in hom.target.aut_reps():
-        ti = t.inverse()
-        images = tuple(t * img * ti for img in hom.images)
-        key = tuple(p.images for p in images)
-        if best_key is None or key < best_key:
-            best_key, best_images = key, images
-    return FiniteHom(hom.target, best_images, validate=False)
+    """Lexicographically least image of the hom under the stored
+    automorphism realization; the representative of its Aut(target)-class.
+
+    The least tuple is found coordinate by coordinate: each coordinate keeps
+    only the automorphisms that reach its least value."""
+    target = hom.target
+    survivors = range(len(target.aut_reps()))
+    for x in hom.idx:
+        column = target.conj_column(x)
+        best = min(column[t] for t in survivors)
+        survivors = [t for t in survivors if column[t] == best]
+    t = survivors[0]
+    return FiniteHom.from_indices(
+        target, tuple(target.conj_column(x)[t] for x in hom.idx),
+        validate=False)

@@ -22,6 +22,7 @@ from mcglift.cli import (
     main,
     resolve_budgets,
 )
+from mcglift.quotients import FiniteHom
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -219,6 +220,17 @@ def test_forge_invariant_breach_exits_3(monkeypatch, tmp_path, capsys):
                 "1", "--out", str(tmp_path / "c.json")]) == EXIT_BREACH
     err = capsys.readouterr().err
     assert "sign-kernel word evaluates to a transposition" in err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_forge_exits_3_when_table_and_permutation_routes_disagree(
+        monkeypatch, tmp_path, capsys):
+    # a permutation route that sends every word to the identity
+    monkeypatch.setattr(FiniteHom, "evaluate",
+                        lambda self, word: self.target.identity)
+    assert run(["forge", "--genus", "2", "--out",
+                str(tmp_path / "c.json")]) == EXIT_BREACH
+    assert "disagree" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
 
 

@@ -56,6 +56,17 @@ def test_permutation_validation():
         perm("(0 1", 3)
 
 
+def test_products_skip_validation_but_the_constructor_does_not():
+    with pytest.raises(PermError):
+        Permutation([0, 0])
+    p = perm("(0 1 2)(3 4)", 5)
+    q = perm("(1 4)", 5)
+    for built in (p * q, q * p, p.inverse(), (p * q).inverse()):
+        checked = Permutation(built.images)
+        assert built == checked and hash(built) == hash(checked)
+    assert p * p.inverse() == Permutation.identity(5)
+
+
 def test_cycle_roundtrip_and_order():
     p = perm("(0 1 2)(3 4)", 6)
     assert Permutation.parse(p.cycle_string(), 6) == p

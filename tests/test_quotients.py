@@ -23,6 +23,7 @@ from mcglift.quotients import (
     target_s3,
     target_trivial,
 )
+from mcglift.words import surface_relator
 
 
 def test_target_orders():
@@ -71,7 +72,7 @@ def test_finitehom_validation_and_evaluate():
     assert h.evaluate((1, 2)) == x * y
     assert h.evaluate((-1,)) == x.inverse()
     assert h.is_surjective()
-    assert h.relator_image().is_identity()
+    assert h.evaluate(surface_relator(2)).is_identity()
     with pytest.raises(QuotientError):
         FiniteHom(t, (x,))
     with pytest.raises(QuotientError):
