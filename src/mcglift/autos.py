@@ -49,8 +49,11 @@ class SurfaceAuto:
 
     def __init__(self, genus, images, name=""):
         images = tuple(tuple(w) for w in images)
-        if len(images) != 2 * genus:
-            raise AutError(f"need {2 * genus} image words, got {len(images)}")
+        n = 2 * genus
+        if len(images) != n:
+            raise AutError(f"need {n} image words, got {len(images)}")
+        if not all(0 < abs(letter) <= n for w in images for letter in w):
+            raise AutError(f"image letters must lie in +-1..+-{n}")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "name", name)
@@ -243,7 +246,7 @@ def precompose(hom, auto):
     if relator != hom.target.identity_index:
         raise RelatorViolation(
             f"{auto.name or 'the automorphism'} breaks the surface relation")
-    return FiniteHom.from_indices(hom.target, idx, validate=False)
+    return FiniteHom.from_indices(hom.target, idx)
 
 
 @dataclass(frozen=True)

@@ -284,29 +284,29 @@ class FiniteHom:
         idx = tuple(index.get(p) for p in images)
         if None in idx:
             raise QuotientError("image is not a target element")
-        self._set(target, idx, validate)
-
-    @classmethod
-    def from_indices(cls, target, idx, validate=True):
-        """The hom whose generator images are the elements `idx` index."""
-        idx = tuple(idx)
-        if validate and not all(0 <= i < target.order for i in idx):
-            raise QuotientError("image index is not a target element")
-        hom = object.__new__(cls)
-        hom._set(target, idx, validate)
-        return hom
-
-    def _set(self, target, idx, validate):
         if len(idx) % 2 or not idx:
             raise QuotientError("images must be a 2g-tuple")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "_rows", None)
+        self._set(target, idx)
         if validate and (self.evaluate_index(surface_relator(self.genus))
                          != target.identity_index):
             raise RelatorViolation(
                 "generator images do not satisfy the surface relation"
             )
+
+    @classmethod
+    def from_indices(cls, target, idx):
+        """The hom whose generator images are the elements `idx` indexes.
+        Trusted: the indices come from the tables, so neither their range
+        nor the relator is checked; outside input goes through
+        `FiniteHom(target, images)`."""
+        hom = object.__new__(cls)
+        hom._set(target, tuple(idx))
+        return hom
+
+    def _set(self, target, idx):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteHom is immutable")
@@ -352,7 +352,8 @@ class FiniteHom:
         """rows[letter] for letter in +-1..+-2g: the right-multiplication
         row of that letter's image, looked up once per hom.  Negative
         letters index from the end, where the inverse rows sit in reverse
-        order."""
+        order, so a letter outside +-1..+-2g would read a wrong row:
+        `SurfaceAuto` rejects such letters when it is built."""
         if self._rows is None:
             right, inv = self.target.right, self.target.inv
             rows = ([None] + [right(x) for x in self.idx]
@@ -404,7 +405,12 @@ class FiniteHom:
 
 def enumerate_homs(genus, target, budget=DEFAULT.tuples):
     """All homomorphisms from the genus-g surface group to the target,
-    ordered lexicographically by element indices."""
+    ordered lexicographically by element indices.
+
+    Enumeration reads every product, so it builds every right-multiplication
+    row of the target: the whole |Q|^2 table, kept on the target like any
+    row.  This is deliberate: `is_surjective` on the listed homs, and any
+    evaluation after it, read the same rows."""
     if genus < 2:
         raise QuotientError(f"genus must be >= 2, got {genus}")
     if target.order ** (2 * genus) > budget:
@@ -428,8 +434,7 @@ def enumerate_homs(genus, target, budget=DEFAULT.tuples):
     def descend(depth, prefix, product):
         if depth == genus - 1:
             for x, y in by_comm.get(inv(product), ()):
-                homs.append(FiniteHom.from_indices(
-                    target, prefix + (x, y), validate=False))
+                homs.append(FiniteHom.from_indices(target, prefix + (x, y)))
             return
         for x, y, c in pairs:
             descend(depth + 1, prefix + (x, y), rows[c][product])
@@ -503,5 +508,4 @@ def canonical_rep_mod_auts(hom):
         survivors = [t for t in survivors if column[t] == best]
     t = survivors[0]
     return FiniteHom.from_indices(
-        target, tuple(target.conj_column(x)[t] for x in hom.idx),
-        validate=False)
+        target, tuple(target.conj_column(x)[t] for x in hom.idx))

@@ -5,6 +5,7 @@ import pytest
 
 from mcglift.autos import (
     AutError,
+    SurfaceAuto,
     certify_characteristic,
     identity_auto,
     inner_auto,
@@ -250,6 +251,15 @@ def test_certify_characteristic_detects_deletion():
     broken = certify_characteristic(rec, pruned)
     assert broken["pass"] is False
     assert "direction" in broken["failure"]
+
+
+@pytest.mark.parametrize("letter", [5, -5, 8, -8, 0])
+def test_auto_letters_outside_the_genus_are_rejected(letter):
+    # precompose reads negative letters from the end of a row list, so an
+    # out-of-range letter must never reach it
+    images = [(letter,), (2,), (3,), (4,)]
+    with pytest.raises(AutError):
+        SurfaceAuto(2, images)
 
 
 def test_certify_characteristic_rejects_duplicates():

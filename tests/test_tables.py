@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcglift.autos import orbit, standard_autgens
+from mcglift.perm import Permutation
 from mcglift.quotients import (
     FiniteHom,
     QuotientError,
@@ -161,14 +162,16 @@ def test_from_indices_matches_the_permutation_constructor():
     for hom in HOMS[10:20]:
         assert FiniteHom.from_indices(target, hom.idx) == hom
         assert FiniteHom.from_indices(target, hom.idx).images == hom.images
-    with pytest.raises(QuotientError):
-        FiniteHom.from_indices(target, (0, 0, 0, 60))
-    with pytest.raises(QuotientError):
-        FiniteHom.from_indices(target, (0, 0, 0, -1))
+    # validation lives in the permutation constructor only
     x, y = target.generators
-    idx = (target.element_index[x], target.element_index[y], 0, 0)
+    e = target.identity
+    odd = Permutation([1, 0, 2, 3, 4])
+    with pytest.raises(QuotientError):
+        FiniteHom(target, (e, e, e, odd))
+    with pytest.raises(QuotientError):
+        FiniteHom(target, (e, e, e))
     with pytest.raises(RelatorViolation):
-        FiniteHom.from_indices(target, idx)
+        FiniteHom(target, (x, y, e, e))
 
 
 def test_aut_reps_build_no_row_or_column():
