@@ -11,8 +11,10 @@ from mcglift import (
     PermGroup,
     Permutation,
     normalizer_is_self,
+    normalizer_is_self_s3,
     subgroup_witness,
     sylow2,
+    sylow2_s3,
 )
 
 # Permutations are parsed from cycle notation over a fixed degree.  The
@@ -46,11 +48,12 @@ print("\n|S3 x S3 x S3| =", cube.order)
 
 # A Sylow 2-subgroup has order equal to the full power of two dividing the
 # group order: here 2^3 = 8 with odd index 27.  Two routes are available:
-# "growth" climbs through 2-element normalizers, while "structural"
-# exploits the block form directly.  Both return a witness whose order and
-# membership relations were verified during construction.
-w_growth = sylow2(cube, method="growth")
-w_struct = sylow2(cube, method="structural")
+# `sylow2` grows a 2-subgroup element by element and works on any group
+# small enough to list, while `sylow2_s3` exploits the S3-block form
+# directly.  Both return a witness whose order and membership relations were
+# verified during construction.
+w_growth = sylow2(cube)
+w_struct = sylow2_s3(cube)
 print("\nSylow-2 order (growth):    ", w_growth.sub.order)
 print("Sylow-2 order (structural):", w_struct.sub.order)
 print("index:", w_struct.index)
@@ -58,9 +61,9 @@ print("index:", w_struct.index)
 # The certified property downstream work relies on: this Sylow 2-subgroup
 # is its own normalizer inside the ambient group.
 print("\nself-normalizing (structural route):",
-      normalizer_is_self(w_struct, method="structural"))
+      normalizer_is_self_s3(w_struct))
 print("self-normalizing (enumeration route):",
-      normalizer_is_self(w_struct, method="enumeration"))
+      normalizer_is_self(w_struct))
 
 # Witnesses can also wrap any explicitly-known subgroup, checking order
 # divisibility and membership of every generator along the way.

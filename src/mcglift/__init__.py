@@ -70,7 +70,9 @@ from .forge import (
     forge_certificate_hall,
     forge_certificate_s3,
     minimal_degree_search,
+    normalizer_is_self_s3,
     structural_order_s3,
+    sylow2_s3,
 )
 
 __version__ = "0.1.0"

@@ -259,8 +259,6 @@ class OrbitRecord:
     nothing."""
 
     genus: int
-    target_name: str
-    seed_key: tuple
     members: tuple
     generator_names: tuple
     mod_target_auts: bool
@@ -320,8 +318,6 @@ def orbit(seed, gens=None, mod_target_auts=False, cap=ORBIT_CAP,
     }
     return OrbitRecord(
         genus=seed.genus,
-        target_name=seed.target.name,
-        seed_key=start.key(),
         members=tuple(found[i] for i in order),
         generator_names=tuple(g.name for g in gens),
         mod_target_auts=mod_target_auts,

@@ -6,8 +6,8 @@ the three limits a run can set:
 
     tuples  homomorphism tuples `enumerate_homs` may examine;
     points  points of the product permutation group a forge may build;
-    enum    group elements an enumeration (normalizer scan, closure, coset
-            table) may list.
+    enum    group elements an enumeration (normalizer scan, Sylow growth,
+            closure) may list.
 
 The entry points take a `Budgets`; the lower layers take plain integers and
 default to `DEFAULT`.  The two orbit-closure caps are sizing limits that no

@@ -1,8 +1,8 @@
 """Coset tables, Reidemeister-Schreier generators, and induced automorphisms.
 
-A finite-index subgroup of the surface group is realized through a finite
-quotient: either the full kernel of a homomorphism, or the preimage of a
-subgroup of the target.  The surface group acts on the left cosets; a
+A finite-index subgroup of the surface group is realized as the kernel of
+a homomorphism onto a finite quotient.  The surface group acts on the left
+cosets, which are the quotient's elements; a
 breadth-first spanning tree gives one transversal word per coset, and the
 non-tree table entries give Schreier generators for the subgroup —
 2g·d − (d−1) of them, a free generating set since the subgroup is itself a
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autos import inner_auto
-from .budgets import DEFAULT
 from .quotients import FiniteHom, mod2_homology_hom, target_c2
 from .words import (
     SurfacePresentation,
@@ -56,7 +55,8 @@ class CharacteristicViolation(CosetError):
 
 
 class CosetTable:
-    """Left-coset action of the 2g generators on the d cosets of a subgroup.
+    """Left-coset action of the 2g generators on the d cosets of the kernel
+    of a surjective `hom`, which are the target's element indices.
 
     Coset 0 is the subgroup itself; `schreier_reps[c]` is a word carrying
     coset 0 to coset c (so reps[0] is empty).  `tree_pairs` marks the (coset,
@@ -64,14 +64,23 @@ class CosetTable:
     are freely trivial and are skipped by rewriting.
     """
 
-    def __init__(self, hom, genus, points, identity_point, act, label):
+    def __init__(self, hom):
         self.hom = hom
-        self.genus = genus
-        self.d = len(points)
-        self.label = label
+        self.genus = genus = hom.genus
+        self.d = hom.target.order
+        inv, right = hom.target.inv, hom.target.right
+
+        def act(letter, point):
+            # img * p, read as (p^-1 * img^-1)^-1: only the rows of the
+            # generator images and their inverses are needed
+            x = hom.idx[abs(letter) - 1]
+            if letter > 0:
+                x = inv(x)
+            return inv(right(x)[inv(point)])
+
         # breadth-first relabeling from the subgroup coset
-        index = {identity_point: 0}
-        order = [identity_point]
+        index = {hom.target.identity_index: 0}
+        order = [hom.target.identity_index]
         reps = [()]
         tree = set()
         qi = 0
@@ -92,9 +101,9 @@ class CosetTable:
                         tree.add((c, letter))
                     else:
                         tree.add((len(order) - 1, -letter))
-        if len(order) != len(points):
+        if len(order) != self.d:
             raise CosetError(
-                f"action is intransitive: reached {len(order)} of {len(points)}"
+                f"action is intransitive: reached {len(order)} of {self.d}"
             )
         self.schreier_reps = tuple(reps)
         self.tree_pairs = frozenset(tree)
@@ -125,50 +134,14 @@ class CosetTable:
         return self.apply_word(word) == 0
 
     def __repr__(self):
-        return f"CosetTable(genus={self.genus}, d={self.d}, {self.label})"
+        return f"CosetTable(genus={self.genus}, d={self.d})"
 
 
-def build_coset_table(hom, sub=None, bound=DEFAULT.enum):
-    """Coset table of the preimage of `sub` under hom (kernel when sub is
-    None).  `sub` is a SubgroupWitness inside the hom's target group."""
+def build_coset_table(hom):
+    """Coset table of the kernel of a surjective hom."""
     if not hom.is_surjective():
         raise CosetError("coset tables require a surjective homomorphism")
-    genus = hom.genus
-    target = hom.target
-    if sub is None:
-        inv, right = target.inv, target.right
-
-        def act(letter, point):
-            # img * p, read as (p^-1 * img^-1)^-1: only the rows of the
-            # generator images and their inverses are needed
-            x = hom.idx[abs(letter) - 1]
-            if letter > 0:
-                x = inv(x)
-            return inv(right(x)[inv(point)])
-
-        return CosetTable(hom, genus, range(target.order),
-                          target.identity_index, act, "kernel")
-    if sub.ambient.degree != target.degree:
-        raise CosetError("subgroup witness does not live in the hom's target")
-    sub_elems = frozenset(sub.sub.elements(bound))
-    cosets = set()
-    for q in target.elements:
-        cosets.add(frozenset(q * h for h in sub_elems))
-    if len(cosets) != sub.index:
-        raise CosetError(
-            f"found {len(cosets)} cosets, expected index {sub.index}"
-        )
-
-    images = hom.images
-
-    def act(letter, point):
-        img = images[abs(letter) - 1]
-        if letter < 0:
-            img = img.inverse()
-        return frozenset(img * q for q in point)
-
-    return CosetTable(hom, genus, cosets, sub_elems, act,
-                      f"index-{sub.index} subgroup")
+    return CosetTable(hom)
 
 
 @dataclass(frozen=True)

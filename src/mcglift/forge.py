@@ -17,10 +17,16 @@ Orders of large images are certified two ways: a structural 2-rank/3-rank
 count (exact, via the sign quotient and the abelian odd part) feeds the BSGS
 as a declared order, and the BSGS construction independently fails loudly if
 the chain cannot reach it.
+
+The S3 section below owns the block form, G inside S3 x ... x S3 acting on
+{0,1,2} + {3,4,5} + ...: the order, `sylow2_s3` and `normalizer_is_self_s3`
+are structural there, and tests check the last two against `perm.sylow2` and
+`perm.normalizer_is_self`.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,13 +39,9 @@ from .perm import (
     PermError,
     PermGroup,
     Permutation,
-    StructuralFormError,
     Sylow2Stalled,
-    _block_sign_vector,
-    _independent_rows,
     normalizer_is_self,
     subgroup_witness,
-    sylow2,
     two_part,
 )
 from .quotients import (
@@ -69,7 +71,6 @@ class SubdirectImage:
     images of the surface generators on k * block_degree points."""
 
     k: int
-    factor_homs: tuple
     block_degree: int
     product_gens: tuple
 
@@ -118,11 +119,176 @@ def build_subdirect_image(members, point_cap=DEFAULT.points):
         for j, member in enumerate(members):
             images.extend(deg * j + x for x in member.images[i].images)
         gens.append(Permutation(images))
-    return SubdirectImage(k=k, factor_homs=tuple(members), block_degree=deg,
-                          product_gens=tuple(gens))
+    return SubdirectImage(k=k, block_degree=deg, product_gens=tuple(gens))
 
 
-# -- structural order for S3 products ----------------------------------------
+# -- S3 products in block form ----------------------------------------------
+
+
+class StructuralFormError(PermError):
+    """Raised when a structural path is requested on a group not in S3-block form."""
+
+
+def s3_block_count(group):
+    """Number k of 3-point blocks if the group lies in S3 x ... x S3 acting on
+    {0,1,2} + {3,4,5} + ..., else None."""
+    if group.degree % 3:
+        return None
+    k = group.degree // 3
+    for g in group.generators:
+        for j in range(k):
+            lo = 3 * j
+            for x in range(lo, lo + 3):
+                if not lo <= g.images[x] < lo + 3:
+                    return None
+    return k
+
+
+def _block_sign_vector(p, k):
+    """Per-block parity as a bitmask: bit j set iff the restriction to block j
+    is a transposition."""
+    mask = 0
+    for j in range(k):
+        lo = 3 * j
+        a, b, c = p.images[lo], p.images[lo + 1], p.images[lo + 2]
+        # parity of the restriction: even iff it is a 3-cycle or identity
+        fixed = (a == lo) + (b == lo + 1) + (c == lo + 2)
+        if fixed == 1:
+            mask |= 1 << j
+    return mask
+
+
+def _independent_rows(rows, p):
+    """Greedy row reduction over F_p, p prime, in input order.
+
+    Returns (chosen, pivots): the indices of the rows that are not in the
+    span of the rows before them, and the pivot column of each.  Every kept
+    row is reduced against the earlier kept rows, so it is zero on their
+    pivot columns and a row in their span reduces to zero.
+    """
+    basis = []  # (pivot, row scaled to 1 at the pivot)
+    chosen = []
+    for i, row in enumerate(rows):
+        row = [x % p for x in row]
+        for pivot, b in basis:
+            f = row[pivot]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is not None:
+            inv = pow(row[pivot], -1, p)
+            basis.append((pivot, [x * inv % p for x in row]))
+            chosen.append(i)
+    return chosen, [pivot for pivot, _ in basis]
+
+
+def sylow2_s3(group, seed=0):
+    """A 2-Sylow of G <= S3^k, as a SubgroupWitness: a complement to the odd
+    part G n A3^k.
+
+    The sign map s: G -> F2^k has image V of order 2^r with r = the 2-part
+    exponent of |G|; the kernel is the odd abelian part.  A complement is
+    produced by the coprime-order averaging of the section cocycle, then
+    verified by an order computation.  Raises StructuralFormError if the
+    group is not in S3-block form.
+    """
+    k = s3_block_count(group)
+    if k is None:
+        raise StructuralFormError(
+            "structural sylow2 requested on a group not in S3-block form"
+        )
+    rng = random.Random(seed)
+    gens = list(group.generators)
+    rng.shuffle(gens)
+
+    # Generators with independent sign vectors span V, so products of them
+    # give a section t of the sign map whose cocycle lies in the odd part.
+    signs = [_block_sign_vector(g, k) for g in gens]
+    chosen, _ = _independent_rows(
+        [[mask >> j & 1 for j in range(k)] for mask in signs], 2)
+    basis = [gens[i] for i in chosen]
+    r = len(basis)
+    if r == 0:
+        return subgroup_witness(group, PermGroup([], degree=group.degree))
+
+    ident = Permutation.identity(group.degree)
+
+    def section(bits):
+        e = ident
+        for i in range(r):
+            if bits >> i & 1:
+                e = e * basis[i]
+        return e
+
+    t = [section(bits) for bits in range(1 << r)]
+
+    def coc(u, v):
+        return t[u] * t[v] * t[u ^ v].inverse()
+
+    # e(u) = (prod_w c(u, w))^q with q * 2^r = -1 mod 3 makes e(u)t(u) a
+    # homomorphism from V; its image is the complement.
+    q = 1 if (2**r) % 3 == 2 else 2
+    hgens = []
+    for i in range(r):
+        u = 1 << i
+        b = ident
+        for w in range(1 << r):
+            b = b * coc(u, w)
+        e = b if q == 1 else b * b
+        hgens.append(e * t[u])
+    sub = PermGroup(hgens, degree=group.degree)
+    if sub.order != 1 << r or two_part(group.order) != 1 << r:
+        raise Sylow2Stalled(
+            f"structural complement has order {sub.order}, expected {1 << r}"
+        )
+    return subgroup_witness(group, sub)
+
+
+def normalizer_is_self_s3(witness):
+    """Certify N_G(H) = H for H a 2-Sylow of a group G <= S3^k.
+
+    Checks: G preserves the 3-blocks; |H| equals the 2-part of |G|; every H
+    generator restricts on each block to the identity or to one fixed
+    transposition X_j; every block is hit.  Why these suffice: the odd part
+    A = G n A3^k is normal of odd order and H n A = 1, so G = H.A.  An
+    element of A that normalizes H has [a, h] in H n A = 1 for every h in
+    H, so on block j it commutes with X_j; the only even permutation of
+    {0, 1, 2} commuting with a transposition is the identity, so a = 1 and
+    every normalizing element lies in H.  G need not be onto each factor.
+    """
+    g, h = witness.ambient, witness.sub
+    k = s3_block_count(g)
+    if k is None:
+        raise StructuralFormError(
+            "structural normalizer check requested on a group not in S3-block form"
+        )
+    if h.order != two_part(g.order):
+        raise StructuralFormError(
+            f"subgroup order {h.order} is not the 2-part of {g.order}"
+        )
+    chosen = [None] * k
+    for p in h.generators:
+        signs = _block_sign_vector(p, k)
+        for j in range(k):
+            lo = 3 * j
+            rest = tuple(p.images[lo + i] - lo for i in range(3))
+            if rest == (0, 1, 2):
+                continue
+            if sorted(rest) != [0, 1, 2] or not signs >> j & 1:
+                raise StructuralFormError(
+                    f"subgroup restriction to block {j} is not an involution"
+                )
+            if chosen[j] is None:
+                chosen[j] = rest
+            elif chosen[j] != rest:
+                raise StructuralFormError(
+                    f"block {j} sees two distinct involutions; subgroup is not"
+                    " inside a product of the chosen 2-Sylows"
+                )
+    if any(c is None for c in chosen):
+        missing = [j for j, c in enumerate(chosen) if c is None]
+        raise StructuralFormError(f"no subgroup generator hits blocks {missing}")
+    return True
 
 
 def _rotation_product(exponents):
@@ -391,7 +557,7 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
 
     try:
         with _stage(timing, "sylow_s"):
-            witness = sylow2(G, seed=seed, method="structural")
+            witness = sylow2_s3(G, seed=seed)
     except (Sylow2Stalled, StructuralFormError) as e:
         return _invalid_certificate("sylow-s3", genus, k, "sylow2", str(e),
                                     seed_material, char_entry, timing)
@@ -399,8 +565,10 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
     method_a = "enumeration" if G.order <= budgets.enum else "structural"
     try:
         with _stage(timing, "normalizer_s"):
-            pass_a = normalizer_is_self(witness, bound=budgets.enum,
-                                        method=method_a)
+            if method_a == "enumeration":
+                pass_a = normalizer_is_self(witness, bound=budgets.enum)
+            else:
+                pass_a = normalizer_is_self_s3(witness)
     except (StructuralFormError, EnumerationBoundExceeded) as e:
         return _invalid_certificate("sylow-s3", genus, k, "normalizer",
                                     str(e), seed_material, char_entry, timing)
@@ -558,12 +726,10 @@ def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
     with _stage(timing, "normalizer_s"):
         if G.order <= budgets.enum:
             method_a = "enumeration"
-            pass_a = normalizer_is_self(witness, bound=budgets.enum,
-                                        method="enumeration")
+            pass_a = normalizer_is_self(witness, bound=budgets.enum)
         else:
             method_a = "structural"
-            pass_a = normalizer_is_self(bw, bound=budgets.enum,
-                                        method="enumeration")
+            pass_a = normalizer_is_self(bw, bound=budgets.enum)
 
     with _stage(timing, "check_b_s"):
         pass_b, conj_witness = _hall_check_b(p, bw)

@@ -7,6 +7,12 @@ Composition convention, used everywhere in this package:
 Groups are held as a base and strong generating set (deterministic
 Schreier-Sims), so orders are exact Python integers and membership is
 decided by sifting.  Groups are immutable once constructed.
+
+Two reference algorithms work on any group small enough to list:
+`sylow2` grows a Sylow 2-subgroup element by element, and
+`normalizer_is_self` scans the ambient group.  The structural versions for
+groups in S3-block form live in `forge`, and tests compare them against
+these two.
 """
 
 from __future__ import annotations
@@ -28,10 +34,6 @@ class MembershipError(PermError):
 
 class EnumerationBoundExceeded(PermError):
     """Raised when an operation would enumerate more elements than allowed."""
-
-
-class StructuralFormError(PermError):
-    """Raised when a structural path is requested on a group not in S3-block form."""
 
 
 class Sylow2Stalled(PermError):
@@ -420,117 +422,12 @@ def two_part(n):
     return t
 
 
-def s3_block_count(group):
-    """Number k of 3-point blocks if the group lies in S3 x ... x S3 acting on
-    {0,1,2} + {3,4,5} + ..., else None."""
-    if group.degree % 3:
-        return None
-    k = group.degree // 3
-    for g in group.generators:
-        for j in range(k):
-            lo = 3 * j
-            for x in range(lo, lo + 3):
-                if not lo <= g.images[x] < lo + 3:
-                    return None
-    return k
+def sylow2(group, seed=0, bound=DEFAULT.enum):
+    """A Sylow 2-subgroup of `group`, as a SubgroupWitness.
 
-
-def _block_sign_vector(p, k):
-    """Per-block parity as a bitmask: bit j set iff the restriction to block j
-    is a transposition."""
-    mask = 0
-    for j in range(k):
-        lo = 3 * j
-        a, b, c = p.images[lo], p.images[lo + 1], p.images[lo + 2]
-        # parity of the restriction: even iff it is a 3-cycle or identity
-        fixed = (a == lo) + (b == lo + 1) + (c == lo + 2)
-        if fixed == 1:
-            mask |= 1 << j
-    return mask
-
-
-def _independent_rows(rows, p):
-    """Greedy row reduction over F_p, p prime, in input order.
-
-    Returns (chosen, pivots): the indices of the rows that are not in the
-    span of the rows before them, and the pivot column of each.  Every kept
-    row is reduced against the earlier kept rows, so it is zero on their
-    pivot columns and a row in their span reduces to zero.
-    """
-    basis = []  # (pivot, row scaled to 1 at the pivot)
-    chosen = []
-    for i, row in enumerate(rows):
-        row = [x % p for x in row]
-        for pivot, b in basis:
-            f = row[pivot]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, b)]
-        pivot = next((c for c, x in enumerate(row) if x), None)
-        if pivot is not None:
-            inv = pow(row[pivot], -1, p)
-            basis.append((pivot, [x * inv % p for x in row]))
-            chosen.append(i)
-    return chosen, [pivot for pivot, _ in basis]
-
-
-def _sylow2_structural(group, seed):
-    """2-Sylow of G <= S3^k as a complement to the odd part G n A3^k.
-
-    The sign map s: G -> F2^k has image V of order 2^r with r = the 2-part
-    exponent of |G|; the kernel is the odd abelian part.  A complement is
-    produced by the coprime-order averaging of the section cocycle, then
-    verified by an order computation.
-    """
-    k = group.degree // 3
-    rng = random.Random(seed)
-    gens = list(group.generators)
-    rng.shuffle(gens)
-
-    # Generators with independent sign vectors span V, so products of them
-    # give a section t of the sign map whose cocycle lies in the odd part.
-    signs = [_block_sign_vector(g, k) for g in gens]
-    chosen, _ = _independent_rows(
-        [[mask >> j & 1 for j in range(k)] for mask in signs], 2)
-    basis = [gens[i] for i in chosen]
-    r = len(basis)
-    if r == 0:
-        return subgroup_witness(group, PermGroup([], degree=group.degree))
-
-    ident = Permutation.identity(group.degree)
-
-    def section(bits):
-        e = ident
-        for i in range(r):
-            if bits >> i & 1:
-                e = e * basis[i]
-        return e
-
-    t = [section(bits) for bits in range(1 << r)]
-
-    def coc(u, v):
-        return t[u] * t[v] * t[u ^ v].inverse()
-
-    # e(u) = (prod_w c(u, w))^q with q * 2^r = -1 mod 3 makes e(u)t(u) a
-    # homomorphism from V; its image is the complement.
-    q = 1 if (2**r) % 3 == 2 else 2
-    hgens = []
-    for i in range(r):
-        u = 1 << i
-        b = ident
-        for w in range(1 << r):
-            b = b * coc(u, w)
-        e = b if q == 1 else b * b
-        hgens.append(e * t[u])
-    sub = PermGroup(hgens, degree=group.degree)
-    if sub.order != 1 << r or two_part(group.order) != 1 << r:
-        raise Sylow2Stalled(
-            f"structural complement has order {sub.order}, expected {1 << r}"
-        )
-    return subgroup_witness(group, sub)
-
-
-def _sylow2_growth(group, seed, bound):
-    """Grow a 2-subgroup by adjoining elements while the order stays a 2-power."""
+    Grows a 2-subgroup by adjoining elements, in an order shuffled by
+    `seed`, while the order stays a power of 2.  Enumerates the group, so
+    its order must be within `bound`."""
     target = two_part(group.order)
     if target == 1:
         return subgroup_witness(group, PermGroup([], degree=group.degree))
@@ -553,28 +450,12 @@ def _sylow2_growth(group, seed, bound):
     return subgroup_witness(group, sub)
 
 
-def sylow2(group, seed=0, method="auto", bound=DEFAULT.enum):
-    """A Sylow 2-subgroup of `group`, as a SubgroupWitness.
-
-    method: "auto" picks the structural path for groups in S3-block form and
-    the enumeration growth path otherwise; both can be forced.
-    """
-    if method not in ("auto", "structural", "growth"):
-        raise PermError(f"unknown sylow2 method {method!r}")
-    blocked = s3_block_count(group) is not None
-    if method == "structural" or (method == "auto" and blocked):
-        if not blocked:
-            raise StructuralFormError(
-                "structural sylow2 requested on a group not in S3-block form"
-            )
-        return _sylow2_structural(group, seed)
-    return _sylow2_growth(group, seed, bound)
-
-
 # -- normalizer check -------------------------------------------------------
 
 
-def _normalizer_is_self_enumeration(witness, bound):
+def normalizer_is_self(witness, bound=DEFAULT.enum):
+    """Decide whether N_G(H) = H by scanning every element of G, whose
+    order must be within `bound`."""
     g, h = witness.ambient, witness.sub
     hgens = h.generators
     for x in g.elements(bound):
@@ -582,71 +463,6 @@ def _normalizer_is_self_enumeration(witness, bound):
             if x not in h:
                 return False
     return True
-
-
-def _normalizer_is_self_structural(witness):
-    """Certify N_G(H) = H for H a 2-Sylow of a group G <= S3^k.
-
-    Checks: G preserves the 3-blocks; |H| equals the 2-part of |G|; every H
-    generator restricts on each block to the identity or to one fixed
-    transposition X_j; every block is hit.  Why these suffice: the odd part
-    A = G n A3^k is normal of odd order and H n A = 1, so G = H.A.  An
-    element of A that normalizes H has [a, h] in H n A = 1 for every h in
-    H, so on block j it commutes with X_j; the only even permutation of
-    {0, 1, 2} commuting with a transposition is the identity, so a = 1 and
-    every normalizing element lies in H.  G need not be onto each factor.
-    """
-    g, h = witness.ambient, witness.sub
-    k = s3_block_count(g)
-    if k is None:
-        raise StructuralFormError(
-            "structural normalizer check requested on a group not in S3-block form"
-        )
-    if h.order != two_part(g.order):
-        raise StructuralFormError(
-            f"subgroup order {h.order} is not the 2-part of {g.order}"
-        )
-    chosen = [None] * k
-    for p in h.generators:
-        signs = _block_sign_vector(p, k)
-        for j in range(k):
-            lo = 3 * j
-            rest = tuple(p.images[lo + i] - lo for i in range(3))
-            if rest == (0, 1, 2):
-                continue
-            if sorted(rest) != [0, 1, 2] or not signs >> j & 1:
-                raise StructuralFormError(
-                    f"subgroup restriction to block {j} is not an involution"
-                )
-            if chosen[j] is None:
-                chosen[j] = rest
-            elif chosen[j] != rest:
-                raise StructuralFormError(
-                    f"block {j} sees two distinct involutions; subgroup is not"
-                    " inside a product of the chosen 2-Sylows"
-                )
-    if any(c is None for c in chosen):
-        missing = [j for j, c in enumerate(chosen) if c is None]
-        raise StructuralFormError(f"no subgroup generator hits blocks {missing}")
-    return True
-
-
-def normalizer_is_self(witness, bound=DEFAULT.enum, method="auto"):
-    """Decide whether N_G(H) = H.
-
-    method "enumeration" scans every ambient element; "structural" certifies
-    a 2-Sylow of a group in S3-block form without enumeration; "auto" uses
-    enumeration when the ambient order is within `bound`, else structural.
-    """
-    if method == "enumeration":
-        return _normalizer_is_self_enumeration(witness, bound)
-    if method == "structural":
-        return _normalizer_is_self_structural(witness)
-    if method != "auto":
-        raise PermError(f"unknown normalizer method {method!r}")
-    if witness.ambient.order <= bound:
-        return _normalizer_is_self_enumeration(witness, bound)
-    return _normalizer_is_self_structural(witness)
 
 
 def mulclose(generators, degree=None, bound=DEFAULT.enum):

@@ -53,10 +53,9 @@ class RelatorViolation(QuotientError):
 class FiniteTarget:
     """A finite group realized by permutations, with deterministic element order.
 
-    kind: one of "symmetric-3", "cyclic-2", "alternating-5", "psl2",
-    "c2^k", "trivial".  `elements` is sorted by image tuples, which fixes
-    element indices for enumeration order.  `character_degrees` is set for
-    the targets whose irreducible degree lists the counting oracle knows.
+    `elements` is sorted by image tuples, which fixes element indices for
+    enumeration order.  `character_degrees` is set for the targets whose
+    irreducible degree lists the counting oracle knows.
 
     `right(x)`, `inv(x)` and `conj_column(x)` answer products, inverses and
     automorphism images by element index.  Each is built for one element on
@@ -64,10 +63,8 @@ class FiniteTarget:
     builds any of them.
     """
 
-    def __init__(self, kind, param, elements, generators, name,
-                 character_degrees=None, aut_rep_builder=None):
-        self.kind = kind
-        self.param = param
+    def __init__(self, elements, generators, name, character_degrees=None,
+                 aut_rep_builder=None):
         self.elements = tuple(sorted(elements))
         self.generators = tuple(generators)
         self.name = name
@@ -129,14 +126,14 @@ class FiniteTarget:
 @lru_cache(maxsize=None)
 def target_trivial():
     e = Permutation.identity(1)
-    return FiniteTarget("trivial", None, [e], [], "1", character_degrees=(1,))
+    return FiniteTarget([e], [], "1", character_degrees=(1,))
 
 
 @lru_cache(maxsize=None)
 def target_c2():
     flip = Permutation([1, 0])
     return FiniteTarget(
-        "cyclic-2", None, [Permutation.identity(2), flip], [flip], "C2",
+        [Permutation.identity(2), flip], [flip], "C2",
         character_degrees=(1, 1),
         aut_rep_builder=lambda: [Permutation.identity(2)],
     )
@@ -148,7 +145,7 @@ def target_s3():
     elems = mulclose(gens, degree=3)
     assert len(elems) == 6
     return FiniteTarget(
-        "symmetric-3", None, elems, gens, "S3",
+        elems, gens, "S3",
         character_degrees=(1, 1, 2),
         aut_rep_builder=lambda: sorted(mulclose(gens, degree=3)),
     )
@@ -160,7 +157,7 @@ def target_a5():
     elems = mulclose(gens, degree=5)
     assert len(elems) == 60
     return FiniteTarget(
-        "alternating-5", None, elems, gens, "A5",
+        elems, gens, "A5",
         character_degrees=(1, 3, 3, 4, 5),
         aut_rep_builder=lambda: sorted(
             mulclose(gens + [Permutation([1, 0, 2, 3, 4])], degree=5)
@@ -180,7 +177,7 @@ def target_c2k(k):
         basis.append(Permutation(images))
     elems = mulclose(basis, degree=2 * k, bound=2**21)
     return FiniteTarget(
-        f"c2^{k}", k, elems, basis, f"C2^{k}",
+        elems, basis, f"C2^{k}",
         character_degrees=(1,) * (2**k),
     )
 
@@ -246,7 +243,7 @@ def target_psl2(p):
         return sorted(reps)
 
     return FiniteTarget(
-        "psl2", p, elems, [s, t], f"PSL2({p})", aut_rep_builder=pgl_reps,
+        elems, [s, t], f"PSL2({p})", aut_rep_builder=pgl_reps,
     )
 
 
@@ -279,7 +276,7 @@ class FiniteHom:
 
     __slots__ = ("target", "idx", "_rows")
 
-    def __init__(self, target, images, validate=True):
+    def __init__(self, target, images):
         index = target.element_index
         idx = tuple(index.get(p) for p in images)
         if None in idx:
@@ -287,8 +284,8 @@ class FiniteHom:
         if len(idx) % 2 or not idx:
             raise QuotientError("images must be a 2g-tuple")
         self._set(target, idx)
-        if validate and (self.evaluate_index(surface_relator(self.genus))
-                         != target.identity_index):
+        if (self.evaluate_index(surface_relator(self.genus))
+                != target.identity_index):
             raise RelatorViolation(
                 "generator images do not satisfy the surface relation"
             )

@@ -21,9 +21,11 @@ from mcglift.forge import (
     collect_inequivalent_members,
     forge_certificate_hall,
     forge_certificate_s3,
+    normalizer_is_self_s3,
     standard_epi,
+    sylow2_s3,
 )
-from mcglift.perm import PermGroup, Permutation, normalizer_is_self, sylow2
+from mcglift.perm import PermGroup, Permutation, normalizer_is_self
 from mcglift.quotients import (
     FiniteHom,
     borel_subgroup,
@@ -112,9 +114,9 @@ def test_criterion_03_sylow_certification():
     assert cert.G_order == 6 and cert.H_order == 2 and cert.degree == 3
     assert cert.check_a["pass"] is True
     unit = build_subdirect_image([standard_epi(2, target_s3())])
-    w1 = sylow2(unit.group())
+    w1 = sylow2_s3(unit.group())
     assert w1.sub.order == 2 and w1.index == 3
-    assert normalizer_is_self(w1, method="enumeration") is True
+    assert normalizer_is_self(w1) is True
 
     gens = []
     for lo in (0, 3):
@@ -122,9 +124,9 @@ def test_criterion_03_sylow_certification():
         gens.append(Permutation.from_cycles(6, [(lo, lo + 1, lo + 2)]))
     product = PermGroup(gens, degree=6)
     assert product.order == 36
-    w2 = sylow2(product)
+    w2 = sylow2_s3(product)
     assert w2.sub.order == 4 and w2.index == 9
-    assert normalizer_is_self(w2, method="enumeration") is True
+    assert normalizer_is_self(w2) is True
     report(3, "unit pipeline 6/2/3 and full product 36/4/9, both"
               " enumeration-verified self-normalizing")
 
@@ -141,9 +143,9 @@ def test_criterion_04_structural_equals_enumeration():
             continue
         if group.order > 20000 and tested % 10 != 0:
             continue  # keep the enumeration side affordable, but sample big ones
-        witness = sylow2(group, method="structural")
-        structural = normalizer_is_self(witness, method="structural")
-        enumerated = normalizer_is_self(witness, method="enumeration")
+        witness = sylow2_s3(group)
+        structural = normalizer_is_self_s3(witness)
+        enumerated = normalizer_is_self(witness)
         assert structural == enumerated, (k, group.order)
         tested += 1
     assert tested >= 50
@@ -177,14 +179,13 @@ def test_criterion_06_hall_route():
     t = target_a5().generators[0]
     ti = t.inverse()
     twin = FiniteHom(target_a5(),
-                     tuple(t * img * ti for img in seed.images),
-                     validate=False)
+                     tuple(t * img * ti for img in seed.images))
     diagonal = build_subdirect_image([seed, twin])
     assert diagonal.group().order == 60  # negative control: equivalent pair
     borel_results = {}
     for p in (5, 7, 11, 13):
         w = borel_subgroup(p)
-        borel_results[p] = normalizer_is_self(w, method="enumeration")
+        borel_results[p] = normalizer_is_self(w)
     assert all(borel_results.values()), borel_results
     report(6, "inequivalent A5 pair gives |G|=3600, equivalent pair 60;"
               " Borel subgroups self-normalizing for p in {5,7,11,13}")

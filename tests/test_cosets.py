@@ -24,10 +24,8 @@ from mcglift.cosets import (
 )
 from mcglift.quotients import (
     FiniteHom,
-    borel_subgroup,
     mod2_homology_hom,
     target_c2,
-    target_psl2,
 )
 from mcglift.words import (
     SurfacePresentation,
@@ -204,20 +202,6 @@ def test_certified_homology_table_genus3():
     assert rec.k == 63
     rs = schreier_generators(table)
     assert rs.count == 6 * 64 - 63 == 321
-
-
-def test_subgroup_witness_route_borel_table():
-    target = target_psl2(5)
-    x, y = target.generators
-    hom = FiniteHom(target, (x, y, y, x))
-    table = build_coset_table(hom, sub=borel_subgroup(5))
-    assert table.d == 6
-    rs = schreier_generators(table)
-    assert rs.count == 4 * 6 - 5 == 19
-    for w in rs.words:
-        assert table.contains(w)
-    ok, d = verify_finite_index_containment(table)
-    assert ok is True and d == 6
 
 
 def test_tables_require_surjective_homs():

@@ -12,6 +12,7 @@ from mcglift.budgets import Budgets
 from mcglift.forge import (
     ForgeError,
     SubdirectError,
+    _block_sign_vector,
     build_subdirect_image,
     collect_inequivalent_members,
     forge_certificate_hall,
@@ -21,7 +22,6 @@ from mcglift.forge import (
     standard_epi,
     structural_order_s3,
 )
-from mcglift.perm import _block_sign_vector
 from mcglift.quotients import (
     FiniteHom,
     target_a5,
@@ -45,8 +45,7 @@ def full_s3_certificate():
 
 def conjugated(hom, t):
     ti = t.inverse()
-    return FiniteHom(hom.target, tuple(t * img * ti for img in hom.images),
-                     validate=False)
+    return FiniteHom(hom.target, tuple(t * img * ti for img in hom.images))
 
 
 def test_standard_epi_shape():
@@ -127,6 +126,23 @@ def test_truncated_pair_pipeline():
     assert (cert.G_order, cert.H_order, cert.degree, cert.genus_out) == (
         36, 4, 9, 10)
     assert cert.status == "INVALID"
+
+
+def test_s3_normalizer_method_follows_the_enum_budget(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other normalizer route ran")
+
+    # at truncate_k=2, |G| = 36: the scan runs while |G| fits the budget
+    with monkeypatch.context() as m:
+        m.setattr(forge, "normalizer_is_self_s3", refuse)
+        cert = forge_certificate_s3(2, truncate_k=2, budgets=Budgets(enum=36))
+    assert cert.G_order == 36
+    assert cert.check_a == {"pass": True, "method": "enumeration"}
+    with monkeypatch.context() as m:
+        m.setattr(forge, "normalizer_is_self", refuse)
+        cert = forge_certificate_s3(2, truncate_k=2, budgets=Budgets(enum=35))
+    assert cert.G_order == 36
+    assert cert.check_a == {"pass": True, "method": "structural"}
 
 
 def test_full_s3_certificate_is_valid(full_s3_certificate):

@@ -8,16 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcglift.forge import (
+    StructuralFormError,
+    _independent_rows,
+    normalizer_is_self_s3,
+    s3_block_count,
+    sylow2_s3,
+)
 from mcglift.perm import (
     EnumerationBoundExceeded,
     PermError,
     PermGroup,
     Permutation,
-    StructuralFormError,
-    _independent_rows,
     mulclose,
     normalizer_is_self,
-    s3_block_count,
     subgroup_witness,
     sylow2,
     two_part,
@@ -184,7 +188,7 @@ def test_s3_block_count():
 
 def test_sylow2_s3_growth():
     s3 = PermGroup([perm("(0 1)", 3), perm("(0 1 2)", 3)])
-    w = sylow2(s3, method="growth")
+    w = sylow2(s3)
     assert w.sub.order == 2
     assert w.index == 3
 
@@ -199,7 +203,7 @@ def test_sylow2_s4():
 @pytest.mark.parametrize("k,order,index", [(1, 2, 3), (2, 4, 9), (3, 8, 27)])
 def test_sylow2_structural_s3_products(k, order, index):
     group = s3_product_group(k)
-    w = sylow2(group)  # auto picks the structural path on block form
+    w = sylow2_s3(group)
     assert w.sub.order == order == two_part(group.order)
     assert w.index == index
     for g in w.sub.generators:
@@ -208,14 +212,14 @@ def test_sylow2_structural_s3_products(k, order, index):
 
 def test_sylow2_structural_matches_growth():
     group = s3_product_group(2)
-    ws = sylow2(group, method="structural")
-    wg = sylow2(group, method="growth")
+    ws = sylow2_s3(group)
+    wg = sylow2(group)
     assert ws.sub.order == wg.sub.order == 4
 
 
 def test_sylow2_seeds_agree_on_order():
     group = s3_product_group(2)
-    orders = {sylow2(group, seed=s).sub.order for s in (0, 1, 2)}
+    orders = {sylow2_s3(group, seed=s).sub.order for s in (0, 1, 2)}
     assert orders == {4}
 
 
@@ -236,9 +240,9 @@ def test_sylow2_structural_dependent_sign_vectors():
     group = PermGroup(gens, degree=12)
     assert group.order == 12
     for seed in range(24):
-        w = sylow2(group, seed=seed, method="structural")
+        w = sylow2_s3(group, seed=seed)
         assert w.sub.order == 4 == two_part(group.order)
-        assert normalizer_is_self(w, method="enumeration") is True
+        assert normalizer_is_self(w) is True
 
 
 def span(rows, p, width):
@@ -277,15 +281,15 @@ def test_independent_rows_against_brute_force_span(case):
 def test_sylow2_structural_requires_block_form():
     a5 = PermGroup([perm("(0 1 2 3 4)", 5), perm("(0 1 2)", 5)])
     with pytest.raises(StructuralFormError):
-        sylow2(a5, method="structural")
-    with pytest.raises(PermError):
-        sylow2(a5, method="bogus")
+        sylow2_s3(a5)
+    # a PermError, so the CLI still maps it to exit 3
+    assert issubclass(StructuralFormError, PermError)
 
 
 def test_sylow2_diagonal_s3():
     diag = PermGroup([perm("(0 1)(3 4)", 6), perm("(0 1 2)(3 4 5)", 6)])
     assert diag.order == 6
-    w = sylow2(diag)
+    w = sylow2_s3(diag)
     assert w.sub.order == 2
 
 
@@ -310,17 +314,17 @@ def random_block_element(rng, k):
 
 def test_normalizer_structural_agrees_with_enumeration():
     group = s3_product_group(2)
-    w = sylow2(group, method="structural")
-    assert normalizer_is_self(w, method="enumeration") is True
-    assert normalizer_is_self(w, method="structural") is True
+    w = sylow2_s3(group)
+    assert normalizer_is_self(w) is True
+    assert normalizer_is_self_s3(w) is True
     # block 0 projects onto C2 only, so G is not subdirect; the structural
     # argument does not need it to be
     partial = PermGroup([perm("(0 1)", 6), perm("(3 4)", 6),
                          perm("(3 4 5)", 6)])
     assert partial.order == 12
-    w = sylow2(partial, method="structural")
-    assert normalizer_is_self(w, method="structural") is True
-    assert normalizer_is_self(w, method="enumeration") is True
+    w = sylow2_s3(partial)
+    assert normalizer_is_self_s3(w) is True
+    assert normalizer_is_self(w) is True
 
     # random block-form subgroups of S3^k, with a 2-Sylow from either route:
     # whenever the structural check answers, it agrees with enumeration
@@ -330,13 +334,13 @@ def test_normalizer_structural_agrees_with_enumeration():
         k = rng.randint(1, 3)
         gens = [random_block_element(rng, k) for _ in range(rng.randint(1, 3))]
         group = PermGroup(gens, degree=3 * k)
-        method = rng.choice(("structural", "growth"))
-        w = sylow2(group, seed=trial, method=method)
+        route = rng.choice((sylow2_s3, sylow2))
+        w = route(group, seed=trial)
         try:
-            structural = normalizer_is_self(w, method="structural")
+            structural = normalizer_is_self_s3(w)
         except StructuralFormError:
             continue
-        assert structural == normalizer_is_self(w, method="enumeration")
+        assert structural == normalizer_is_self(w)
         answered += 1
         not_subdirect += any(
             len(mulclose([Permutation([x - 3 * j for x in
@@ -348,10 +352,10 @@ def test_normalizer_structural_agrees_with_enumeration():
 
 def test_normalizer_diagonal_subdirect():
     diag = PermGroup([perm("(0 1)(3 4)", 6), perm("(0 1 2)(3 4 5)", 6)])
-    w = sylow2(diag, method="structural")
+    w = sylow2_s3(diag)
     assert w.sub.order == 2
-    assert normalizer_is_self(w, method="structural") is True
-    assert normalizer_is_self(w, method="enumeration") is True
+    assert normalizer_is_self_s3(w) is True
+    assert normalizer_is_self(w) is True
 
 
 def test_normalizer_structural_rejects_wrong_order():
@@ -359,14 +363,14 @@ def test_normalizer_structural_rejects_wrong_order():
     small = PermGroup([perm("(0 1)", 6)], degree=6)
     w = subgroup_witness(group, small)
     with pytest.raises(StructuralFormError):
-        normalizer_is_self(w, method="structural")
+        normalizer_is_self_s3(w)
 
 
 def test_normalizer_enumeration_negative():
     group = s3_product_group(2)
     rotations = PermGroup([perm("(0 1 2)(3 4 5)", 6)], degree=6)
     w = subgroup_witness(group, rotations)
-    assert normalizer_is_self(w, method="enumeration") is False
+    assert normalizer_is_self(w) is False
 
 
 def test_mulclose_bound():

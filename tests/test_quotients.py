@@ -223,8 +223,7 @@ def test_canonical_rep_collapses_conjugates():
     rep = canonical_rep_mod_auts(h)
     for c in t.elements:
         ci = c.inverse()
-        conj = FiniteHom(t, tuple(c * img * ci for img in h.images),
-                         validate=False)
+        conj = FiniteHom(t, tuple(c * img * ci for img in h.images))
         assert canonical_rep_mod_auts(conj).key() == rep.key()
 
 

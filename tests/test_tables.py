@@ -135,7 +135,7 @@ def canonical_rep_by_permutations(hom):
         key = tuple(p.images for p in images)
         if best_key is None or key < best_key:
             best_key, best_images = key, images
-    return FiniteHom(hom.target, best_images, validate=False)
+    return FiniteHom(hom.target, best_images)
 
 
 @pytest.mark.parametrize("target", [target_a5, lambda: target_psl2(7)])
@@ -187,10 +187,10 @@ def test_aut_reps_build_no_row_or_column():
 def test_orbit_raises_when_the_tables_disagree_with_permutations():
     target = target_s3.__wrapped__()  # poisoned below, so not the cached one
     x, y = target.generators
-    xi = target.element_index[x]
+    xi, yi = target.element_index[x], target.element_index[y]
     row = list(target.right(xi))
     row[0], row[1] = row[1], row[0]
     target._right[xi] = tuple(row)
-    seed = FiniteHom(target, (x, y, y, x), validate=False)
+    seed = FiniteHom.from_indices(target, (xi, yi, yi, xi))
     with pytest.raises(RuntimeError, match="disagree"):
         orbit(seed, standard_autgens(2))
