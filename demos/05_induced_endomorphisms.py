@@ -59,7 +59,7 @@ print("expands back to u:", expand(ru, rs) == u)
 # stays inside the subgroup -- any escape would raise immediately.
 gens = standard_autgens(2)
 ta1 = next(g for g in gens if g.name == "ta1")
-alpha = alpha_apply(table, ta1.forward, name="ta1")
+alpha = alpha_apply(table, ta1.forward)
 sample = alpha.as_dict()
 print("\nrestriction of the a1-twist, first images:")
 for label in labels[:4]:

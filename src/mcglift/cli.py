@@ -263,8 +263,7 @@ def cmd_alpha(args, budgets):
     suites = {}
     images = None
     if args.check in ("all", "hom-law", "injectivity") or args.out:
-        images = {g.name: alpha_apply(table, g.forward, name=g.name)
-                  for g in gens}
+        images = {g.name: alpha_apply(table, g.forward) for g in gens}
 
     if args.check in ("all", "hom-law"):
         fails = 0

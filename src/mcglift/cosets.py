@@ -26,7 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autos import inner_auto
+from .autos import (
+    certify_characteristic,
+    inner_auto,
+    orbit,
+    standard_autgens,
+)
 from .quotients import FiniteHom, mod2_homology_hom, target_c2
 from .words import (
     SurfacePresentation,
@@ -138,9 +143,8 @@ class CosetTable:
 
 
 def build_coset_table(hom):
-    """Coset table of the kernel of a surjective hom."""
-    if not hom.is_surjective():
-        raise CosetError("coset tables require a surjective homomorphism")
+    """Coset table of the kernel of a surjective hom; a hom that is not
+    surjective leaves the action intransitive, and CosetTable raises."""
     return CosetTable(hom)
 
 
@@ -270,7 +274,6 @@ class AutImage:
     """The restriction of an automorphism to the subgroup, recorded as one
     Schreier-generator word per Schreier generator."""
 
-    source_name: str
     rs: RSGenerators
     values: tuple
 
@@ -285,11 +288,7 @@ class AutImage:
     def compose(self, other):
         """self after other, as maps on the subgroup."""
         values = tuple(self.apply_rs_word(v) for v in other.values)
-        return AutImage(
-            source_name=f"{self.source_name}*{other.source_name}",
-            rs=self.rs,
-            values=values,
-        )
+        return AutImage(rs=self.rs, values=values)
 
     def is_identity_on_generators(self, presentation=None):
         rs = self.rs
@@ -312,7 +311,7 @@ class AutImage:
         return {labels[i]: fmt(v) for i, v in enumerate(self.values)}
 
 
-def alpha_apply(table, auto, name=None):
+def alpha_apply(table, auto):
     """Restrict the automorphism to the subgroup: push each Schreier
     generator's image under it back over the Schreier generators.
 
@@ -334,16 +333,12 @@ def alpha_apply(table, auto, name=None):
             c = _walk(image_rows[letter], c, out)
         if c != 0:
             raise CharacteristicViolation(
-                f"automorphism {auto.name or name} moves the subgroup: "
+                f"automorphism {auto.name} moves the subgroup: "
                 f"image of {format_word(w)} reaches coset {c}"
             )
         out.reverse()
         values.append(tuple(out))
-    return AutImage(
-        source_name=name or auto.name or "phi",
-        rs=rs,
-        values=tuple(values),
-    )
+    return AutImage(rs=rs, values=tuple(values))
 
 
 def inner_compatibility_holds(table, u, presentation=None):
@@ -395,7 +390,7 @@ def verify_injectivity_mechanism(image, auto, presentation=None, bound=4096):
     return auto.fixes_generators(presentation)
 
 
-def certified_homology_table(genus, gens=None):
+def certified_homology_table(genus):
     """The mod-2 homology cover table (d = 2^(2g)), with its characteristic
     certificate.
 
@@ -406,15 +401,11 @@ def certified_homology_table(genus, gens=None):
     through the homology map, pinning the intersection identity at this
     level.
     """
-    from .autos import certify_characteristic, orbit, standard_autgens
-
-    if gens is None:
-        gens = standard_autgens(genus)
     c2 = target_c2()
     flip = c2.generators[0]
     seed = FiniteHom(
         c2, [flip] + [c2.identity] * (2 * genus - 1))
-    rec = orbit(seed, gens, mod_target_auts=False)
+    rec = orbit(seed, standard_autgens(genus), mod_target_auts=False)
     expected = 2 ** (2 * genus) - 1
     if rec.k != expected:
         raise CosetError(

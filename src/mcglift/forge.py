@@ -22,6 +22,15 @@ The S3 section below owns the block form, G inside S3 x ... x S3 acting on
 {0,1,2} + {3,4,5} + ...: the order, `sylow2_s3` and `normalizer_is_self_s3`
 are structural there, and tests check the last two against `perm.sylow2` and
 `perm.normalizer_is_self`.
+
+Both routes share one private run record, `_Run`: it checks the genus and
+the seed epimorphism, and holds the generator set, seed material, k, the
+characteristic entry and the stage timings.  The shared rules live on it:
+`subdirect_image` applies the point budget (PARTIAL when it runs out, INVALID
+for a bad member list), `check_a` the size rule for condition (a)
+(enumeration while |G| fits the enum budget, else the route's structural
+check), and `certificate` the VALID rule and the one certificate build, for a
+finished run or one its steps stopped by raising `_Stop`.
 """
 
 from __future__ import annotations
@@ -448,38 +457,100 @@ def standard_epi(genus, target):
     return hom
 
 
-@contextmanager
-def _stage(timing, key):
-    """Record the wall time of the block as timing[key], in seconds rounded
-    to three places, also when the block returns or raises."""
-    start = time.time()
-    try:
-        yield
-    finally:
-        timing[key] = round(time.time() - start, 3)
+class _Stop(Exception):
+    """Raised by a route's steps to end the run at `stage`: the certificate
+    is INVALID, or PARTIAL when a budget ran out."""
+
+    def __init__(self, stage, detail, status="INVALID"):
+        super().__init__(f"{stage}: {detail}")
+        self.status = status
 
 
-def _invalid_certificate(route, genus, k, stage, detail, seed_material,
-                         characteristic, timing, status="INVALID"):
-    """A certificate that stopped at `stage`: INVALID, or PARTIAL when a
-    budget ran out."""
-    return CoverCertificate(
-        route=route,
-        genus_in=genus,
-        k=k,
-        G_order=0,
-        H_order=0,
-        degree=0,
-        genus_out=0,
-        check_a={"pass": False, "method": "not-run"},
-        check_b={"pass": False, "method": "not-run"},
-        characteristic=characteristic,
-        K_trivial=False,
-        seed_material=seed_material,
-        status=status,
-        failing_stage=f"{stage}: {detail}",
-        timing=timing,
-    )
+class _Run:
+    """One forge run: the validated seed epimorphism, the automorphism
+    generators, the seed material, k, the characteristic entry and the stage
+    timings, with the rules both routes share."""
+
+    def __init__(self, route, genus, target, seed_epi, seed, **material):
+        self.start = time.time()
+        if genus < 2:
+            raise ForgeError(f"genus must be >= 2, got {genus}")
+        if seed_epi is None:
+            seed_epi = standard_epi(genus, target)
+        if seed_epi.target is not target or not seed_epi.is_surjective():
+            raise ForgeError(f"seed must be an epimorphism onto {target.name}")
+        self.route = route
+        self.genus = genus
+        self.seed_epi = seed_epi
+        self.gens = standard_autgens(genus)
+        self.seed_material = {"seed": seed, "generator_set": "standard-v1",
+                              **material}
+        self.k = 0
+        self.characteristic = None
+        self.timing = {}
+
+    def characterize(self, passed, **extra):
+        gens = self.seed_material["generator_set"]
+        self.characteristic = {"pass": bool(passed), "gens": gens, **extra}
+
+    @contextmanager
+    def stage(self, key):
+        """Record the wall time of the block as timing[key], in seconds
+        rounded to three places, also when the block returns or raises."""
+        start = time.time()
+        try:
+            yield
+        finally:
+            self.timing[key] = round(time.time() - start, 3)
+
+    def subdirect_image(self, members, budgets):
+        """The point-budget rule: more than `budgets.points` points stops the
+        run PARTIAL, a member list with no product image stops it INVALID."""
+        try:
+            return build_subdirect_image(members, point_cap=budgets.points)
+        except EnumerationBoundExceeded as e:
+            raise _Stop("subdirect-image", e, status="PARTIAL") from e
+        except SubdirectError as e:
+            raise _Stop("subdirect-image", e) from e
+
+    def check_a(self, witness, structural, budgets):
+        """The size rule for condition (a), N_G(H) = H, timed as
+        normalizer_s: enumerate G while |G| fits `budgets.enum`, else run the
+        route's `structural()` check."""
+        with self.stage("normalizer_s"):
+            if witness.ambient.order <= budgets.enum:
+                passed = normalizer_is_self(witness, bound=budgets.enum)
+                return {"pass": bool(passed), "method": "enumeration"}
+            return {"pass": bool(structural()), "method": "structural"}
+
+    def certificate(self, body):
+        """Run the route's steps `body()` and build the certificate: VALID
+        when checks (a) and (b) and the characteristic check all pass, or,
+        when `body()` raised `_Stop`, zero orders, checks not run, and the
+        stage as `failing_stage`."""
+        try:
+            fields = body()
+        except _Stop as stop:
+            not_run = {"pass": False, "method": "not-run"}
+            fields = dict(G_order=0, H_order=0, degree=0, genus_out=0,
+                          check_a=not_run, check_b=dict(not_run),
+                          status=stop.status, failing_stage=str(stop))
+        else:
+            fields["genus_out"] = cover_genus(self.genus, fields["degree"])
+            valid = (fields["check_a"]["pass"] and fields["check_b"]["pass"]
+                     and self.characteristic["pass"])
+            fields["status"] = "VALID" if valid else "INVALID"
+            self.timing["total_s"] = round(time.time() - self.start, 3)
+        return CoverCertificate(
+            route=self.route,
+            genus_in=self.genus,
+            k=self.k,
+            characteristic=self.characteristic,
+            K_trivial=fields["check_a"]["pass"],
+            seed_material=self.seed_material,
+            timing=self.timing,
+            **fields,
+        )
 
 
 def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
@@ -490,57 +561,30 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
     pipeline (k=1) and other truncations are then honestly flagged by the
     characteristic check failing.
     """
-    t_start = time.time()
-    if genus < 2:
-        raise ForgeError(f"genus must be >= 2, got {genus}")
     if truncate_k is not None and truncate_k < 1:
         raise ForgeError(f"truncate_k must be >= 1, got {truncate_k}")
-    target = target_s3()
-    if seed_epi is None:
-        seed_epi = standard_epi(genus, target)
-    if seed_epi.target is not target or not seed_epi.is_surjective():
-        raise ForgeError("seed must be an epimorphism onto S3")
-    gens = standard_autgens(genus)
-    gen_label = "standard-v1"
-    seed_material = {
-        "seed": seed,
-        "generator_set": gen_label,
-        "seed_images": [p.cycle_string() for p in seed_epi.images],
-        "truncate_k": truncate_k,
-    }
-    timing = {}
+    run = _Run("sylow-s3", genus, target_s3(), seed_epi, seed,
+               truncate_k=truncate_k)
+    run.seed_material["seed_images"] = [
+        p.cycle_string() for p in run.seed_epi.images]
+    return run.certificate(lambda: _s3_steps(run, truncate_k, seed, budgets))
 
-    with _stage(timing, "orbit_s"):
-        rec = orbit(seed_epi, gens, mod_target_auts=False)
-        members = list(rec.members)
-        if truncate_k is not None:
-            members = members[:truncate_k]
 
-    with _stage(timing, "characteristic_s"):
+def _s3_steps(run, truncate_k, seed, budgets):
+    with run.stage("orbit_s"):
+        rec = orbit(run.seed_epi, run.gens, mod_target_auts=False)
+        members = list(rec.members)[:truncate_k]
+
+    with run.stage("characteristic_s"):
         char = certify_characteristic(rec, members)
-        char_entry = {
-            "pass": bool(char["pass"]),
-            "gens": gen_label,
-        }
-        if not char["pass"]:
-            char_entry["failure"] = {
-                "direction": char["failure"]["direction"],
-                "member": char["failure"]["member"],
-            }
+        failure = {} if char["pass"] else {"failure": {
+            key: char["failure"][key] for key in ("direction", "member")}}
+        run.characterize(char["pass"], **failure)
 
-    k = len(members)
-    with _stage(timing, "group_s"):
+    run.k = len(members)
+    with run.stage("group_s"):
         # the point budget is checked before the structural order runs
-        try:
-            sub = build_subdirect_image(members, point_cap=budgets.points)
-        except EnumerationBoundExceeded as e:
-            return _invalid_certificate(
-                "sylow-s3", genus, k, "subdirect-image", str(e),
-                seed_material, char_entry, timing, status="PARTIAL")
-        except SubdirectError as e:
-            return _invalid_certificate(
-                "sylow-s3", genus, k, "subdirect-image", str(e),
-                seed_material, char_entry, timing)
+        sub = run.subdirect_image(members, budgets)
         structural = structural_order_s3(members)
         try:
             G = sub.group(known_order=structural["order"],
@@ -555,55 +599,30 @@ def forge_certificate_s3(genus, seed_epi=None, truncate_k=None, seed=0,
             f" {structural['order']}"
         )
 
-    try:
-        with _stage(timing, "sylow_s"):
+    with run.stage("sylow_s"):
+        try:
             witness = sylow2_s3(G, seed=seed)
-    except (Sylow2Stalled, StructuralFormError) as e:
-        return _invalid_certificate("sylow-s3", genus, k, "sylow2", str(e),
-                                    seed_material, char_entry, timing)
+        except (Sylow2Stalled, StructuralFormError) as e:
+            raise _Stop("sylow2", e) from e
 
-    method_a = "enumeration" if G.order <= budgets.enum else "structural"
     try:
-        with _stage(timing, "normalizer_s"):
-            if method_a == "enumeration":
-                pass_a = normalizer_is_self(witness, bound=budgets.enum)
-            else:
-                pass_a = normalizer_is_self_s3(witness)
+        check_a = run.check_a(
+            witness, lambda: normalizer_is_self_s3(witness), budgets)
     except (StructuralFormError, EnumerationBoundExceeded) as e:
-        return _invalid_certificate("sylow-s3", genus, k, "normalizer",
-                                    str(e), seed_material, char_entry, timing)
+        raise _Stop("normalizer", e) from e
 
-    pass_b = witness.sub.order == two_part(G.order)
-    degree = G.order // witness.sub.order
+    H = witness.sub
+    degree = G.order // H.order
     if degree % 2 == 0:
         raise RuntimeError("sylow-s3 degree came out even; Sylow index broken")
     if degree != 3 ** structural["three_rank"]:
         raise RuntimeError("degree does not equal the 3-part of |G|")
-    gout = cover_genus(genus, degree)
-
-    status = "VALID" if (pass_a and pass_b and char_entry["pass"]) else "INVALID"
-    cert = CoverCertificate(
-        route="sylow-s3",
-        genus_in=genus,
-        k=k,
-        G_order=G.order,
-        H_order=witness.sub.order,
-        degree=degree,
-        genus_out=gout,
-        check_a={"pass": bool(pass_a), "method": method_a},
-        check_b={"pass": bool(pass_b), "method": "sylow-conjugacy"},
-        characteristic=char_entry,
-        K_trivial=bool(pass_a),
-        seed_material=seed_material,
-        status=status,
-        order_structure={
-            "two_rank": structural["two_rank"],
-            "three_rank": structural["three_rank"],
-        },
-        timing=timing,
-    )
-    cert.timing["total_s"] = round(time.time() - t_start, 3)
-    return cert
+    return dict(
+        G_order=G.order, H_order=H.order, degree=degree, check_a=check_a,
+        check_b={"pass": H.order == two_part(G.order),
+                 "method": "sylow-conjugacy"},
+        order_structure={key: structural[key]
+                         for key in ("two_rank", "three_rank")})
 
 
 def collect_inequivalent_members(seed_epi, gens, want):
@@ -627,18 +646,6 @@ def collect_inequivalent_members(seed_epi, gens, want):
     return list(rec.members[:want]), not rec.complete
 
 
-def _pairwise_inequivalent(members):
-    """Hall hypothesis: no two members differ by a target automorphism.
-    Returns the offending pair or None."""
-    keys = {}
-    for i, member in enumerate(members):
-        key = canonical_rep_mod_auts(member).key()
-        if key in keys:
-            return (keys[key], i)
-        keys[key] = i
-    return None
-
-
 def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
                            members=None, budgets=DEFAULT):
     """Run the hall-psl2 pipeline and emit a certificate.
@@ -648,115 +655,68 @@ def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
     truncated collection cannot be certified characteristic and the
     certificate says so.
     """
-    t_start = time.time()
-    if genus < 2:
-        raise ForgeError(f"genus must be >= 2, got {genus}")
-    target = target_psl2(p)
-    if seed_epi is None:
-        seed_epi = standard_epi(genus, target)
-    if seed_epi.target is not target or not seed_epi.is_surjective():
-        raise ForgeError(f"seed must be an epimorphism onto PSL2({p})")
-    gens = standard_autgens(genus)
-    gen_label = "standard-v1"
-    seed_material = {
-        "seed": seed,
-        "generator_set": gen_label,
-        "prime": p,
-        "collection": collection,
-        "explicit_members": members is not None,
-    }
-    timing = {}
+    run = _Run(f"hall-psl2({p})", genus, target_psl2(p), seed_epi, seed,
+               prime=p, collection=collection,
+               explicit_members=members is not None)
+    return run.certificate(
+        lambda: _hall_steps(run, p, members, collection, budgets))
 
-    with _stage(timing, "collection_s"):
+
+def _hall_steps(run, p, members, collection, budgets):
+    with run.stage("collection_s"):
         if members is None:
             members, truncated = collect_inequivalent_members(
-                seed_epi, gens, collection)
+                run.seed_epi, run.gens, collection)
         else:
-            members = list(members)
-            truncated = True
-    k = len(members)
+            members, truncated = list(members), True
+    run.k = k = len(members)
 
-    char_entry = {
-        "pass": False,
-        "gens": gen_label,
-        "note": "collection-truncated" if truncated else "closure-complete",
-    }
+    passed = False
     if not truncated:
         # the quota flags every closure it stops, so an unflagged collection
         # is a whole closure of one member; rebuild its record to certify it
-        rec = orbit(seed_epi, gens, mod_target_auts=True)
-        char = certify_characteristic(rec, members)
-        char_entry["pass"] = bool(char["pass"])
+        rec = orbit(run.seed_epi, run.gens, mod_target_auts=True)
+        passed = certify_characteristic(rec, members)["pass"]
+    run.characterize(
+        passed, note="collection-truncated" if truncated else "closure-complete")
 
-    clash = _pairwise_inequivalent(members)
-    if clash is not None:
-        return _invalid_certificate(
-            f"hall-psl2({p})", genus, k, "hall-hypothesis",
-            f"members {clash[0]} and {clash[1]} are Aut(target)-equivalent",
-            seed_material, char_entry, timing)
+    # the Hall hypothesis: no two members differ by a target automorphism
+    first = {}
+    for i, member in enumerate(members):
+        j = first.setdefault(canonical_rep_mod_auts(member).key(), i)
+        if j != i:
+            raise _Stop("hall-hypothesis",
+                        f"members {j} and {i} are Aut(target)-equivalent")
 
-    with _stage(timing, "group_s"):
-        try:
-            sub = build_subdirect_image(members, point_cap=budgets.points)
-        except EnumerationBoundExceeded as e:
-            return _invalid_certificate(
-                f"hall-psl2({p})", genus, k, "subdirect-image", str(e),
-                seed_material, char_entry, timing, status="PARTIAL")
-        except SubdirectError as e:
-            return _invalid_certificate(
-                f"hall-psl2({p})", genus, k, "subdirect-image", str(e),
-                seed_material, char_entry, timing)
-        G = sub.group()
+    target = run.seed_epi.target
+    with run.stage("group_s"):
+        G = run.subdirect_image(members, budgets).group()
     full = target.order ** k
     if G.order != full:
         raise RuntimeError(
             f"inequivalent simple factors gave |G| = {G.order}, not {full}"
         )
 
-    with _stage(timing, "subgroup_s"):
+    with run.stage("subgroup_s"):
         bw = borel_subgroup(p)
-        hgens = []
-        for j in range(k):
-            for bg in bw.sub.generators:
-                hgens.append(
-                    _embed_block(bg, j, target.degree, k * target.degree))
-        H = PermGroup(hgens, degree=k * target.degree)
+        points = k * target.degree
+        H = PermGroup([_embed_block(bg, j, target.degree, points)
+                       for j in range(k) for bg in bw.sub.generators],
+                      degree=points)
         witness = subgroup_witness(G, H)
 
-    with _stage(timing, "normalizer_s"):
-        if G.order <= budgets.enum:
-            method_a = "enumeration"
-            pass_a = normalizer_is_self(witness, bound=budgets.enum)
-        else:
-            method_a = "structural"
-            pass_a = normalizer_is_self(bw, bound=budgets.enum)
+    check_a = run.check_a(
+        witness, lambda: normalizer_is_self(bw, bound=budgets.enum), budgets)
 
-    with _stage(timing, "check_b_s"):
-        pass_b, conj_witness = _hall_check_b(p, bw)
+    with run.stage("check_b_s"):
+        pass_b, conjugator = _hall_check_b(p, bw)
 
-    degree = G.order // H.order
-    gout = cover_genus(genus, degree)
-    status = "VALID" if (pass_a and pass_b and char_entry["pass"]) else "INVALID"
-    cert = CoverCertificate(
-        route=f"hall-psl2({p})",
-        genus_in=genus,
-        k=k,
-        G_order=G.order,
-        H_order=H.order,
-        degree=degree,
-        genus_out=gout,
-        check_a={"pass": bool(pass_a), "method": method_a},
+    return dict(
+        G_order=G.order, H_order=H.order, degree=G.order // H.order,
+        check_a=check_a,
         check_b={"pass": bool(pass_b), "method": "explicit",
-                 "conjugator": conj_witness},
-        characteristic=char_entry,
-        K_trivial=bool(pass_a),
-        seed_material=seed_material,
-        status=status,
-        order_structure={"factor_order": target.order, "factors": k},
-        timing=timing,
-    )
-    cert.timing["total_s"] = round(time.time() - t_start, 3)
-    return cert
+                 "conjugator": conjugator},
+        order_structure={"factor_order": target.order, "factors": k})
 
 
 def _hall_check_b(p, bw):
@@ -813,13 +773,10 @@ def minimal_degree_search(genus, routes=("hall", "s3"), budget=0, seed=0,
             "certificate": cert.stable_dict(),
         }
         report["jobs"].append(entry)
-        if cert.degree > 1:
-            if cert.valid:
-                best = report["best_valid"]
-                if best is None or cert.degree < int(best["degree"]):
-                    report["best_valid"] = entry
-            elif cert.check_a["pass"] and cert.check_b["pass"]:
-                best = report["best_flagged"]
-                if best is None or cert.degree < int(best["degree"]):
-                    report["best_flagged"] = entry
+        # a VALID certificate passes both checks, so it is never flagged
+        slot = "best_valid" if cert.valid else "best_flagged"
+        best = report[slot]
+        if cert.degree > 1 and entry["checks_pass"] and (
+                best is None or cert.degree < int(best["degree"])):
+            report[slot] = entry
     return report

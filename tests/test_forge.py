@@ -11,6 +11,7 @@ from mcglift.autos import orbit, standard_autgens
 from mcglift.budgets import Budgets
 from mcglift.forge import (
     ForgeError,
+    StructuralFormError,
     SubdirectError,
     _block_sign_vector,
     build_subdirect_image,
@@ -22,6 +23,7 @@ from mcglift.forge import (
     standard_epi,
     structural_order_s3,
 )
+from mcglift.perm import Sylow2Stalled
 from mcglift.quotients import (
     FiniteHom,
     target_a5,
@@ -145,6 +147,31 @@ def test_s3_normalizer_method_follows_the_enum_budget(monkeypatch):
     assert cert.check_a == {"pass": True, "method": "structural"}
 
 
+S3_STAGES = ("orbit_s", "characteristic_s", "group_s", "sylow_s")
+
+
+@pytest.mark.parametrize("name, error, stage, stages", [
+    ("sylow2_s3", Sylow2Stalled, "sylow2", S3_STAGES),
+    ("normalizer_is_self_s3", StructuralFormError, "normalizer",
+     S3_STAGES + ("normalizer_s",)),
+])
+def test_s3_stage_failure_stops_invalid(monkeypatch, name, error, stage,
+                                        stages):
+    def fail(*args, **kwargs):
+        raise error("forced failure")
+
+    monkeypatch.setattr(forge, name, fail)
+    cert = forge_certificate_s3(2)
+    assert cert.status == "INVALID"
+    assert cert.failing_stage == f"{stage}: forced failure"
+    not_run = {"pass": False, "method": "not-run"}
+    assert cert.check_a == cert.check_b == not_run
+    assert cert.k == 360
+    assert (cert.G_order, cert.H_order, cert.degree) == (0, 0, 0)
+    assert cert.K_trivial is False
+    assert set(cert.timing) == set(stages)
+
+
 def test_full_s3_certificate_is_valid(full_s3_certificate):
     cert = full_s3_certificate
     assert cert.status == "VALID" and cert.valid
@@ -237,6 +264,18 @@ def test_hall_pair():
     assert cert.check_b["pass"] is True
     assert cert.status == "INVALID"  # truncated collection, honestly flagged
     assert cert.order_structure == {"factor_order": 60, "factors": 2}
+
+
+def test_hall_normalizer_method_follows_the_enum_budget():
+    # at collection=2, |G| = 60^2 = 3600: the scan runs while |G| fits
+    cert = forge_certificate_hall(2, 5, collection=2,
+                                  budgets=Budgets(enum=3600))
+    assert cert.G_order == 3600
+    assert cert.check_a == {"pass": True, "method": "enumeration"}
+    cert = forge_certificate_hall(2, 5, collection=2,
+                                  budgets=Budgets(enum=3599))
+    assert cert.G_order == 3600
+    assert cert.check_a == {"pass": True, "method": "structural"}
 
 
 def test_hall_rejects_equivalent_members():
