@@ -21,7 +21,9 @@ the chain cannot reach it.
 The S3 section below owns the block form, G inside S3 x ... x S3 acting on
 {0,1,2} + {3,4,5} + ...: the order, `sylow2_s3` and `normalizer_is_self_s3`
 are structural there, and tests check the last two against `perm.sylow2` and
-`perm.normalizer_is_self`.
+`perm.normalizer_is_self`.  `sylow2_s3` builds H blockwise: the cubes of a
+sign basis of generators are involutions, and conjugating each by 3-cycles
+of G aligns it with the earlier ones on every block they share.
 
 Both routes share one private run record, `_Run`: it checks the genus and
 the seed epimorphism, and holds the generator set, seed material, k, the
@@ -29,8 +31,9 @@ characteristic entry and the stage timings.  The shared rules live on it:
 `subdirect_image` applies the point budget (PARTIAL when it runs out, INVALID
 for a bad member list), `check_a` the size rule for condition (a)
 (enumeration while |G| fits the enum budget, else the route's structural
-check), and `certificate` the VALID rule and the one certificate build, for a
-finished run or one its steps stopped by raising `_Stop`.
+check, PARTIAL when the enumeration needs more than the enum budget), and
+`certificate` the VALID rule and the one certificate build, for a finished
+run or one its steps stopped by raising `_Stop`.
 """
 
 from __future__ import annotations
@@ -143,14 +146,11 @@ def s3_block_count(group):
     {0,1,2} + {3,4,5} + ..., else None."""
     if group.degree % 3:
         return None
-    k = group.degree // 3
+    blocks = tuple(x // 3 for x in range(group.degree))
     for g in group.generators:
-        for j in range(k):
-            lo = 3 * j
-            for x in range(lo, lo + 3):
-                if not lo <= g.images[x] < lo + 3:
-                    return None
-    return k
+        if tuple(map(blocks.__getitem__, g.images)) != blocks:
+            return None
+    return group.degree // 3
 
 
 def _block_sign_vector(p, k):
@@ -192,14 +192,19 @@ def _independent_rows(rows, p):
 
 
 def sylow2_s3(group, seed=0):
-    """A 2-Sylow of G <= S3^k, as a SubgroupWitness: a complement to the odd
-    part G n A3^k.
+    """A 2-Sylow of G <= S3^k, as a SubgroupWitness: an elementary abelian
+    2-group mapping isomorphically onto the sign image.
 
     The sign map s: G -> F2^k has image V of order 2^r with r = the 2-part
-    exponent of |G|; the kernel is the odd abelian part.  A complement is
-    produced by the coprime-order averaging of the section cocycle, then
-    verified by an order computation.  Raises StructuralFormError if the
-    group is not in S3-block form.
+    exponent of |G|; the kernel is the odd abelian part.  Each generator g
+    of a sign basis gives the involution x = g^3 with g's sign vector.  For
+    each involution y already chosen, p = y x is a 3-cycle exactly on the
+    blocks where y and x are distinct transpositions and has order <= 2
+    elsewhere, so x <- p^2 x p^-2 turns x into y on those blocks and leaves
+    it alone on the rest.  The chosen involutions then agree on every block
+    they share, so they commute and span a group of order 2^r; that order
+    is verified.  Raises StructuralFormError if the group is not in S3-block
+    form.
     """
     k = s3_block_count(group)
     if k is None:
@@ -210,41 +215,18 @@ def sylow2_s3(group, seed=0):
     gens = list(group.generators)
     rng.shuffle(gens)
 
-    # Generators with independent sign vectors span V, so products of them
-    # give a section t of the sign map whose cocycle lies in the odd part.
+    # generators with independent sign vectors span V
     signs = [_block_sign_vector(g, k) for g in gens]
     chosen, _ = _independent_rows(
         [[mask >> j & 1 for j in range(k)] for mask in signs], 2)
-    basis = [gens[i] for i in chosen]
-    r = len(basis)
-    if r == 0:
-        return subgroup_witness(group, PermGroup([], degree=group.degree))
-
-    ident = Permutation.identity(group.degree)
-
-    def section(bits):
-        e = ident
-        for i in range(r):
-            if bits >> i & 1:
-                e = e * basis[i]
-        return e
-
-    t = [section(bits) for bits in range(1 << r)]
-
-    def coc(u, v):
-        return t[u] * t[v] * t[u ^ v].inverse()
-
-    # e(u) = (prod_w c(u, w))^q with q * 2^r = -1 mod 3 makes e(u)t(u) a
-    # homomorphism from V; its image is the complement.
-    q = 1 if (2**r) % 3 == 2 else 2
+    r = len(chosen)
     hgens = []
-    for i in range(r):
-        u = 1 << i
-        b = ident
-        for w in range(1 << r):
-            b = b * coc(u, w)
-        e = b if q == 1 else b * b
-        hgens.append(e * t[u])
+    for i in chosen:
+        x = gens[i] * gens[i] * gens[i]
+        for y in hgens:
+            p = y * x
+            x = p * p * x * (p * p).inverse()
+        hgens.append(x)
     sub = PermGroup(hgens, degree=group.degree)
     if sub.order != 1 << r or two_part(group.order) != 1 << r:
         raise Sylow2Stalled(
@@ -320,7 +302,8 @@ def structural_order_s3(members):
 
     Returns a dict with the order, both ranks, and permutations generating
     the odd part (images of explicit words, hence certified members of G).
-    Breaches of its invariants raise RuntimeError.
+    Breaches of its invariants raise RuntimeError, or CosetError from the
+    coset table of the sign quotient.
     """
     members = list(members)
     s3 = target_s3()
@@ -345,10 +328,9 @@ def structural_order_s3(members):
             if row[pivot]:
                 perm = perm * c2r.generators[b]
         sign_images.append(perm)
-    sign_hom = FiniteHom(c2r, sign_images)
-    if not sign_hom.is_surjective():
-        raise RuntimeError("sign quotient unexpectedly not surjective")
-    rs = schreier_generators(build_coset_table(sign_hom))
+    # the pivot coordinates of the chosen rows form an invertible matrix, so
+    # the hom is onto; were it not, the coset table would raise CosetError
+    rs = schreier_generators(build_coset_table(FiniteHom(c2r, sign_images)))
 
     # factor-wise rotation exponents of each Schreier generator word
     columns = []
@@ -516,12 +498,16 @@ class _Run:
     def check_a(self, witness, structural, budgets):
         """The size rule for condition (a), N_G(H) = H, timed as
         normalizer_s: enumerate G while |G| fits `budgets.enum`, else run the
-        route's `structural()` check."""
+        route's `structural()` check.  An enumeration past `budgets.enum`,
+        in either branch, stops the run PARTIAL."""
         with self.stage("normalizer_s"):
-            if witness.ambient.order <= budgets.enum:
-                passed = normalizer_is_self(witness, bound=budgets.enum)
-                return {"pass": bool(passed), "method": "enumeration"}
-            return {"pass": bool(structural()), "method": "structural"}
+            try:
+                if witness.ambient.order <= budgets.enum:
+                    passed = normalizer_is_self(witness, bound=budgets.enum)
+                    return {"pass": bool(passed), "method": "enumeration"}
+                return {"pass": bool(structural()), "method": "structural"}
+            except EnumerationBoundExceeded as e:
+                raise _Stop("normalizer", e, status="PARTIAL") from e
 
     def certificate(self, body):
         """Run the route's steps `body()` and build the certificate: VALID
@@ -608,7 +594,7 @@ def _s3_steps(run, truncate_k, seed, budgets):
     try:
         check_a = run.check_a(
             witness, lambda: normalizer_is_self_s3(witness), budgets)
-    except (StructuralFormError, EnumerationBoundExceeded) as e:
+    except StructuralFormError as e:
         raise _Stop("normalizer", e) from e
 
     H = witness.sub

@@ -115,6 +115,20 @@ def test_points_flag_gives_a_partial_forge(tmp_path, capsys):
     assert json.loads(path.read_text())["status"] == "PARTIAL"
 
 
+def test_enum_flag_gives_a_partial_hall_forge(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert run(["forge", "--route", "hall", "--collection", "2",
+                "--budget-enum", "59", "--out", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("PARTIAL: route=hall-psl2(5) k=2")
+    cert = json.loads(path.read_text())
+    assert cert["status"] == "PARTIAL" and cert["k"] == 2
+    assert cert["failing_stage"].startswith("normalizer: ")
+    not_run = {"pass": False, "method": "not-run"}
+    assert cert["checks"]["a"] == cert["checks"]["b"] == not_run
+    assert set(cert["timing"]) == {
+        "collection_s", "group_s", "subgroup_s", "normalizer_s"}
+
+
 @pytest.mark.parametrize("argv", [
     ["forge", "--route", "s3", "--truncate-k", "0"],
     ["forge", "--route", "s3", "--truncate-k", "-1"],

@@ -278,6 +278,16 @@ def test_hall_normalizer_method_follows_the_enum_budget():
     assert cert.check_a == {"pass": True, "method": "structural"}
 
 
+def test_hall_normalizer_past_the_enum_budget_gives_partial():
+    # |G| = 3600 takes the structural branch, whose per-factor scan of
+    # PSL2(5), of order 60, needs more than the budget
+    cert = forge_certificate_hall(2, 5, collection=2,
+                                  budgets=Budgets(enum=59))
+    assert cert.status == "PARTIAL"
+    assert cert.failing_stage.startswith("normalizer: ")
+    assert cert.G_order == 0
+
+
 def test_hall_rejects_equivalent_members():
     target = target_psl2(5)
     seed = standard_epi(2, target)

@@ -184,6 +184,8 @@ def test_s3_block_count():
     assert s3_block_count(a5) is None
     crossing = PermGroup([perm("(0 3)", 6)], degree=6)
     assert s3_block_count(crossing) is None
+    swap = PermGroup([perm("(0 3)(1 4)(2 5)", 6)], degree=6)
+    assert s3_block_count(swap) is None
 
 
 def test_sylow2_s3_growth():
@@ -348,6 +350,31 @@ def test_normalizer_structural_agrees_with_enumeration():
                           for g in gens], degree=3)) != 6
             for j in range(k))
     assert answered > 100 and not_subdirect > 20
+
+
+def test_sylow2_structural_random_block_groups():
+    # random block-form subgroups of S3^k: for every shuffle seed the
+    # structural 2-Sylow lies in G, has the 2-part of |G| as its order, and
+    # is generated by pairwise commuting involutions
+    rng = random.Random(10)
+    clashing = 0
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        gens = [random_block_element(rng, k) for _ in range(rng.randint(1, 4))]
+        group = PermGroup(gens, degree=3 * k)
+        cubes = [g * g * g for g in gens]
+        # raw cubes that do not commute need the conjugation step
+        clashing += any(a * b != b * a for a in cubes for b in cubes)
+        ident = Permutation.identity(3 * k)
+        for seed in range(3):
+            w = sylow2_s3(group, seed=seed)
+            assert w.sub.order == two_part(group.order)
+            hgens = w.sub.generators
+            for x in hgens:
+                assert x in group
+                assert x != ident and x * x == ident
+            assert all(x * y == y * x for x in hgens for y in hgens)
+    assert clashing > 30
 
 
 def test_normalizer_diagonal_subdirect():
