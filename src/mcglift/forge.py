@@ -170,24 +170,35 @@ def _block_sign_vector(p, k):
 def _independent_rows(rows, p):
     """Greedy row reduction over F_p, p prime, in input order.
 
-    Returns (chosen, pivots): the indices of the rows that are not in the
-    span of the rows before them, and the pivot column of each.  Every kept
-    row is reduced against the earlier kept rows, so it is zero on their
-    pivot columns and a row in their span reduces to zero.
+    For p = 2 each row is an int bitmask, bit c being column c, reduced by
+    xor; for odd p it is a sequence of ints.  Returns (chosen, pivots): the
+    indices of the rows that are not in the span of the rows before them,
+    and the pivot column of each, its first nonzero column after reduction.
+    Every kept row is reduced against the earlier kept rows, so it is zero
+    on their pivot columns and a row in their span reduces to zero.
     """
     basis = []  # (pivot, row scaled to 1 at the pivot)
     chosen = []
     for i, row in enumerate(rows):
-        row = [x % p for x in row]
-        for pivot, b in basis:
-            f = row[pivot]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, b)]
-        pivot = next((c for c, x in enumerate(row) if x), None)
-        if pivot is not None:
+        if p == 2:
+            for pivot, b in basis:
+                if row >> pivot & 1:
+                    row ^= b
+            if not row:
+                continue
+            basis.append(((row & -row).bit_length() - 1, row))
+        else:
+            row = [x % p for x in row]
+            for pivot, b in basis:
+                f = row[pivot]
+                if f:
+                    row = [(x - f * y) % p for x, y in zip(row, b)]
+            pivot = next((c for c, x in enumerate(row) if x), None)
+            if pivot is None:
+                continue
             inv = pow(row[pivot], -1, p)
             basis.append((pivot, [x * inv % p for x in row]))
-            chosen.append(i)
+        chosen.append(i)
     return chosen, [pivot for pivot, _ in basis]
 
 
@@ -217,8 +228,7 @@ def sylow2_s3(group, seed=0):
 
     # generators with independent sign vectors span V
     signs = [_block_sign_vector(g, k) for g in gens]
-    chosen, _ = _independent_rows(
-        [[mask >> j & 1 for j in range(k)] for mask in signs], 2)
+    chosen, _ = _independent_rows(signs, 2)
     r = len(chosen)
     hgens = []
     for i in chosen:
@@ -313,8 +323,9 @@ def structural_order_s3(members):
     # {0, 1, 2}, which is x -> x + p(0)
     odd = [_block_sign_vector(p, 1) for p in s3.elements]
     shift = [p.images[0] for p in s3.elements]
-    # row i: the sign of generator i's image in each factor
-    sign_rows = [[odd[member.idx[i]] for member in members]
+    # row i, as a bitmask: bit j is the sign of generator i's image in factor j
+    sign_rows = [sum(odd[member.idx[i]] << j
+                     for j, member in enumerate(members))
                  for i in range(len(members[0].idx))]
     chosen, pivots = _independent_rows(sign_rows, 2)
     r = len(chosen)
@@ -325,7 +336,7 @@ def structural_order_s3(members):
     for row in sign_rows:
         perm = Permutation.identity(2 * r)
         for b, pivot in enumerate(pivots):
-            if row[pivot]:
+            if row >> pivot & 1:
                 perm = perm * c2r.generators[b]
         sign_images.append(perm)
     # the pivot coordinates of the chosen rows form an invertible matrix, so

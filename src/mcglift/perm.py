@@ -6,7 +6,14 @@ Composition convention, used everywhere in this package:
 
 Groups are held as a base and strong generating set (deterministic
 Schreier-Sims), so orders are exact Python integers and membership is
-decided by sifting.  Groups are immutable once constructed.
+decided by sifting.  Groups are immutable once constructed.  The chain
+works on raw image tuples and wraps them as `Permutation` only at its
+public edges.  Each strong generator's inverse is stored once, beside it,
+and only coset representatives at depth >= 2 of a Schreier tree are
+cached, until that orbit is next rebuilt: a cache of every point would
+keep a full-degree inverse per orbit point per level, which on chains of
+hundreds of levels over tens of thousands of points costs more memory,
+and time, than the compositions it saves.
 
 Two reference algorithms work on any group small enough to list:
 `sylow2` grows a Sylow 2-subgroup element by element, and
@@ -137,7 +144,7 @@ class Permutation:
         return Permutation._trusted(tuple(inv))
 
     def is_identity(self):
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self, include_fixed=False):
         seen = [False] * self.degree
@@ -186,41 +193,63 @@ class _Level:
     The orbit at level j is computed under every strong generator fixing the
     first j base points — i.e. the generators placed at levels j, j+1, … —
     so trees are rebuilt with that union, not with this level's list alone.
+
+    Elements are image tuples, and each strong generator is the pair
+    (g, g^-1), inverted once when it is placed; tree entries point at these
+    pairs.  A point one edge from the base has that pair as its coset
+    representative, so only points at depth >= 2 compose one, and those are
+    cached until the next rebuild.  A cache of every point would hold an
+    inverse of full degree per orbit point per level, which on large chains
+    costs more memory, and time, than the compositions it saves.
     """
 
-    __slots__ = ("base", "gens", "tree")
+    __slots__ = ("base", "gens", "tree", "cache")
 
     def __init__(self, base):
         self.base = base
         self.gens = []
         self.tree = {base: None}
+        self.cache = {}
 
     def rebuild_orbit(self, acting_gens):
+        self.cache = {}
         self.tree = {self.base: None}
         queue = [self.base]
         qi = 0
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            for g in acting_gens:
-                y = g.images[x]
+            for pair in acting_gens:
+                y = pair[0][x]
                 if y not in self.tree:
-                    self.tree[y] = (g, x)
+                    self.tree[y] = (pair, x)
                     queue.append(y)
 
-    def transversal(self, point):
-        """Element of <gens> mapping base to point, read off the Schreier tree."""
+    def pair(self, point):
+        """(t, t^-1) for the element t of <gens> mapping base to point, read
+        off the Schreier tree; (None, None) for the base itself."""
         step = self.tree[point]
         if step is None:
-            return None  # identity; callers special-case to avoid building one
-        g, parent = step
-        result = g
-        step = self.tree[parent]
-        while step is not None:
-            g, parent = step
-            result = result * g
-            step = self.tree[parent]
-        return result
+            return None, None  # identity; callers special-case it
+        (g, g_inv), parent = step
+        if self.tree[parent] is None:
+            return g, g_inv
+        cached = self.cache.get(point)
+        if cached is not None:
+            return cached
+        # walk to the base, or to a cached ancestor: t = g_1 * g_2 * ...
+        t, t_inv = g, g_inv
+        while self.tree[parent] is not None:
+            cached = self.cache.get(parent)
+            if cached is not None:
+                t = tuple(map(t.__getitem__, cached[0]))
+                t_inv = tuple(map(cached[1].__getitem__, t_inv))
+                break
+            (g, g_inv), parent = self.tree[parent]
+            t = tuple(map(t.__getitem__, g))
+            t_inv = tuple(map(g_inv.__getitem__, t_inv))
+        self.cache[point] = t, t_inv
+        return t, t_inv
 
 
 class PermGroup:
@@ -244,17 +273,19 @@ class PermGroup:
                 raise PermError("generator degree mismatch")
         self.degree = degree
         self.generators = tuple(generators)
+        self._id = tuple(range(degree))
         self._levels = []
         self._build(known_order)
         self._order = self._chain_count()
 
     # -- construction -------------------------------------------------------
+    # The chain works on image tuples: (a * b) is tuple(map(a.__getitem__, b)).
 
     def _build(self, known_order):
         for g in self.generators:
             if known_order is not None and self._chain_count() == known_order:
                 return
-            self._add_generator(g)
+            self._add_generator(g.images)
         # Complete the chain: level i is verified once every Schreier
         # generator of level i sifts to the identity through deeper levels.
         i = len(self._levels) - 1
@@ -288,14 +319,19 @@ class PermGroup:
 
     def _add_generator(self, g):
         residue, idx = self._sift(g)
-        if not residue.is_identity():
+        if residue != self._id:
             self._place(residue, idx)
 
     def _place(self, g, idx):
         if idx == len(self._levels):
-            base = min(x for x in range(self.degree) if g.images[x] != x)
+            base = min(x for x in range(self.degree) if g[x] != x)
             self._levels.append(_Level(base))
-        self._levels[idx].gens.append(g)
+        # the inverse takes its entries from the identity tuple, so the
+        # stored pairs share their ints
+        inv = [0] * self.degree
+        for x, i in zip(g, self._id):
+            inv[x] = i
+        self._levels[idx].gens.append((g, tuple(inv)))
         # g joins S_j for every j <= idx; those orbits can all grow.
         acting = self._acting_gens(idx)
         for j in range(idx, -1, -1):
@@ -306,34 +342,35 @@ class PermGroup:
     def _first_schreier_residue(self, i):
         """First nontrivial sifted Schreier generator at level i, or None."""
         lvl = self._levels[i]
+        identity = self._id
         acting = self._acting_gens(i)
         for x in sorted(lvl.tree):
-            tx = lvl.transversal(x)
-            for g in acting:
-                y = g.images[x]
-                ty = lvl.transversal(y)
+            tx, _ = lvl.pair(x)
+            for g, _ in acting:
+                _, ty_inv = lvl.pair(g[x])
                 # schreier generator t_y^-1 * g * t_x, which fixes the base
-                s = g if tx is None else g * tx
-                if ty is not None:
-                    s = ty.inverse() * s
-                if s.is_identity():
+                s = g if tx is None else tuple(map(g.__getitem__, tx))
+                if ty_inv is not None:
+                    s = tuple(map(ty_inv.__getitem__, s))
+                if s == identity:
                     continue
                 residue, idx = self._sift(s, start=i + 1)
-                if not residue.is_identity():
+                if residue != identity:
                     return residue, idx
         return None
 
     def _sift(self, p, start=0):
-        """Strip p against the chain; returns (residue, level it got stuck at)."""
+        """Strip the image tuple p against the chain; returns (residue, level
+        it got stuck at)."""
         for idx in range(start, len(self._levels)):
             lvl = self._levels[idx]
-            y = p.images[lvl.base]
+            y = p[lvl.base]
             if y == lvl.base:
                 continue
             if y not in lvl.tree:
                 return p, idx
-            t = lvl.transversal(y)
-            p = t.inverse() * p
+            _, t_inv = lvl.pair(y)
+            p = tuple(map(t_inv.__getitem__, p))
         return p, len(self._levels)
 
     # -- queries ------------------------------------------------------------
@@ -343,13 +380,14 @@ class PermGroup:
         return self._order
 
     def sift(self, p):
-        residue, _ = self._sift(p)
-        return residue
+        residue, _ = self._sift(p.images)
+        return Permutation._trusted(residue)
 
     def __contains__(self, p):
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
-        return self.sift(p).is_identity()
+        residue, _ = self._sift(p.images)
+        return residue == self._id
 
     def identity(self):
         return Permutation.identity(self.degree)
@@ -365,18 +403,17 @@ class PermGroup:
             )
         transversals = []
         for lvl in self._levels:
-            ts = []
-            for x in sorted(lvl.tree):
-                ts.append(lvl.transversal(x))
-            transversals.append(ts)
-        out = [Permutation.identity(self.degree)]
+            transversals.append([lvl.pair(x)[0] for x in sorted(lvl.tree)])
+        out = [self._id]
         for ts in reversed(transversals):
             nxt = []
             for t in ts:
-                for e in out:
-                    nxt.append(e if t is None else t * e)
+                if t is None:
+                    nxt.extend(out)
+                else:
+                    nxt.extend(tuple(map(t.__getitem__, e)) for e in out)
             out = nxt
-        return out
+        return [Permutation._trusted(e) for e in out]
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"

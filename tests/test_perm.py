@@ -1,7 +1,9 @@
-"""Permutation groups: orders against brute-force closure, Sylow 2-subgroups,
-and the self-normalizing check."""
+"""Permutation groups: orders against brute-force closure, the stabilizer
+chain against a reference copy of its algorithm, Sylow 2-subgroups, and the
+self-normalizing check."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -120,6 +122,189 @@ def test_bsgs_against_mulclose_random_sweep():
         rng.shuffle(images)
         candidate = Permutation(images)
         assert (candidate in group) == (candidate in closure)
+
+
+class ReferenceLevel:
+    """The stabilizer-chain level on `Permutation` objects, with every coset
+    representative rebuilt from the Schreier tree on each use: the chain
+    algorithm `PermGroup` must reproduce exactly."""
+
+    def __init__(self, base):
+        self.base = base
+        self.gens = []
+        self.tree = {base: None}
+
+    def rebuild_orbit(self, acting_gens):
+        self.tree = {self.base: None}
+        queue = [self.base]
+        qi = 0
+        while qi < len(queue):
+            x = queue[qi]
+            qi += 1
+            for g in acting_gens:
+                y = g.images[x]
+                if y not in self.tree:
+                    self.tree[y] = (g, x)
+                    queue.append(y)
+
+    def transversal(self, point):
+        step = self.tree[point]
+        if step is None:
+            return None
+        g, parent = step
+        result = g
+        step = self.tree[parent]
+        while step is not None:
+            g, parent = step
+            result = result * g
+            step = self.tree[parent]
+        return result
+
+
+class ReferenceChain:
+    """Deterministic Schreier-Sims on `Permutation` objects."""
+
+    def __init__(self, generators, degree, known_order=None):
+        self.degree = degree
+        self.levels = []
+        generators = [g for g in generators if not g.is_identity()]
+        for g in generators:
+            if known_order is not None and self.count() == known_order:
+                return
+            residue, idx = self.sift(g)
+            if not residue.is_identity():
+                self.place(residue, idx)
+        i = len(self.levels) - 1
+        while i >= 0:
+            if known_order is not None and self.count() == known_order:
+                return
+            witness = self.first_schreier_residue(i)
+            if witness is None:
+                i -= 1
+            else:
+                residue, i = witness
+                self.place(residue, i)
+
+    def count(self):
+        return math.prod(len(lvl.tree) for lvl in self.levels)
+
+    def acting(self, j):
+        return [g for lvl in self.levels[j:] for g in lvl.gens]
+
+    def place(self, g, idx):
+        if idx == len(self.levels):
+            base = min(x for x in range(self.degree) if g.images[x] != x)
+            self.levels.append(ReferenceLevel(base))
+        self.levels[idx].gens.append(g)
+        acting = self.acting(idx)
+        for j in range(idx, -1, -1):
+            self.levels[j].rebuild_orbit(acting)
+            if j > 0:
+                acting = acting + self.levels[j - 1].gens
+
+    def first_schreier_residue(self, i):
+        lvl = self.levels[i]
+        for x in sorted(lvl.tree):
+            tx = lvl.transversal(x)
+            for g in self.acting(i):
+                ty = lvl.transversal(g.images[x])
+                s = g if tx is None else g * tx
+                if ty is not None:
+                    s = ty.inverse() * s
+                if s.is_identity():
+                    continue
+                residue, idx = self.sift(s, start=i + 1)
+                if not residue.is_identity():
+                    return residue, idx
+        return None
+
+    def sift(self, p, start=0):
+        for idx in range(start, len(self.levels)):
+            lvl = self.levels[idx]
+            y = p.images[lvl.base]
+            if y == lvl.base:
+                continue
+            if y not in lvl.tree:
+                return p, idx
+            p = lvl.transversal(y).inverse() * p
+        return p, len(self.levels)
+
+    def elements(self):
+        out = [Permutation.identity(self.degree)]
+        for lvl in reversed(self.levels):
+            ts = [lvl.transversal(x) for x in sorted(lvl.tree)]
+            out = [e if t is None else t * e for t in ts for e in out]
+        return out
+
+
+# groups up to this order are also listed and closed by brute force
+LISTED_ORDER = 5040
+
+
+def assert_chain_matches_reference(gens, degree, candidate,
+                                   known_order=None):
+    group = PermGroup(gens, degree=degree, known_order=known_order)
+    ref = ReferenceChain(gens, degree, known_order=known_order)
+    assert [lvl.base for lvl in group._levels] == \
+        [lvl.base for lvl in ref.levels]
+    assert [sorted(lvl.tree) for lvl in group._levels] == \
+        [sorted(lvl.tree) for lvl in ref.levels]
+    assert [[g for g, _ in lvl.gens] for lvl in group._levels] == \
+        [[g.images for g in lvl.gens] for lvl in ref.levels]
+    for lvl in group._levels:
+        for g, g_inv in lvl.gens:
+            assert tuple(map(g.__getitem__, g_inv)) == group._id
+    assert group.order == ref.count()
+    if group.order <= LISTED_ORDER:
+        assert group.elements() == ref.elements()
+        closure = mulclose(gens, degree=degree)
+        assert len(closure) == group.order
+        assert all(e in group for e in closure)
+        inside = candidate in closure
+    else:
+        inside = ref.sift(candidate)[0].is_identity()
+    assert (candidate in group) == inside
+    assert group.sift(candidate).is_identity() == inside
+
+
+@st.composite
+def small_generator_sets(draw):
+    degree = draw(st.integers(1, 9))
+    points = list(range(degree))
+    gens = draw(st.lists(st.permutations(points).map(Permutation),
+                         max_size=4))
+    return degree, gens, draw(st.permutations(points).map(Permutation))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_generator_sets(), st.booleans())
+def test_chain_matches_reference_on_small_groups(case, declare):
+    degree, gens, candidate = case
+    known = ReferenceChain(gens, degree).count() if declare else None
+    assert_chain_matches_reference(gens, degree, candidate, known)
+
+
+@st.composite
+def block_form_groups(draw):
+    """Random subgroups of S3^k in block form on 3k points, and a random
+    element of S3^k."""
+    k = draw(st.integers(1, 4))
+
+    def element():
+        blocks = draw(st.lists(st.sampled_from(S3_IMAGES), min_size=k,
+                               max_size=k))
+        return Permutation([3 * j + x for j, b in enumerate(blocks)
+                            for x in b])
+
+    gens = [element() for _ in range(draw(st.integers(0, 4)))]
+    return 3 * k, gens, element()
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_form_groups())
+def test_chain_matches_reference_on_block_form_groups(case):
+    degree, gens, candidate = case
+    assert_chain_matches_reference(gens, degree, candidate)
 
 
 def test_membership_negative():
@@ -265,11 +450,37 @@ def matrices(draw):
     return p, width, rows
 
 
+def list_independent_rows(rows, p):
+    """The list reducer for every p, as `_independent_rows` was before p = 2
+    rows became bitmasks: the bitmask path must choose the same rows and
+    pivots."""
+    basis = []
+    chosen = []
+    for i, row in enumerate(rows):
+        row = [x % p for x in row]
+        for pivot, b in basis:
+            f = row[pivot]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is not None:
+            inv = pow(row[pivot], -1, p)
+            basis.append((pivot, [x * inv % p for x in row]))
+            chosen.append(i)
+    return chosen, [pivot for pivot, _ in basis]
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_independent_rows_against_brute_force_span(case):
     p, width, rows = case
-    chosen, pivots = _independent_rows(rows, p)
+    if p == 2:
+        # F2 rows go in as bitmasks, bit c being column c
+        masks = [sum(x << c for c, x in enumerate(row)) for row in rows]
+        chosen, pivots = _independent_rows(masks, p)
+    else:
+        chosen, pivots = _independent_rows(rows, p)
+    assert (chosen, pivots) == list_independent_rows(rows, p)
     assert len(pivots) == len(chosen) == len(set(pivots))
     spanned = span([rows[i] for i in chosen], p, width)
     # independent: the span has p^rank elements; spanning: it holds every row
