@@ -240,11 +240,30 @@ def cmd_search(args, budgets):
 
 
 def _parse_cover(name):
+    """The genus of a cover named homology<g>, with g >= 2 written in ASCII
+    digits and no leading zeros."""
     if name.startswith("homology"):
         tail = name[len("homology"):]
-        if tail.isdigit() and int(tail) >= 2:
+        if (tail.isascii() and tail.isdigit() and str(int(tail)) == tail
+                and int(tail) >= 2):
             return int(tail)
     raise UsageError(f"unknown cover name {name!r}; expected homology<g>")
+
+
+def _containment_budget(genus, enum):
+    """The containment suite compares N² restricted images, one per pair of
+    the N = (2g-1)·2^(2g) + 1 Schreier generators of the cover; more than
+    the enum budget is exit 2 before any table is built."""
+    if 4 * genus > enum.bit_length():
+        # N² > 2^(4g) > enum, decided without writing N out
+        raise EnumerationBoundExceeded(
+            f"containment at genus {genus} compares over 2^{4 * genus}"
+            f" restricted images, over the enum budget {enum}")
+    count = (2 * genus - 1) * 2 ** (2 * genus) + 1
+    if count * count > enum:
+        raise EnumerationBoundExceeded(
+            f"containment compares {count}² = {count * count} restricted"
+            f" images, over the enum budget {enum}")
 
 
 def cmd_alpha(args, budgets):
@@ -252,6 +271,8 @@ def cmd_alpha(args, budgets):
     if args.genus is not None and args.genus != genus:
         raise UsageError(
             f"--genus {args.genus} conflicts with cover {args.cover}")
+    if args.check in ("all", "containment"):
+        _containment_budget(genus, budgets.enum)
     table, rec, cert = certified_homology_table(genus)
     rs = schreier_generators(table)
     gens = standard_autgens(genus)

@@ -13,13 +13,18 @@ for each signed letter and coset it holds the next coset and the signed
 Schreier generator crossed (0 on a tree entry), so rewriting is one lookup
 per letter with free reduction done on the fly.
 
-For a subgroup invariant under an automorphism φ, restriction is computed
-extensionally: each Schreier generator's letters are replaced by their
-φ-images and walked through the step table back over the Schreier
-generators, without building the image word.  Expansion of a rewritten
-word telescopes back to the original word reduced, so round-trip
-identities hold freely; equalities involving genuinely different words go
-through the Dehn word-problem engine.
+For a subgroup invariant under an automorphism φ, restriction pushes the
+transversal through φ once (Holt–Eick–O'Brien, Handbook of Computational
+Group Theory, 2005): walking φ(t_c) through the step table for each coset
+c, as its tree parent's walk followed by the image of one letter, gives
+the coset σ(c) = φ(t_c)·H and the reduced generator word met on the way.
+The Schreier generator t_{x·c}^-1 · x · t_c then maps to the walk of
+φ(t_c), continued by the image of x, followed by the inverse of the walk
+of φ(t_{x·c}), so each automorphism costs one image-letter walk per table
+entry and no image word is built.  Expansion of a rewritten word
+telescopes back to the original word reduced, so round-trip identities
+hold freely; equalities involving genuinely different words go through
+the Dehn word-problem engine.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .autos import (
 from .quotients import FiniteHom, mod2_homology_hom, target_c2
 from .words import (
     SurfacePresentation,
-    conjugate_word,
     format_word,
     free_reduce,
     inverse_word,
@@ -277,18 +281,19 @@ class AutImage:
     rs: RSGenerators
     values: tuple
 
-    def apply_rs_word(self, rs_word):
-        out = []
-        for letter in rs_word:
-            v = self.values[letter - 1] if letter > 0 else inverse_word(
-                self.values[-letter - 1])
-            out.extend(v)
-        return free_reduce(out)
-
     def compose(self, other):
-        """self after other, as maps on the subgroup."""
-        values = tuple(self.apply_rs_word(v) for v in other.values)
-        return AutImage(rs=self.rs, values=values)
+        """self after other, as maps on the subgroup: each value of other
+        with its letters replaced by their images under self."""
+        images = self.values
+        inverses = [inverse_word(v) for v in images]
+        values = []
+        for v in other.values:
+            out = []
+            for letter in v:
+                out.extend(images[letter - 1] if letter > 0
+                           else inverses[-letter - 1])
+            values.append(free_reduce(out))
+        return AutImage(rs=self.rs, values=tuple(values))
 
     def is_identity_on_generators(self, presentation=None):
         rs = self.rs
@@ -316,26 +321,47 @@ def alpha_apply(table, auto):
     generator's image under it back over the Schreier generators.
 
     The image of each signed letter is read once into step rows, right to
-    left, and each Schreier word walks those rows through the step table
-    without building its image word.  A coset escape here falsifies the
-    claim that the subgroup is invariant under the automorphism."""
+    left.  A transversal pass then walks φ(t_c) for each coset c in
+    breadth-first order, as its parent's walk followed by the image of
+    one letter, recording the coset σ(c) it ends on and its reduced
+    emitted stack P_c.  The Schreier generator of pair (c, x) is
+    t_{x·c}^-1 · x · t_c, so its restriction continues P_c by the image
+    of x from σ(c) and then retraces P_{x·c} backwards.  That last step
+    returns to coset 0 exactly when the image of x ends on σ(x·c);
+    otherwise the image of the generator leaves the subgroup, which
+    falsifies the claim that the subgroup is invariant under the
+    automorphism."""
     rs = schreier_generators(table)
     steps = _step_table(table)
     image_rows = {
         letter: tuple(steps[y] for y in reversed(auto.apply_letter(letter)))
         for letter in steps
     }
+    reps = table.schreier_reps
+    sigma = [0] * table.d
+    stacks = [[]]
+    for c in range(1, table.d):
+        letter = reps[c][0]
+        parent = table.apply_letter(-letter, c)
+        out = list(stacks[parent])
+        sigma[c] = _walk(image_rows[letter], sigma[parent], out)
+        stacks.append(out)
     values = []
-    for w in rs.words:
-        out = []
-        c = 0
-        for letter in reversed(w):
-            c = _walk(image_rows[letter], c, out)
-        if c != 0:
+    for i, (c, x) in enumerate(rs.pairs):
+        out = list(stacks[c])
+        up = table.apply_letter(x, c)
+        if _walk(image_rows[x], sigma[c], out) != sigma[up]:
+            w = rs.words[i]
             raise CharacteristicViolation(
-                f"automorphism {auto.name} moves the subgroup: "
-                f"image of {format_word(w)} reaches coset {c}"
+                f"automorphism {auto.name} moves the subgroup: image of "
+                f"{format_word(w)} reaches coset "
+                f"{table.apply_word(auto.apply_word(w))}"
             )
+        for e in reversed(stacks[up]):
+            if out and out[-1] == e:
+                out.pop()
+            else:
+                out.append(-e)
         out.reverse()
         values.append(tuple(out))
     return AutImage(rs=rs, values=tuple(values))
@@ -350,8 +376,9 @@ def inner_compatibility_holds(table, u, presentation=None):
     conj = inner_auto(table.genus, u)
     image = alpha_apply(table, conj)
     ru = rewrite(table, u)
+    ru_inverse = inverse_word(ru)
     for j, v in enumerate(image.values):
-        direct = conjugate_word((j + 1,), ru)
+        direct = free_reduce(ru + (j + 1,) + ru_inverse)
         if v != direct and not presentation.words_equal(
                 expand(v, rs), expand(direct, rs)):
             return False

@@ -306,6 +306,56 @@ def test_alpha_dump_without_hom_law_has_every_image(tmp_path, capsys):
     assert set(data["images"]) == {g.name for g in standard_autgens(2)}
 
 
+@pytest.mark.parametrize("cover", [
+    "homology02", "homology\u0662", "homology\u00b2", "homology+3",
+    "homology 3", "homology3 ",
+    "homology", "homology1", "homology0", "Homology2",
+])
+def test_alpha_rejects_non_canonical_cover_names(cover, tmp_path, capsys):
+    # only homology<g> in ASCII digits without a leading zero names a cover;
+    # "homology02" and the Arabic-Indic "homology٢" once ran genus 2, and
+    # the superscript "homology²" passes isdigit but not int
+    out = tmp_path / "alpha.json"
+    assert run(["alpha", "--cover", cover, "--check", "containment",
+                "--out", str(out)]) == EXIT_USAGE
+    assert f"unknown cover name {cover!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("enum, code", [(2400, EXIT_BUDGET), (2401, EXIT_OK)])
+def test_alpha_containment_reads_the_enum_budget(enum, code, tmp_path,
+                                                 capsys):
+    # homology2 has N = 3·16 + 1 = 49 Schreier generators, so the
+    # containment suite compares 49² = 2401 restricted images
+    out = tmp_path / "alpha.json"
+    assert run(["alpha", "--cover", "homology2", "--check", "containment",
+                "--budget-enum", str(enum), "--out", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
+    if code == EXIT_BUDGET:
+        assert "2401" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile, cover, check", [
+    ("desk", "homology3", "containment"),
+    ("desk", "homology3", "all"),
+    ("default", "homology4", "containment"),
+    ("wide", "homology7", "containment"),
+    ("default", "homology1000000000", "all"),
+])
+def test_alpha_containment_over_the_profile_budget_exits_2(
+        profile, cover, check, monkeypatch, capsys):
+    # decided before any coset table is built, so none of these runs long
+    monkeypatch.setenv("MCGLIFT_BUDGET_PROFILE", profile)
+    assert run(["alpha", "--cover", cover, "--check", check]) == EXIT_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_alpha_suites_without_containment_ignore_the_enum_budget(capsys):
+    assert run(["alpha", "--cover", "homology2", "--check", "inner",
+                "--budget-enum", "1"]) == EXIT_OK
+    assert "alpha suites: all pass" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("profile, argv, code", [
     ("default", ["enumerate", "--target", "a5", "--budget-tuples", "1000"],
      EXIT_BUDGET),

@@ -24,8 +24,10 @@ from mcglift.cosets import (
 )
 from mcglift.quotients import (
     FiniteHom,
+    enumerate_homs,
     mod2_homology_hom,
     target_c2,
+    target_s3,
 )
 from mcglift.words import (
     SurfacePresentation,
@@ -236,11 +238,12 @@ def padded_subgroup_word(rs, draw):
     return tuple(word)
 
 
-def pair_index_rewrite(table, word):
+def pair_index_rewrite(table, word, index=None):
     """Rewriting by pair lookup: the route rewriting took before the step
-    table, kept here as an independent reference."""
-    rs = schreier_generators(table)
-    index = {pair: i for i, pair in enumerate(rs.pairs)}
+    table, kept here as an independent reference.  `index` maps each
+    Schreier pair to its position; pass it when rewriting many words."""
+    if index is None:
+        index = pair_positions(table)
     emitted = []
     c = 0
     for letter in reversed(word):
@@ -257,6 +260,19 @@ def pair_index_rewrite(table, word):
     assert c == 0
     emitted.reverse()
     return free_reduce(emitted)
+
+
+def pair_positions(table):
+    return {pair: i
+            for i, pair in enumerate(schreier_generators(table).pairs)}
+
+
+def rewritten_images(table, phi):
+    """The restriction of phi by the reference route: each Schreier word's
+    image word, built and reduced, then rewritten by pair lookup."""
+    index = pair_positions(table)
+    return tuple(pair_index_rewrite(table, phi.apply_word(w), index)
+                 for w in schreier_generators(table).words)
 
 
 @PROPERTY_SETTINGS
@@ -292,11 +308,58 @@ def test_alpha_apply_matches_rewriting_the_image_word(homology_table,
     phi = factors[0]
     for f in factors[1:]:
         phi = phi.compose(f)
-    rs = schreier_generators(homology_table)
-    image = alpha_apply(homology_table, phi)
-    for i, w in enumerate(rs.words):
-        assert image.values[i] == pair_index_rewrite(
-            homology_table, phi.apply_word(w))
+    assert alpha_apply(homology_table, phi).values == rewritten_images(
+        homology_table, phi)
+
+
+# -- restriction on the homology3 table: 64 cosets, 321 generators ----------
+
+GENUS3_SETTINGS = settings(max_examples=40, deadline=None)
+
+genus3_letters = st.sampled_from((1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6))
+genus3_directions = [
+    auto for g in standard_autgens(3) for _, auto in g.directions()]
+
+
+@pytest.fixture(scope="module")
+def homology3_table():
+    table = build_coset_table(mod2_homology_hom(3))
+    assert table.d == 64 and schreier_generators(table).count == 321
+    return table
+
+
+@GENUS3_SETTINGS
+@given(picks=st.lists(st.tuples(st.integers(0, 320), st.booleans()),
+                      min_size=1, max_size=4))
+def test_alpha_apply_genus3_inner_by_subgroup_words(homology3_table, picks):
+    rs = schreier_generators(homology3_table)
+    u = []
+    for j, inverted in picks:
+        u.extend(inverse_word(rs.words[j]) if inverted else rs.words[j])
+    phi = inner_auto(3, tuple(u))
+    assert alpha_apply(homology3_table, phi).values == rewritten_images(
+        homology3_table, phi)
+
+
+@GENUS3_SETTINGS
+@given(u=st.lists(genus3_letters, max_size=8))
+def test_alpha_apply_genus3_inner_by_any_word(homology3_table, u):
+    # the subgroup is normal, so conjugation by any word restricts to it
+    phi = inner_auto(3, tuple(u))
+    assert alpha_apply(homology3_table, phi).values == rewritten_images(
+        homology3_table, phi)
+
+
+@GENUS3_SETTINGS
+@given(factors=st.lists(st.sampled_from(genus3_directions),
+                        min_size=1, max_size=4))
+def test_alpha_apply_genus3_products_of_standard_generators(
+        homology3_table, factors):
+    phi = factors[0]
+    for f in factors[1:]:
+        phi = phi.compose(f)
+    assert alpha_apply(homology3_table, phi).values == rewritten_images(
+        homology3_table, phi)
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,3 +384,48 @@ def test_single_functional_kernel_violation(mask, auto):
     assert str(err.value) == (
         f"automorphism {auto.name} moves the subgroup: image of "
         f"{format_word(escaping)} reaches coset 1")
+
+
+def assert_violation_names_first_escape(table, auto):
+    """Restriction raises exactly when some Schreier word's image leaves
+    the subgroup, naming the first such word and the coset c whose
+    transversal word t_c carries the subgroup to where its image lands."""
+    rs = schreier_generators(table)
+    escaping = [w for w in rs.words if not table.contains(auto.apply_word(w))]
+    if not escaping:
+        assert alpha_apply(table, auto).values == rewritten_images(
+            table, auto)
+        return False
+    image = auto.apply_word(escaping[0])
+    reached = [c for c, t in enumerate(table.schreier_reps)
+               if table.contains(inverse_word(t) + image)]
+    assert len(reached) == 1 and reached[0] != 0
+    with pytest.raises(CharacteristicViolation) as err:
+        alpha_apply(table, auto)
+    assert str(err.value) == (
+        f"automorphism {auto.name} moves the subgroup: image of "
+        f"{format_word(escaping[0])} reaches coset {reached[0]}")
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(mask=st.integers(1, 63), auto=st.sampled_from(genus3_directions))
+def test_single_functional_kernel_violation_genus3(mask, auto):
+    table = build_coset_table(c2_functional_hom(3, mask))
+    composed = 0
+    for j, column in enumerate(auto.mod2_matrix()):
+        composed |= (bin(mask & column).count("1") & 1) << j
+    assert assert_violation_names_first_escape(table, auto) == (
+        composed != mask)
+
+
+def test_s3_kernel_violations_name_the_reached_coset():
+    # a kernel onto S3 has six cosets, so a violation can reach any of
+    # cosets 1..5, not only coset 1 as for an order-2 quotient
+    s3 = target_s3()
+    epi = next(h for h in enumerate_homs(2, s3) if h.is_surjective())
+    table = build_coset_table(epi)
+    assert table.d == 6
+    moved = sum(assert_violation_names_first_escape(table, auto)
+                for auto in genus2_directions)
+    assert 0 < moved < len(genus2_directions)
