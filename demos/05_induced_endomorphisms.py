@@ -19,7 +19,6 @@ from mcglift import (
     format_word,
     parse_word,
     rewrite,
-    schreier_generators,
     standard_autgens,
     verify_finite_index_containment,
     verify_injectivity_mechanism,
@@ -35,13 +34,13 @@ print("cover degree:", table.d)
 print("surjections certified as a closed family:", rec.k)
 print("closure certificate passes:", cert["pass"])
 
-# Reidemeister-Schreier rewriting presents the cover subgroup on
-# 2g*d - (d-1) = 49 generators, one per non-tree edge of the coset graph.
-rs = schreier_generators(table)
-labels = rs.labels()
-print("\nsubgroup generators:", rs.count)
+# The same table holds the Reidemeister-Schreier generators of the cover
+# subgroup: 2g*d - (d-1) = 49 of them, one per non-tree edge of the coset
+# graph, built with the table.
+labels = table.labels()
+print("\nsubgroup generators:", table.count)
 print("first few expand to:",
-      {labels[i]: format_word(rs.words[i]) for i in range(3)})
+      {labels[i]: format_word(table.words[i]) for i in range(3)})
 
 # A word lies in the subgroup exactly when all four exponent sums are
 # even.  Such words rewrite to strings over y1..y49, and expanding the
@@ -52,11 +51,12 @@ print("\nu =", format_word(u), " in subgroup:", table.contains(u))
 ru = rewrite(table, u)
 print("rewritten:", "".join(labels[j - 1] if j > 0
                             else labels[-j - 1].upper() for j in ru))
-print("expands back to u:", expand(ru, rs) == u)
+print("expands back to u:", expand(ru, table) == u)
 
-# Restricting an automorphism: apply it to each Schreier generator's
-# expansion and rewrite the image.  The coset table guarantees the image
-# stays inside the subgroup -- any escape would raise immediately.
+# Restricting an automorphism: push the transversal words through it once,
+# then read one image letter per table entry through the step table.  The
+# image of each Schreier generator must stay inside the subgroup -- any
+# escape would raise immediately.
 gens = standard_autgens(2)
 ta1 = next(g for g in gens if g.name == "ta1")
 alpha = alpha_apply(table, ta1.forward)
@@ -74,9 +74,9 @@ stepwise = alpha_apply(table, ta1.forward).compose(
     alpha_apply(table, tb1.forward))
 agree = all(
     composite.values[i] == stepwise.values[i]
-    or pres.words_equal(expand(composite.values[i], rs),
-                        expand(stepwise.values[i], rs))
-    for i in range(rs.count)
+    or pres.words_equal(expand(composite.values[i], table),
+                        expand(stepwise.values[i], table))
+    for i in range(table.count)
 )
 print("\nrestriction of ta1*tb1 == restriction(ta1)*restriction(tb1):",
       agree)

@@ -53,13 +53,10 @@ from .autos import (
 from .cosets import (
     AutImage,
     CosetTable,
-    RSGenerators,
     alpha_apply,
-    build_coset_table,
     certified_homology_table,
     expand,
     rewrite,
-    schreier_generators,
     verify_finite_index_containment,
     verify_injectivity_mechanism,
 )

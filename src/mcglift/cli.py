@@ -27,7 +27,6 @@ from .cosets import (
     certified_homology_table,
     expand,
     inner_compatibility_holds,
-    schreier_generators,
     verify_finite_index_containment,
     verify_injectivity_mechanism,
 )
@@ -250,20 +249,36 @@ def _parse_cover(name):
     raise UsageError(f"unknown cover name {name!r}; expected homology<g>")
 
 
-def _containment_budget(genus, enum):
-    """The containment suite compares N² restricted images, one per pair of
-    the N = (2g-1)·2^(2g) + 1 Schreier generators of the cover; more than
-    the enum budget is exit 2 before any table is built."""
-    if 4 * genus > enum.bit_length():
-        # N² > 2^(4g) > enum, decided without writing N out
+def _alpha_budget(genus, check, dump, enum):
+    """Each alpha suite makes N restricted images, one per Schreier
+    generator of the cover, N = (2g-1)·2^(2g) + 1, for every automorphism
+    it restricts; with G = 5g standard generators those counts are
+    N·(G²+G) for hom-law, 25·N for inner, N² for containment, N·(G+1) for
+    injectivity and G·N for the --out dump.  Any count of a selected
+    suite over the enum budget is exit 2 before any table is built."""
+    if 2 * genus >= enum.bit_length():
+        # every count is at least N > 2^(2g) > enum; decided without
+        # writing N out
         raise EnumerationBoundExceeded(
-            f"containment at genus {genus} compares over 2^{4 * genus}"
-            f" restricted images, over the enum budget {enum}")
-    count = (2 * genus - 1) * 2 ** (2 * genus) + 1
-    if count * count > enum:
-        raise EnumerationBoundExceeded(
-            f"containment compares {count}² = {count * count} restricted"
+            f"alpha at genus {genus} makes over 2^{2 * genus} restricted"
             f" images, over the enum budget {enum}")
+    n = (2 * genus - 1) * 2 ** (2 * genus) + 1
+    gens = 5 * genus
+    counts = {
+        "hom-law": n * (gens * gens + gens),
+        "inner": 25 * n,
+        "containment": n * n,
+        "injectivity": n * (gens + 1),
+    }
+    if check != "all":
+        counts = {check: counts[check]}
+    if dump:
+        counts["the --out dump"] = gens * n
+    for suite, count in counts.items():
+        if count > enum:
+            raise EnumerationBoundExceeded(
+                f"{suite} makes {count} restricted images, over the enum"
+                f" budget {enum}")
 
 
 def cmd_alpha(args, budgets):
@@ -271,14 +286,12 @@ def cmd_alpha(args, budgets):
     if args.genus is not None and args.genus != genus:
         raise UsageError(
             f"--genus {args.genus} conflicts with cover {args.cover}")
-    if args.check in ("all", "containment"):
-        _containment_budget(genus, budgets.enum)
+    _alpha_budget(genus, args.check, bool(args.out), budgets.enum)
     table, rec, cert = certified_homology_table(genus)
-    rs = schreier_generators(table)
     gens = standard_autgens(genus)
     pres = SurfacePresentation(genus)
     lines = [
-        f"cover: {args.cover} (degree {table.d}, {rs.count} subgroup"
+        f"cover: {args.cover} (degree {table.d}, {table.count} subgroup"
         f" generators, certificate on {rec.k} order-2 surjections)"
     ]
     suites = {}
@@ -292,10 +305,9 @@ def cmd_alpha(args, budgets):
             for g2 in gens:
                 left = alpha_apply(table, g1.forward.compose(g2.forward))
                 right = images[g1.name].compose(images[g2.name])
-                for i in range(rs.count):
-                    lv, rv = left.values[i], right.values[i]
+                for lv, rv in zip(left.values, right.values):
                     if lv != rv and not pres.words_equal(
-                            expand(lv, rs), expand(rv, rs)):
+                            expand(lv, table), expand(rv, table)):
                         fails += 1
         suites["hom-law"] = fails == 0
         lines.append(
@@ -310,8 +322,8 @@ def cmd_alpha(args, budgets):
         for _ in range(trials):
             u = []
             for _ in range(rng.randint(1, 6)):
-                j = rng.randint(1, rs.count)
-                w = rs.words[j - 1]
+                j = rng.randint(1, table.count)
+                w = table.words[j - 1]
                 u.extend(w if rng.random() < 0.5 else inverse_word(w))
             if not inner_compatibility_holds(table, tuple(u), pres):
                 fails += 1

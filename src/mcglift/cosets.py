@@ -2,16 +2,18 @@
 
 A finite-index subgroup of the surface group is realized as the kernel of
 a homomorphism onto a finite quotient.  The surface group acts on the left
-cosets, which are the quotient's elements; a
-breadth-first spanning tree gives one transversal word per coset, and the
-non-tree table entries give Schreier generators for the subgroup —
-2g·d − (d−1) of them, a free generating set since the subgroup is itself a
-surface group of genus d(g−1)+1.
+cosets, which are the quotient's elements.  `CosetTable` holds everything
+this module knows about one such subgroup, built once in its constructor
+from one evaluation of the action per signed letter and coset:
 
-Rewriting walks an integer step table, built once per table on first use:
-for each signed letter and coset it holds the next coset and the signed
-Schreier generator crossed (0 on a tree entry), so rewriting is one lookup
-per letter with free reduction done on the fly.
+- a breadth-first spanning tree, relabeling the cosets in search order
+  and giving one transversal word per coset;
+- the Schreier generators, one per non-tree table entry in (coset,
+  letter) order — 2g·d − (d−1) of them, a free generating set since the
+  subgroup is itself a surface group of genus d(g−1)+1;
+- the step table: for each signed letter and coset, the next coset and
+  the signed Schreier generator crossed (0 on a tree entry), so rewriting
+  is one lookup per letter with free reduction done on the fly.
 
 For a subgroup invariant under an automorphism φ, restriction pushes the
 transversal through φ once (Holt–Eick–O'Brien, Handbook of Computational
@@ -64,106 +66,97 @@ class CharacteristicViolation(CosetError):
 
 
 class CosetTable:
-    """Left-coset action of the 2g generators on the d cosets of the kernel
-    of a surjective `hom`, which are the target's element indices.
+    """The kernel of a surjective `hom` as a coset table: the left-coset
+    action of the 2g generators on its d cosets, its transversal and its
+    Schreier generators.
 
     Coset 0 is the subgroup itself; `schreier_reps[c]` is a word carrying
-    coset 0 to coset c (so reps[0] is empty).  `tree_pairs` marks the (coset,
-    generator) entries used by the spanning tree; their Schreier generators
-    are freely trivial and are skipped by rewriting.
+    coset 0 to coset c (so reps[0] is empty).  `pairs[i]` = (coset c,
+    generator letter x) is the i-th non-tree table entry, and `words[i]`
+    its Schreier generator t_{x·c}^-1 · x · t_c as a reduced surface
+    word, labelled y(i+1).  `steps[letter][c]` is (next coset, emitted
+    letter) for each of the 4g signed letters and d cosets: reading
+    `letter` at coset c moves to the next coset and emits the signed
+    Schreier generator of the entry it crosses, or 0 on a spanning-tree
+    entry.  Reading x then x^-1 from any coset emits e then -e (or
+    nothing), so walking an unreduced word and reducing the emitted
+    letters as they come gives the same result as walking its free
+    reduction.
+
+    A hom that is not surjective leaves the action intransitive; that, a
+    relator moving a coset, a wrong Schreier generator count or a
+    Schreier word outside the subgroup raises CosetError.
     """
 
     def __init__(self, hom):
-        self.hom = hom
         self.genus = genus = hom.genus
-        self.d = hom.target.order
+        self.d = d = hom.target.order
         inv, right = hom.target.inv, hom.target.right
+        letters = [letter for x in range(1, 2 * genus + 1)
+                   for letter in (x, -x)]
+        # img * p, read as (p^-1 * img^-1)^-1: only the rows of the
+        # generator images and their inverses are needed
+        rows = {letter: right(inv(hom.idx[letter - 1]) if letter > 0
+                              else hom.idx[-letter - 1])
+                for letter in letters}
 
-        def act(letter, point):
-            # img * p, read as (p^-1 * img^-1)^-1: only the rows of the
-            # generator images and their inverses are needed
-            x = hom.idx[abs(letter) - 1]
-            if letter > 0:
-                x = inv(x)
-            return inv(right(x)[inv(point)])
-
-        # breadth-first relabeling from the subgroup coset
+        # breadth-first relabeling from the subgroup coset; moves[letter][c]
+        # is the target index the letter carries coset c to
         index = {hom.target.identity_index: 0}
         order = [hom.target.identity_index]
         reps = [()]
         tree = set()
-        qi = 0
-        letters = []
-        for x in range(1, 2 * genus + 1):
-            letters.extend((x, -x))
-        while qi < len(order):
-            point = order[qi]
-            c = index[point]
-            qi += 1
+        moves = {letter: [] for letter in letters}
+        for c, point in enumerate(order):  # order grows as the search runs
+            point_inv = inv(point)
             for letter in letters:
-                image = act(letter, point)
+                image = inv(rows[letter][point_inv])
+                moves[letter].append(image)
                 if image not in index:
                     index[image] = len(order)
                     order.append(image)
                     reps.append(free_reduce((letter,) + reps[c]))
-                    if letter > 0:
-                        tree.add((c, letter))
-                    else:
-                        tree.add((len(order) - 1, -letter))
-        if len(order) != self.d:
+                    tree.add((c, letter) if letter > 0
+                             else (len(order) - 1, -letter))
+        if len(order) != d:
             raise CosetError(
-                f"action is intransitive: reached {len(order)} of {self.d}"
+                f"action is intransitive: reached {len(order)} of {d}"
             )
+        moves = {letter: [index[p] for p in images]
+                 for letter, images in moves.items()}
         self.schreier_reps = tuple(reps)
-        self.tree_pairs = frozenset(tree)
-        self.act_pos = []
-        self.act_neg = []
+
+        pairs = []
+        words = []
+        numbers = {}
+        for c in range(d):
+            for x in range(1, 2 * genus + 1):
+                if (c, x) not in tree:
+                    pairs.append((c, x))
+                    numbers[c, x] = len(pairs)
+                    words.append(free_reduce(
+                        inverse_word(reps[moves[x][c]]) + (x,) + reps[c]))
+        self.pairs = tuple(pairs)
+        self.words = tuple(words)
+        self.steps = {}
         for x in range(1, 2 * genus + 1):
-            self.act_pos.append(tuple(index[act(x, p)] for p in order))
-            self.act_neg.append(tuple(index[act(-x, p)] for p in order))
-        self._rs = None
-        self._steps = None
+            self.steps[x] = tuple((up, numbers.get((c, x), 0))
+                                  for c, up in enumerate(moves[x]))
+            self.steps[-x] = tuple((down, -numbers.get((down, x), 0))
+                                   for down in moves[-x])
+
         relator = surface_relator(genus)
-        for c in range(self.d):
+        for c in range(d):
             if self.apply_word(relator, c) != c:
                 raise CosetError(f"relator moves coset {c}; table is corrupt")
-
-    def apply_letter(self, letter, c):
-        if letter > 0:
-            return self.act_pos[letter - 1][c]
-        return self.act_neg[-letter - 1][c]
-
-    def apply_word(self, word, c=0):
-        """Image of coset c under the word; rightmost letter acts first."""
-        for letter in reversed(word):
-            c = self.apply_letter(letter, c)
-        return c
-
-    def contains(self, word):
-        return self.apply_word(word) == 0
-
-    def __repr__(self):
-        return f"CosetTable(genus={self.genus}, d={self.d})"
-
-
-def build_coset_table(hom):
-    """Coset table of the kernel of a surjective hom; a hom that is not
-    surjective leaves the action intransitive, and CosetTable raises."""
-    return CosetTable(hom)
-
-
-@dataclass(frozen=True)
-class RSGenerators:
-    """Schreier generators of the subgroup: one per non-tree table entry.
-
-    `pairs[i]` = (coset, generator letter); `words[i]` is the subgroup
-    element t_{x·c}^-1 · x · t_c as a reduced surface word.  Labels are
-    y1..yN in pair order.
-    """
-
-    table: CosetTable
-    pairs: tuple
-    words: tuple
+        expected = 2 * genus * d - (d - 1)
+        if self.count != expected:
+            raise CosetError(
+                f"Schreier generator count {self.count}, expected {expected}"
+            )
+        for w in self.words:
+            if not self.contains(w):
+                raise CosetError("Schreier generator escapes the subgroup")
 
     @property
     def count(self):
@@ -172,63 +165,21 @@ class RSGenerators:
     def labels(self):
         return tuple(f"y{i + 1}" for i in range(len(self.pairs)))
 
+    def apply_letter(self, letter, c):
+        return self.steps[letter][c][0]
 
-def schreier_generators(table):
-    """The non-tree Schreier generators, memoized on the table."""
-    if table._rs is not None:
-        return table._rs
-    pairs = []
-    words = []
-    reps = table.schreier_reps
-    for c in range(table.d):
-        for x in range(1, 2 * table.genus + 1):
-            if (c, x) in table.tree_pairs:
-                continue
-            pairs.append((c, x))
-            image = table.apply_letter(x, c)
-            words.append(free_reduce(
-                inverse_word(reps[image]) + (x,) + reps[c]))
-    rs = RSGenerators(table=table, pairs=tuple(pairs), words=tuple(words))
-    expected = 2 * table.genus * table.d - (table.d - 1)
-    if rs.count != expected:
-        raise CosetError(
-            f"Schreier generator count {rs.count}, expected {expected}"
-        )
-    for w in rs.words:
-        if not table.contains(w):
-            raise CosetError("Schreier generator escapes the subgroup")
-    table._rs = rs
-    return rs
+    def apply_word(self, word, c=0):
+        """Image of coset c under the word; rightmost letter acts first."""
+        steps = self.steps
+        for letter in reversed(word):
+            c = steps[letter][c][0]
+        return c
 
+    def contains(self, word):
+        return self.apply_word(word) == 0
 
-def _step_table(table):
-    """The table's Reidemeister-Schreier steps, built on first use.
-
-    `steps[letter][c]` is (next coset, emitted letter) for each of the 4g
-    signed letters and d cosets: reading `letter` at coset c moves to the
-    next coset and emits the signed Schreier generator of the entry it
-    crosses, or 0 on a spanning-tree entry.  Reading x then x^-1 from any
-    coset emits e then -e (or nothing), so walking an unreduced word and
-    reducing the emitted letters as they come gives the same result as
-    walking its free reduction.
-    """
-    if table._steps is not None:
-        return table._steps
-    index = {pair: i + 1
-             for i, pair in enumerate(schreier_generators(table).pairs)}
-    steps = {}
-    for x in range(1, 2 * table.genus + 1):
-        forward = []
-        backward = []
-        for c in range(table.d):
-            up = table.act_pos[x - 1][c]
-            forward.append((up, index.get((c, x), 0)))
-            down = table.act_neg[x - 1][c]
-            backward.append((down, -index.get((down, x), 0)))
-        steps[x] = tuple(forward)
-        steps[-x] = tuple(backward)
-    table._steps = steps
-    return steps
+    def __repr__(self):
+        return f"CosetTable(genus={self.genus}, d={self.d})"
 
 
 def _walk(rows, c, out):
@@ -251,9 +202,8 @@ def rewrite(table, word):
     non-tree generator met at each step and freely reducing as it goes;
     raises CosetEscape when the input is not in the subgroup.
     """
-    steps = _step_table(table)
     out = []
-    c = _walk([steps[letter] for letter in reversed(word)], 0, out)
+    c = _walk([table.steps[letter] for letter in reversed(word)], 0, out)
     if c != 0:
         raise CosetEscape(
             f"word {format_word(word)} lands on coset {c}, not the subgroup",
@@ -263,12 +213,12 @@ def rewrite(table, word):
     return tuple(out)
 
 
-def expand(rs_word, rs):
+def expand(rs_word, table):
     """Push a Schreier-generator word back down to a surface-group word."""
     out = []
     for letter in rs_word:
-        w = rs.words[letter - 1] if letter > 0 else inverse_word(
-            rs.words[-letter - 1])
+        w = table.words[letter - 1] if letter > 0 else inverse_word(
+            table.words[-letter - 1])
         out.extend(w)
     return free_reduce(out)
 
@@ -278,7 +228,7 @@ class AutImage:
     """The restriction of an automorphism to the subgroup, recorded as one
     Schreier-generator word per Schreier generator."""
 
-    rs: RSGenerators
+    table: CosetTable
     values: tuple
 
     def compose(self, other):
@@ -293,19 +243,19 @@ class AutImage:
                 out.extend(images[letter - 1] if letter > 0
                            else inverses[-letter - 1])
             values.append(free_reduce(out))
-        return AutImage(rs=self.rs, values=tuple(values))
+        return AutImage(table=self.table, values=tuple(values))
 
     def is_identity_on_generators(self, presentation=None):
-        rs = self.rs
+        table = self.table
         if presentation is None:
-            presentation = SurfacePresentation(rs.table.genus)
+            presentation = SurfacePresentation(table.genus)
         return all(
-            presentation.words_equal(expand(v, rs), rs.words[i])
+            presentation.words_equal(expand(v, table), table.words[i])
             for i, v in enumerate(self.values)
         )
 
     def as_dict(self):
-        labels = self.rs.labels()
+        labels = self.table.labels()
 
         def fmt(word):
             return "".join(
@@ -331,8 +281,7 @@ def alpha_apply(table, auto):
     otherwise the image of the generator leaves the subgroup, which
     falsifies the claim that the subgroup is invariant under the
     automorphism."""
-    rs = schreier_generators(table)
-    steps = _step_table(table)
+    steps = table.steps
     image_rows = {
         letter: tuple(steps[y] for y in reversed(auto.apply_letter(letter)))
         for letter in steps
@@ -342,16 +291,16 @@ def alpha_apply(table, auto):
     stacks = [[]]
     for c in range(1, table.d):
         letter = reps[c][0]
-        parent = table.apply_letter(-letter, c)
+        parent = steps[-letter][c][0]
         out = list(stacks[parent])
         sigma[c] = _walk(image_rows[letter], sigma[parent], out)
         stacks.append(out)
     values = []
-    for i, (c, x) in enumerate(rs.pairs):
+    for i, (c, x) in enumerate(table.pairs):
         out = list(stacks[c])
-        up = table.apply_letter(x, c)
+        up = steps[x][c][0]
         if _walk(image_rows[x], sigma[c], out) != sigma[up]:
-            w = rs.words[i]
+            w = table.words[i]
             raise CharacteristicViolation(
                 f"automorphism {auto.name} moves the subgroup: image of "
                 f"{format_word(w)} reaches coset "
@@ -364,13 +313,12 @@ def alpha_apply(table, auto):
                 out.append(-e)
         out.reverse()
         values.append(tuple(out))
-    return AutImage(rs=rs, values=tuple(values))
+    return AutImage(table=table, values=tuple(values))
 
 
 def inner_compatibility_holds(table, u, presentation=None):
     """Whether restricting conjugation-by-u equals conjugation by rewrite(u)
     on every Schreier generator, for a subgroup word u."""
-    rs = schreier_generators(table)
     if presentation is None:
         presentation = SurfacePresentation(table.genus)
     conj = inner_auto(table.genus, u)
@@ -380,7 +328,7 @@ def inner_compatibility_holds(table, u, presentation=None):
     for j, v in enumerate(image.values):
         direct = free_reduce(ru + (j + 1,) + ru_inverse)
         if v != direct and not presentation.words_equal(
-                expand(v, rs), expand(direct, rs)):
+                expand(v, table), expand(direct, table)):
             return False
     return True
 
@@ -390,10 +338,9 @@ def verify_finite_index_containment(table, presentation=None):
     elements: for every Schreier generator u, the restriction of conjugation
     by u is conjugation by rewrite(u) — so restriction carries the subgroup
     onto itself, of finite index d in the ambient group.  Returns (ok, d)."""
-    rs = schreier_generators(table)
     if presentation is None:
         presentation = SurfacePresentation(table.genus)
-    for u in rs.words:
+    for u in table.words:
         if not inner_compatibility_holds(table, u, presentation):
             return False, table.d
     return True, table.d
@@ -404,11 +351,11 @@ def verify_injectivity_mechanism(image, auto, presentation=None, bound=4096):
     `image` (from `alpha_apply`) fixes every Schreier generator, the
     automorphism `auto` fixes every ambient generator.  True when the
     implication holds for this automorphism."""
-    rs = image.rs
+    table = image.table
     if presentation is None:
-        presentation = SurfacePresentation(rs.table.genus)
+        presentation = SurfacePresentation(table.genus)
     for v in image.values:
-        if sum(len(rs.words[abs(x) - 1]) for x in v) > bound:
+        if sum(len(table.words[abs(x) - 1]) for x in v) > bound:
             raise CosetError(
                 f"restriction image exceeds expansion bound {bound}")
     fixes_sub = image.is_identity_on_generators(presentation)
@@ -449,8 +396,7 @@ def certified_homology_table(genus):
             "orbit members do not realize every nonzero functional on mod-2"
             " homology; intersection identity broken"
         )
-    table = build_coset_table(hom)
-    return table, rec, cert
+    return CosetTable(hom), rec, cert
 
 
 def _functional_mask(member):

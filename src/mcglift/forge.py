@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .autos import certify_characteristic, orbit, standard_autgens
 from .budgets import COLLECTION_CAP, DEFAULT
-from .cosets import build_coset_table, schreier_generators
+from .cosets import CosetTable
 from .perm import (
     EnumerationBoundExceeded,
     PermError,
@@ -341,12 +341,12 @@ def structural_order_s3(members):
         sign_images.append(perm)
     # the pivot coordinates of the chosen rows form an invertible matrix, so
     # the hom is onto; were it not, the coset table would raise CosetError
-    rs = schreier_generators(build_coset_table(FiniteHom(c2r, sign_images)))
+    words = CosetTable(FiniteHom(c2r, sign_images)).words
 
     # factor-wise rotation exponents of each Schreier generator word
     columns = []
     for member in members:
-        values = member.evaluate_indices(rs.words)
+        values = member.evaluate_indices(words)
         if any(odd[v] for v in values):
             raise RuntimeError("sign-kernel word evaluates to a transposition")
         columns.append([shift[v] for v in values])
@@ -418,25 +418,36 @@ class CoverCertificate:
 
 
 def parse_certificate(data):
-    """Rebuild a CoverCertificate from its JSON dictionary."""
-    return CoverCertificate(
-        route=data["route"],
-        genus_in=data["genus_in"],
-        k=data["k"],
-        G_order=int(data["G_order"]),
-        H_order=int(data["H_order"]),
-        degree=int(data["degree"]),
-        genus_out=int(data["genus_out"]),
-        check_a=data["checks"]["a"],
-        check_b=data["checks"]["b"],
-        characteristic=data["checks"]["characteristic"],
-        K_trivial=data["K_trivial"],
-        seed_material=data["seed_material"],
-        status=data["status"],
-        failing_stage=data.get("failing_stage", ""),
-        order_structure=data.get("order_structure", {}),
-        timing=data.get("timing", {}),
-    )
+    """Rebuild a CoverCertificate from its JSON dictionary, as written by
+    `stable_dict()` or `json_dict()`.  A version other than
+    CERTIFICATE_VERSION or a missing field raises ForgeError; only
+    `timing` may be absent, since `stable_dict()` leaves it out."""
+    version = data.get("version")
+    if version != CERTIFICATE_VERSION:
+        raise ForgeError(f"certificate version {version!r}, expected"
+                         f" {CERTIFICATE_VERSION!r}")
+    try:
+        return CoverCertificate(
+            route=data["route"],
+            genus_in=data["genus_in"],
+            k=data["k"],
+            G_order=int(data["G_order"]),
+            H_order=int(data["H_order"]),
+            degree=int(data["degree"]),
+            genus_out=int(data["genus_out"]),
+            check_a=data["checks"]["a"],
+            check_b=data["checks"]["b"],
+            characteristic=data["checks"]["characteristic"],
+            K_trivial=data["K_trivial"],
+            seed_material=data["seed_material"],
+            status=data["status"],
+            failing_stage=data["failing_stage"],
+            order_structure=data["order_structure"],
+            timing=data.get("timing", {}),
+        )
+    except KeyError as missing:
+        raise ForgeError(
+            f"certificate field {missing.args[0]!r} is missing") from None
 
 
 def standard_epi(genus, target):

@@ -9,11 +9,10 @@ import time
 
 from mcglift.autos import certify_characteristic, orbit, standard_autgens
 from mcglift.cosets import (
+    CosetTable,
     alpha_apply,
-    build_coset_table,
     expand,
     inner_compatibility_holds,
-    schreier_generators,
     verify_finite_index_containment,
 )
 from mcglift.forge import (
@@ -231,9 +230,8 @@ def test_criterion_07_word_problem_trials():
 
 def test_criterion_08_alpha_suite():
     pres = SurfacePresentation(2)
-    table = build_coset_table(mod2_homology_hom(2))
-    rs = schreier_generators(table)
-    assert rs.count == 2 * 2 * table.d - (table.d - 1) == 49
+    table = CosetTable(mod2_homology_hom(2))
+    assert table.count == 2 * 2 * table.d - (table.d - 1) == 49
 
     gens = standard_autgens(2)
     directions = [auto for gen in gens for _, auto in gen.directions()]
@@ -245,7 +243,7 @@ def test_criterion_08_alpha_suite():
             right = alpha_phi.compose(alpha_psi)
             for lv, rv in zip(left.values, right.values):
                 assert lv == rv or pres.words_equal(
-                    expand(lv, rs), expand(rv, rs))
+                    expand(lv, table), expand(rv, table))
             pairs += 1
     assert pairs == len(directions) ** 2 >= 100
 
@@ -253,7 +251,7 @@ def test_criterion_08_alpha_suite():
     for _ in range(100):
         u = []
         for _ in range(rng.randint(1, 4)):
-            w = rng.choice(rs.words)
+            w = rng.choice(table.words)
             u.extend(w if rng.random() < 0.5 else inverse_word(w))
         assert inner_compatibility_holds(table, free_reduce(u), pres)
 
@@ -275,7 +273,7 @@ def test_criterion_09_determinism():
                        .stable_dict(), sort_keys=True) for _ in range(2)]
     assert hall[0] == hall[1]
 
-    table = build_coset_table(mod2_homology_hom(2))
+    table = CosetTable(mod2_homology_hom(2))
     dumps = []
     for _ in range(2):
         payload = {

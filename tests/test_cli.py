@@ -228,7 +228,7 @@ def test_forge_is_deterministic_modulo_timing(tmp_path, capsys):
 def test_forge_invariant_breach_exits_3(monkeypatch, tmp_path, capsys):
     # single generators posing as sign-kernel words: a surjection onto S3
     # sends one of them to a transposition, which the construction forbids
-    monkeypatch.setattr(forge, "schreier_generators", lambda table:
+    monkeypatch.setattr(forge, "CosetTable", lambda hom:
                         SimpleNamespace(words=((1,), (2,), (3,), (4,))))
     assert run(["forge", "--genus", "2", "--route", "s3", "--truncate-k",
                 "1", "--out", str(tmp_path / "c.json")]) == EXIT_BREACH
@@ -340,6 +340,7 @@ def test_alpha_containment_reads_the_enum_budget(enum, code, tmp_path,
     ("desk", "homology3", "all"),
     ("default", "homology4", "containment"),
     ("wide", "homology7", "containment"),
+    ("default", "homology7", "inner"),
     ("default", "homology1000000000", "all"),
 ])
 def test_alpha_containment_over_the_profile_budget_exits_2(
@@ -350,10 +351,24 @@ def test_alpha_containment_over_the_profile_budget_exits_2(
     assert "budget exceeded" in capsys.readouterr().err
 
 
-def test_alpha_suites_without_containment_ignore_the_enum_budget(capsys):
-    assert run(["alpha", "--cover", "homology2", "--check", "inner",
-                "--budget-enum", "1"]) == EXIT_OK
-    assert "alpha suites: all pass" in capsys.readouterr().out
+@pytest.mark.parametrize("check, enum, count, code", [
+    ("inner", 1224, 1225, EXIT_BUDGET),
+    ("inner", 1225, 1225, EXIT_OK),
+    ("hom-law", 5389, 5390, EXIT_BUDGET),
+    ("injectivity", 538, 539, EXIT_BUDGET),
+])
+def test_alpha_suites_read_the_enum_budget(check, enum, count, code, capsys):
+    # homology2 has N = 49 Schreier generators and G = 10 standard
+    # generators: inner restricts 25 conjugations (25·N), hom-law every
+    # generator and ordered pair (N·(G²+G)), injectivity the generators and
+    # the identity (N·(G+1))
+    assert run(["alpha", "--cover", "homology2", "--check", check,
+                "--budget-enum", str(enum)]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert "alpha suites: all pass" in out
+    else:
+        assert f"{check} makes {count} restricted images" in err
 
 
 @pytest.mark.parametrize("profile, argv, code", [

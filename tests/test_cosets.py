@@ -12,21 +12,23 @@ from mcglift.cosets import (
     CharacteristicViolation,
     CosetError,
     CosetEscape,
+    CosetTable,
     alpha_apply,
-    build_coset_table,
     certified_homology_table,
     expand,
     inner_compatibility_holds,
     rewrite,
-    schreier_generators,
     verify_finite_index_containment,
     verify_injectivity_mechanism,
 )
 from mcglift.quotients import (
     FiniteHom,
+    RelatorViolation,
     enumerate_homs,
     mod2_homology_hom,
+    target_a5,
     target_c2,
+    target_c2k,
     target_s3,
 )
 from mcglift.words import (
@@ -45,48 +47,43 @@ def c2_functional_hom(genus, mask):
     return FiniteHom(t, images)
 
 
-def random_subgroup_word(rng, rs, pieces):
+def random_subgroup_word(rng, table, pieces):
     word = []
     for _ in range(pieces):
-        w = rng.choice(rs.words)
+        w = rng.choice(table.words)
         word.extend(w if rng.random() < 0.5 else inverse_word(w))
     return tuple(word)
 
 
 @pytest.fixture(scope="module")
 def homology_table():
-    return build_coset_table(mod2_homology_hom(2))
+    return CosetTable(mod2_homology_hom(2))
 
 
 def test_index2_table_and_generator_count():
-    table = build_coset_table(c2_functional_hom(2, 1))
+    table = CosetTable(c2_functional_hom(2, 1))
     assert table.d == 2
-    rs = schreier_generators(table)
-    assert rs.count == 2 * 2 * 2 - (2 - 1) == 7
-    assert len(table.tree_pairs) == 1
+    assert table.count == 2 * 2 * 2 - (2 - 1) == 7
+    assert len(tree_entries(table)) == 1
     assert table.schreier_reps[0] == ()
 
 
 def test_homology_table_shape(homology_table):
     assert homology_table.d == 16
-    rs = schreier_generators(homology_table)
-    assert rs.count == 4 * 16 - 15 == 49
+    assert homology_table.count == 4 * 16 - 15 == 49
     assert len(table_reps := homology_table.schreier_reps) == 16
     assert all(homology_table.apply_word(r) != 0 for r in table_reps[1:])
-    assert schreier_generators(homology_table) is rs  # memoized
 
 
 def test_schreier_words_lie_in_the_subgroup(homology_table):
-    rs = schreier_generators(homology_table)
-    for w in rs.words:
+    for w in homology_table.words:
         assert homology_table.contains(w)
     assert homology_table.contains(surface_relator(2))
     assert not homology_table.contains((1,))
 
 
 def test_rewrite_own_word_is_single_letter(homology_table):
-    rs = schreier_generators(homology_table)
-    for j, w in enumerate(rs.words):
+    for j, w in enumerate(homology_table.words):
         assert rewrite(homology_table, w) == (j + 1,)
         assert rewrite(homology_table, inverse_word(w)) == (-(j + 1),)
 
@@ -98,16 +95,15 @@ def test_rewrite_escape(homology_table):
 
 
 def test_expand_rewrite_telescopes(homology_table):
-    rs = schreier_generators(homology_table)
+    table = homology_table
     rng = random.Random(29)
     for _ in range(40):
-        w = random_subgroup_word(rng, rs, rng.randint(1, 5))
-        assert expand(rewrite(homology_table, w), rs) == free_reduce(w)
+        w = random_subgroup_word(rng, table, rng.randint(1, 5))
+        assert expand(rewrite(table, w), table) == free_reduce(w)
     # and in the other direction on already-rewritten words
     for _ in range(20):
-        v = rewrite(homology_table,
-                    random_subgroup_word(rng, rs, rng.randint(1, 4)))
-        assert rewrite(homology_table, expand(v, rs)) == v
+        v = rewrite(table, random_subgroup_word(rng, table, rng.randint(1, 4)))
+        assert rewrite(table, expand(v, table)) == v
 
 
 def test_relator_rewrites_to_a_relation(homology_table):
@@ -115,20 +111,18 @@ def test_relator_rewrites_to_a_relation(homology_table):
     # to something trivial
     pres = SurfacePresentation(2)
     v = rewrite(homology_table, surface_relator(2))
-    rs = schreier_generators(homology_table)
-    assert pres.is_trivial(expand(v, rs))
+    assert pres.is_trivial(expand(v, homology_table))
 
 
 def test_alpha_identity_is_identity(homology_table):
     image = alpha_apply(homology_table, identity_auto(2))
-    rs = schreier_generators(homology_table)
-    assert image.values == tuple((j + 1,) for j in range(rs.count))
+    assert image.values == tuple(
+        (j + 1,) for j in range(homology_table.count))
     assert image.is_identity_on_generators()
 
 
 def test_alpha_respects_composition_sample(homology_table):
     pres = SurfacePresentation(2)
-    rs = schreier_generators(homology_table)
     gens = standard_autgens(2)
     picks = [gens[0].forward, gens[5].forward, gens[2].backward]
     for f in picks:
@@ -138,7 +132,7 @@ def test_alpha_respects_composition_sample(homology_table):
                 alpha_apply(homology_table, g))
             for lv, rv in zip(left.values, right.values):
                 assert lv == rv or pres.words_equal(
-                    expand(lv, rs), expand(rv, rs))
+                    expand(lv, homology_table), expand(rv, homology_table))
 
 
 def test_alpha_image_serialization(homology_table):
@@ -153,7 +147,7 @@ def test_alpha_image_serialization(homology_table):
 def test_characteristic_violation_on_a_single_functional_kernel():
     # the kernel of one order-2 surjection is not automorphism-invariant:
     # the flip exchanges the functionals, so restriction must fail loudly
-    table = build_coset_table(c2_functional_hom(2, 1))
+    table = CosetTable(c2_functional_hom(2, 1))
     flip = next(g for g in standard_autgens(2) if g.name == "flip").forward
     with pytest.raises(CharacteristicViolation):
         alpha_apply(table, flip)
@@ -161,17 +155,16 @@ def test_characteristic_violation_on_a_single_functional_kernel():
 
 def test_inner_compatibility_on_random_subgroup_words(homology_table):
     pres = SurfacePresentation(2)
-    rs = schreier_generators(homology_table)
     rng = random.Random(31)
     for _ in range(30):
-        u = random_subgroup_word(rng, rs, rng.randint(1, 4))
+        u = random_subgroup_word(rng, homology_table, rng.randint(1, 4))
         assert inner_compatibility_holds(homology_table, u, pres)
 
 
 def test_finite_index_containment(homology_table):
     ok, d = verify_finite_index_containment(homology_table)
     assert ok is True and d == 16
-    table2 = build_coset_table(c2_functional_hom(2, 3))
+    table2 = CosetTable(c2_functional_hom(2, 3))
     assert verify_finite_index_containment(table2) == (True, 2)
 
 
@@ -202,15 +195,14 @@ def test_certified_homology_table_genus3():
     table, rec, cert = certified_homology_table(3)
     assert table.d == 64
     assert rec.k == 63
-    rs = schreier_generators(table)
-    assert rs.count == 6 * 64 - 63 == 321
+    assert table.count == 6 * 64 - 63 == 321
 
 
 def test_tables_require_surjective_homs():
     t = target_c2()
     h = FiniteHom(t, (t.identity,) * 4)
     with pytest.raises(CosetError):
-        build_coset_table(h)
+        CosetTable(h)
 
 
 # -- properties of rewriting on the homology2 table --------------------------
@@ -226,11 +218,11 @@ subgroup_word_draws = st.tuples(
 )
 
 
-def padded_subgroup_word(rs, draw):
+def padded_subgroup_word(table, draw):
     picks, pads = draw
     word = []
     for j, inverted in picks:
-        w = rs.words[j]
+        w = table.words[j]
         word.extend(inverse_word(w) if inverted else w)
     for x, at in pads:
         at %= len(word) + 1
@@ -241,7 +233,8 @@ def padded_subgroup_word(rs, draw):
 def pair_index_rewrite(table, word, index=None):
     """Rewriting by pair lookup: the route rewriting took before the step
     table, kept here as an independent reference.  `index` maps each
-    Schreier pair to its position; pass it when rewriting many words."""
+    table entry to its Schreier generator's position, or to None on a
+    tree entry; pass it when rewriting many words."""
     if index is None:
         index = pair_positions(table)
     emitted = []
@@ -253,18 +246,34 @@ def pair_index_rewrite(table, word, index=None):
         else:
             c = table.apply_letter(letter, c)
             pair = (c, -letter)
-        if pair in table.tree_pairs:
-            continue
         i = index[pair]
+        if i is None:
+            continue
         emitted.append(i + 1 if letter > 0 else -(i + 1))
     assert c == 0
     emitted.reverse()
     return free_reduce(emitted)
 
 
+def tree_entries(table):
+    """The (coset c, letter x) entries whose Schreier word
+    t_{x·c}^-1 · x · t_c is freely trivial: the spanning tree's."""
+    reps = table.schreier_reps
+    return {(c, x) for c in range(table.d)
+            for x in range(1, 2 * table.genus + 1)
+            if not free_reduce(inverse_word(reps[table.apply_letter(x, c)])
+                               + (x,) + reps[c])}
+
+
 def pair_positions(table):
-    return {pair: i
-            for i, pair in enumerate(schreier_generators(table).pairs)}
+    """Each table entry's position among the Schreier generators; None on
+    the tree entries, found by their freely trivial Schreier words."""
+    positions = dict.fromkeys(tree_entries(table))
+    for i, pair in enumerate(table.pairs):
+        assert pair not in positions
+        positions[pair] = i
+    assert len(positions) == 2 * table.genus * table.d
+    return positions
 
 
 def rewritten_images(table, phi):
@@ -272,19 +281,18 @@ def rewritten_images(table, phi):
     image word, built and reduced, then rewritten by pair lookup."""
     index = pair_positions(table)
     return tuple(pair_index_rewrite(table, phi.apply_word(w), index)
-                 for w in schreier_generators(table).words)
+                 for w in table.words)
 
 
 @PROPERTY_SETTINGS
 @given(draw=subgroup_word_draws)
 def test_rewrite_ignores_cancelling_pairs(homology_table, draw):
-    rs = schreier_generators(homology_table)
-    assert rs.count == 49
-    w = padded_subgroup_word(rs, draw)
+    assert homology_table.count == 49
+    w = padded_subgroup_word(homology_table, draw)
     v = rewrite(homology_table, w)
     assert v == rewrite(homology_table, free_reduce(w))
     assert v == pair_index_rewrite(homology_table, w)
-    assert expand(v, rs) == free_reduce(w)
+    assert expand(v, homology_table) == free_reduce(w)
 
 
 genus2_directions = [
@@ -323,8 +331,8 @@ genus3_directions = [
 
 @pytest.fixture(scope="module")
 def homology3_table():
-    table = build_coset_table(mod2_homology_hom(3))
-    assert table.d == 64 and schreier_generators(table).count == 321
+    table = CosetTable(mod2_homology_hom(3))
+    assert table.d == 64 and table.count == 321
     return table
 
 
@@ -332,10 +340,10 @@ def homology3_table():
 @given(picks=st.lists(st.tuples(st.integers(0, 320), st.booleans()),
                       min_size=1, max_size=4))
 def test_alpha_apply_genus3_inner_by_subgroup_words(homology3_table, picks):
-    rs = schreier_generators(homology3_table)
     u = []
     for j, inverted in picks:
-        u.extend(inverse_word(rs.words[j]) if inverted else rs.words[j])
+        w = homology3_table.words[j]
+        u.extend(inverse_word(w) if inverted else w)
     phi = inner_auto(3, tuple(u))
     assert alpha_apply(homology3_table, phi).values == rewritten_images(
         homology3_table, phi)
@@ -369,15 +377,14 @@ def test_single_functional_kernel_violation(mask, auto):
     # f∘phi = f on mod-2 homology; otherwise restriction raises, naming
     # the first Schreier generator whose image leaves the subgroup and the
     # coset it reaches
-    table = build_coset_table(c2_functional_hom(2, mask))
+    table = CosetTable(c2_functional_hom(2, mask))
     composed = 0
     for j, column in enumerate(auto.mod2_matrix()):
         composed |= (bin(mask & column).count("1") & 1) << j
     if composed == mask:
         alpha_apply(table, auto)
         return
-    rs = schreier_generators(table)
-    escaping = next(w for w in rs.words
+    escaping = next(w for w in table.words
                     if not table.contains(auto.apply_word(w)))
     with pytest.raises(CharacteristicViolation) as err:
         alpha_apply(table, auto)
@@ -390,8 +397,8 @@ def assert_violation_names_first_escape(table, auto):
     """Restriction raises exactly when some Schreier word's image leaves
     the subgroup, naming the first such word and the coset c whose
     transversal word t_c carries the subgroup to where its image lands."""
-    rs = schreier_generators(table)
-    escaping = [w for w in rs.words if not table.contains(auto.apply_word(w))]
+    escaping = [w for w in table.words
+                if not table.contains(auto.apply_word(w))]
     if not escaping:
         assert alpha_apply(table, auto).values == rewritten_images(
             table, auto)
@@ -411,7 +418,7 @@ def assert_violation_names_first_escape(table, auto):
 @settings(max_examples=40, deadline=None)
 @given(mask=st.integers(1, 63), auto=st.sampled_from(genus3_directions))
 def test_single_functional_kernel_violation_genus3(mask, auto):
-    table = build_coset_table(c2_functional_hom(3, mask))
+    table = CosetTable(c2_functional_hom(3, mask))
     composed = 0
     for j, column in enumerate(auto.mod2_matrix()):
         composed |= (bin(mask & column).count("1") & 1) << j
@@ -424,8 +431,153 @@ def test_s3_kernel_violations_name_the_reached_coset():
     # cosets 1..5, not only coset 1 as for an order-2 quotient
     s3 = target_s3()
     epi = next(h for h in enumerate_homs(2, s3) if h.is_surjective())
-    table = build_coset_table(epi)
+    table = CosetTable(epi)
     assert table.d == 6
     moved = sum(assert_violation_names_first_escape(table, auto)
                 for auto in genus2_directions)
     assert 0 < moved < len(genus2_directions)
+
+
+# -- the table against a reference construction -----------------------------
+
+
+class ReferenceTable:
+    """The coset table as it was built before the constructor did all the
+    work: the action evaluated once for the breadth-first search and again
+    for the signed action rows, the spanning tree kept as a set of (coset,
+    generator) entries, the Schreier generators read off the entries not in
+    that set, and the step table built from the action rows on first use.
+    Kept here as an independent route to `CosetTable`'s data."""
+
+    def __init__(self, hom):
+        self.genus = genus = hom.genus
+        self.d = hom.target.order
+        inv, right = hom.target.inv, hom.target.right
+
+        def act(letter, point):
+            x = hom.idx[abs(letter) - 1]
+            if letter > 0:
+                x = inv(x)
+            return inv(right(x)[inv(point)])
+
+        index = {hom.target.identity_index: 0}
+        order = [hom.target.identity_index]
+        reps = [()]
+        tree = set()
+        qi = 0
+        letters = []
+        for x in range(1, 2 * genus + 1):
+            letters.extend((x, -x))
+        while qi < len(order):
+            point = order[qi]
+            c = index[point]
+            qi += 1
+            for letter in letters:
+                image = act(letter, point)
+                if image not in index:
+                    index[image] = len(order)
+                    order.append(image)
+                    reps.append(free_reduce((letter,) + reps[c]))
+                    if letter > 0:
+                        tree.add((c, letter))
+                    else:
+                        tree.add((len(order) - 1, -letter))
+        if len(order) != self.d:
+            raise CosetError(
+                f"action is intransitive: reached {len(order)} of {self.d}"
+            )
+        self.schreier_reps = tuple(reps)
+        self.tree_pairs = frozenset(tree)
+        self.act_pos = []
+        self.act_neg = []
+        for x in range(1, 2 * genus + 1):
+            self.act_pos.append(tuple(index[act(x, p)] for p in order))
+            self.act_neg.append(tuple(index[act(-x, p)] for p in order))
+        self._steps = None
+
+        pairs = []
+        words = []
+        for c in range(self.d):
+            for x in range(1, 2 * genus + 1):
+                if (c, x) in self.tree_pairs:
+                    continue
+                pairs.append((c, x))
+                words.append(free_reduce(inverse_word(
+                    reps[self.act_pos[x - 1][c]]) + (x,) + reps[c]))
+        self.pairs = tuple(pairs)
+        self.words = tuple(words)
+
+    @property
+    def steps(self):
+        if self._steps is None:
+            index = {pair: i + 1 for i, pair in enumerate(self.pairs)}
+            steps = {}
+            for x in range(1, 2 * self.genus + 1):
+                forward = []
+                backward = []
+                for c in range(self.d):
+                    up = self.act_pos[x - 1][c]
+                    forward.append((up, index.get((c, x), 0)))
+                    down = self.act_neg[x - 1][c]
+                    backward.append((down, -index.get((down, x), 0)))
+                steps[x] = tuple(forward)
+                steps[-x] = tuple(backward)
+            self._steps = steps
+        return self._steps
+
+
+def assert_matches_reference(hom):
+    """CosetTable(hom) holds the reference table's transversal, Schreier
+    generators and steps, or both raise the same CosetError."""
+    try:
+        ref = ReferenceTable(hom)
+    except CosetError as err:
+        with pytest.raises(CosetError) as ours:
+            CosetTable(hom)
+        assert str(ours.value) == str(err)
+        return False
+    table = CosetTable(hom)
+    assert table.schreier_reps == ref.schreier_reps
+    assert table.pairs == ref.pairs
+    assert table.words == ref.words
+    assert table.steps == ref.steps
+    assert list(table.steps) == list(ref.steps)
+    return True
+
+
+@st.composite
+def homs_onto_small_targets(draw):
+    """A genus 2-3 hom onto C2^k, S3 or A5: random images for all handles
+    but the last, whose pair is drawn from those closing the relator."""
+    genus = draw(st.integers(2, 3))
+    target = draw(st.sampled_from(("c2k", "s3", "a5")))
+    if target == "c2k":
+        target = target_c2k(draw(st.integers(1, 2 * genus)))
+    else:
+        target = target_s3() if target == "s3" else target_a5()
+    elements = target.elements
+    head = [draw(st.sampled_from(elements)) for _ in range(2 * genus - 2)]
+    closing = []
+    for a in elements:
+        for b in elements:
+            try:
+                closing.append(FiniteHom(target, head + [a, b]))
+            except RelatorViolation:
+                pass
+    return draw(st.sampled_from(closing))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hom=homs_onto_small_targets())
+def test_table_matches_the_reference_construction(hom):
+    assert_matches_reference(hom)
+
+
+def test_homology3_table_matches_the_reference_construction():
+    assert assert_matches_reference(mod2_homology_hom(3))
+
+
+def test_intransitive_action_raises_as_the_reference_does():
+    s3 = target_s3()
+    assert not assert_matches_reference(
+        FiniteHom(s3, [s3.generators[0], s3.identity] * 2))

@@ -204,6 +204,46 @@ def test_full_s3_certificate_schema(full_s3_certificate):
     assert parsed.status == "VALID"
 
 
+@pytest.fixture(scope="module")
+def partial_s3_certificate():
+    return forge_certificate_s3(2, budgets=Budgets(points=100))
+
+
+@pytest.mark.parametrize("name",
+                         ["full_s3_certificate", "partial_s3_certificate"])
+def test_certificates_round_trip_through_parse_certificate(name, request):
+    cert = request.getfixturevalue(name)
+    for data in (cert.stable_dict(), cert.json_dict()):
+        parsed = parse_certificate(json.loads(json.dumps(data)))
+        assert parsed.stable_dict() == cert.stable_dict()
+    assert parse_certificate(cert.json_dict()) == cert
+    assert parse_certificate(cert.stable_dict()).timing == {}
+
+
+@pytest.mark.parametrize("version", ["0", "2", 1, None])
+def test_parse_certificate_rejects_other_versions(version,
+                                                  partial_s3_certificate):
+    data = partial_s3_certificate.stable_dict()
+    data["version"] = version
+    with pytest.raises(ForgeError, match="certificate version"):
+        parse_certificate(data)
+
+
+@pytest.mark.parametrize("path", [
+    ("route",), ("k",), ("G_order",), ("checks",), ("checks", "b"),
+    ("status",), ("failing_stage",), ("order_structure",),
+])
+def test_parse_certificate_rejects_a_dropped_field(path,
+                                                   partial_s3_certificate):
+    data = json.loads(json.dumps(partial_s3_certificate.json_dict()))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    with pytest.raises(ForgeError, match=f"'{path[-1]}' is missing"):
+        parse_certificate(data)
+
+
 def test_s3_point_cap_gives_partial(monkeypatch):
     def refuse(members):
         raise AssertionError("structural order ran past the point budget")
