@@ -62,7 +62,6 @@ from .cosets import (
 )
 from .forge import (
     CoverCertificate,
-    SubdirectImage,
     build_subdirect_image,
     forge_certificate_hall,
     forge_certificate_s3,

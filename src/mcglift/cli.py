@@ -88,24 +88,25 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, genus=2):
+    def common(p, budgets, genus=2):
+        """The shared flags, and the budget flags of the budgets `p` reads:
+        a budget flag that the subcommand would ignore is a usage error."""
         p.add_argument("--genus", type=_genus, default=genus)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--budget-tuples", type=_budget, default=None)
-        p.add_argument("--budget-points", type=_budget, default=None)
-        p.add_argument("--budget-enum", type=_budget, default=None)
+        for name in budgets:
+            p.add_argument(f"--budget-{name}", type=_budget, default=None)
 
     p = sub.add_parser("enumerate",
                        help="count homomorphisms and epimorphisms")
-    common(p)
+    common(p, ("tuples",))
     p.add_argument("--target", choices=("s3", "c2", "a5", "psl2"),
                    required=True)
     p.add_argument("--prime", type=int, default=None,
                    help="psl2 target only")
 
     p = sub.add_parser("forge", help="forge a cover certificate")
-    common(p)
+    common(p, ("points", "enum"))
     p.add_argument("--route", choices=("s3", "hall"), default="s3")
     # each route's own flags; giving the other route's is a usage error
     p.add_argument("--prime", type=int, default=None,
@@ -116,7 +117,7 @@ def build_parser():
                    help="s3 route only")
 
     p = sub.add_parser("search", help="sweep routes for small cover degrees")
-    common(p)
+    common(p, ("points", "enum"))
     p.add_argument("--route", choices=("s3", "hall", "all"), default="all")
     p.add_argument("--budget", type=int, default=0,
                    help="number of forge jobs to run")
@@ -124,7 +125,7 @@ def build_parser():
     p = sub.add_parser("alpha",
                        help="restriction suites on a characteristic cover")
     # the cover fixes the genus; an explicit --genus must agree with it
-    common(p, genus=None)
+    common(p, ("enum",), genus=None)
     p.add_argument("--cover", type=str, default="homology2")
     p.add_argument("--check",
                    choices=("all", "hom-law", "inner", "containment",
@@ -135,14 +136,15 @@ def build_parser():
 
 def resolve_budgets(args):
     """The Budgets of the profile named by the environment, with every
-    budget flag that was given in place of the profile's value."""
+    budget flag that was given in place of the profile's value; a
+    subcommand has only the budget flags of the budgets it reads."""
     name = os.environ.get(BUDGET_ENV, "default")
     if name not in PROFILES:
         raise UsageError(
             f"unknown {BUDGET_ENV} profile {name!r}; expected one of "
             + ", ".join(PROFILES))
-    flags = {"tuples": args.budget_tuples, "points": args.budget_points,
-             "enum": args.budget_enum}
+    flags = {key: getattr(args, f"budget_{key}", None)
+             for key in ("tuples", "points", "enum")}
     return dataclasses.replace(
         PROFILES[name],
         **{key: value for key, value in flags.items() if value is not None})

@@ -77,38 +77,11 @@ class SubdirectError(ForgeError):
     pass
 
 
-@dataclass(frozen=True)
-class SubdirectImage:
-    """The product homomorphism into the k-fold product, as the product
-    images of the surface generators on k * block_degree points."""
-
-    k: int
-    block_degree: int
-    product_gens: tuple
-
-    def group(self, known_order=None, extra_gens=()):
-        """The image group.  `extra_gens` may supply already-proven elements
-        of the image to speed up the chain build; `known_order` is passed to
-        the chain, which raises if it cannot reach it."""
-        # the extra generators go first: with the S3 odd basis the chain then
-        # reaches a declared order after far fewer Schreier generators
-        return PermGroup(tuple(extra_gens) + self.product_gens,
-                         degree=self.k * self.block_degree,
-                         known_order=known_order)
-
-
-def _embed_block(p, block, block_degree, total):
-    images = list(range(total))
-    lo = block * block_degree
-    for i in range(block_degree):
-        images[lo + i] = lo + p.images[i]
-    return Permutation(images)
-
-
 def build_subdirect_image(members, point_cap=DEFAULT.points):
-    """The product homomorphism of a member list, with per-factor
-    surjectivity verified and the point count checked against the budget
-    before any permutation is built."""
+    """The product images of the surface generators under the product
+    homomorphism of a member list, as permutations of k blocks of the
+    target's degree.  Per-factor surjectivity is verified and the point
+    count checked against the budget before any permutation is built."""
     members = list(members)
     if not members:
         raise SubdirectError("empty member list")
@@ -125,13 +98,10 @@ def build_subdirect_image(members, point_cap=DEFAULT.points):
         raise EnumerationBoundExceeded(
             f"{k * deg} points exceed the chain budget {point_cap}"
         )
-    gens = []
-    for i in range(genus2):
-        images = []
-        for j, member in enumerate(members):
-            images.extend(deg * j + x for x in member.images[i].images)
-        gens.append(Permutation(images))
-    return SubdirectImage(k=k, block_degree=deg, product_gens=tuple(gens))
+    elements = target.elements
+    return tuple(
+        Permutation.from_blocks([elements[m.idx[i]].images for m in members])
+        for i in range(genus2))
 
 
 # -- S3 products in block form ----------------------------------------------
@@ -292,12 +262,8 @@ def normalizer_is_self_s3(witness):
     return True
 
 
-def _rotation_product(exponents):
-    """The element of A3^k acting on block j as x -> x + e_j (mod 3)."""
-    images = []
-    for j, e in enumerate(exponents):
-        images.extend(3 * j + (x + e) % 3 for x in range(3))
-    return Permutation(images)
+# the rotation x -> x + e (mod 3) of {0, 1, 2}, as an image tuple, by e
+_ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def structural_order_s3(members):
@@ -330,15 +296,13 @@ def structural_order_s3(members):
     chosen, pivots = _independent_rows(sign_rows, 2)
     r = len(chosen)
 
-    # sign quotient as a homomorphism onto C2^r via the pivot coordinates
+    # sign quotient as a homomorphism onto C2^r via the pivot coordinates:
+    # basis vector b of C2^r swaps the points of block b
     c2r = target_c2k(r)
-    sign_images = []
-    for row in sign_rows:
-        perm = Permutation.identity(2 * r)
-        for b, pivot in enumerate(pivots):
-            if row >> pivot & 1:
-                perm = perm * c2r.generators[b]
-        sign_images.append(perm)
+    sign_images = [
+        Permutation.from_blocks([(1, 0) if row >> pivot & 1 else (0, 1)
+                                 for pivot in pivots])
+        for row in sign_rows]
     # the pivot coordinates of the chosen rows form an invertible matrix, so
     # the hom is onto; were it not, the coset table would raise CosetError
     words = CosetTable(FiniteHom(c2r, sign_images)).words
@@ -356,7 +320,9 @@ def structural_order_s3(members):
         "order": 2**r * 3**len(chosen),
         "two_rank": r,
         "three_rank": len(chosen),
-        "odd_basis": [_rotation_product(exponent_rows[i]) for i in chosen],
+        "odd_basis": [
+            Permutation.from_blocks([_ROTATIONS[e] for e in exponent_rows[i]])
+            for i in chosen],
     }
 
 
@@ -592,11 +558,13 @@ def _s3_steps(run, truncate_k, seed, budgets):
     run.k = len(members)
     with run.stage("group_s"):
         # the point budget is checked before the structural order runs
-        sub = run.subdirect_image(members, budgets)
+        gens = run.subdirect_image(members, budgets)
         structural = structural_order_s3(members)
         try:
-            G = sub.group(known_order=structural["order"],
-                          extra_gens=structural["odd_basis"])
+            # the odd basis goes first: the chain then reaches the declared
+            # order after far fewer Schreier generators
+            G = PermGroup(structural["odd_basis"] + list(gens),
+                          degree=3 * run.k, known_order=structural["order"])
         except PermError as e:
             # the declared structural order and the chain disagree: a breach
             # of the dual-route invariant, not a mere failed check
@@ -698,7 +666,7 @@ def _hall_steps(run, p, members, collection, budgets):
 
     target = run.seed_epi.target
     with run.stage("group_s"):
-        G = run.subdirect_image(members, budgets).group()
+        G = PermGroup(run.subdirect_image(members, budgets))
     full = target.order ** k
     if G.order != full:
         raise RuntimeError(
@@ -707,10 +675,11 @@ def _hall_steps(run, p, members, collection, budgets):
 
     with run.stage("subgroup_s"):
         bw = borel_subgroup(p)
-        points = k * target.degree
-        H = PermGroup([_embed_block(bg, j, target.degree, points)
-                       for j in range(k) for bg in bw.sub.generators],
-                      degree=points)
+        fixed = tuple(range(target.degree))
+        H = PermGroup([
+            Permutation.from_blocks(
+                [bg.images if i == j else fixed for i in range(k)])
+            for j in range(k) for bg in bw.sub.generators])
         witness = subgroup_witness(G, H)
 
     check_a = run.check_a(

@@ -15,6 +15,10 @@ keep a full-degree inverse per orbit point per level, which on chains of
 hundreds of levels over tens of thousands of points costs more memory,
 and time, than the compositions it saves.
 
+`Permutation.from_blocks` builds every block-diagonal permutation (block j
+is the points n*j ... n*j+n-1): product images, the S3 odd basis and sign
+images, the hall route's Borel factors and the C2^k basis.
+
 Two reference algorithms work on any group small enough to list:
 `sylow2` grows a Sylow 2-subgroup element by element, and
 `normalizer_is_self` scans the ambient group.  The structural versions for
@@ -27,6 +31,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 
 from .budgets import DEFAULT
 
@@ -77,6 +83,27 @@ class Permutation:
     @staticmethod
     def identity(degree):
         return Permutation(range(degree))
+
+    @classmethod
+    def from_blocks(cls, blocks):
+        """The permutation of n * len(blocks) points that acts on block j,
+        the points n*j ... n*j+n-1, the way the image tuple blocks[j] acts
+        on 0 ... n-1.  Each distinct block is checked once; an empty list,
+        blocks of mixed length or a block that is not a permutation raise
+        PermError."""
+        if not blocks:
+            raise PermError("no blocks to place")
+        n = len(blocks[0])
+        points = list(range(n))
+        for block in dict.fromkeys(map(tuple, blocks)):
+            if len(block) != n:
+                raise PermError(f"blocks of mixed length {n} and {len(block)}")
+            if sorted(block) != points:
+                raise PermError(f"not a permutation: {block!r}")
+        # the offset n*j of block j, repeated once per point of the block
+        offsets = chain.from_iterable(zip(*[range(0, n * len(blocks), n)] * n))
+        return cls._trusted(
+            tuple(map(add, chain.from_iterable(blocks), offsets)))
 
     @staticmethod
     def from_cycles(degree, cycles):

@@ -170,11 +170,9 @@ def target_c2k(k):
     """Elementary abelian C2^k on 2k points; basis vector i swaps 2i, 2i+1."""
     if not 1 <= k <= 20:
         raise QuotientError(f"c2^k supported for 1 <= k <= 20, got {k}")
-    basis = []
-    for i in range(k):
-        images = list(range(2 * k))
-        images[2 * i], images[2 * i + 1] = images[2 * i + 1], images[2 * i]
-        basis.append(Permutation(images))
+    basis = [Permutation.from_blocks([(1, 0) if j == i else (0, 1)
+                                      for j in range(k)])
+             for i in range(k)]
     elems = mulclose(basis, degree=2 * k, bound=2**21)
     return FiniteTarget(
         elems, basis, f"C2^{k}",

@@ -112,8 +112,8 @@ def test_criterion_03_sylow_certification():
     cert = forge_certificate_s3(2, truncate_k=1)
     assert cert.G_order == 6 and cert.H_order == 2 and cert.degree == 3
     assert cert.check_a["pass"] is True
-    unit = build_subdirect_image([standard_epi(2, target_s3())])
-    w1 = sylow2_s3(unit.group())
+    unit = PermGroup(build_subdirect_image([standard_epi(2, target_s3())]))
+    w1 = sylow2_s3(unit)
     assert w1.sub.order == 2 and w1.index == 3
     assert normalizer_is_self(w1) is True
 
@@ -137,7 +137,7 @@ def test_criterion_04_structural_equals_enumeration():
     while tested < 50:
         k = rng.randint(1, 6)
         chosen = rng.sample(members, k)
-        group = build_subdirect_image(chosen).group()
+        group = PermGroup(build_subdirect_image(chosen))
         if group.order > 10**6:
             continue
         if group.order > 20000 and tested % 10 != 0:
@@ -172,15 +172,15 @@ def test_criterion_06_hall_route():
     gens = standard_autgens(2)
     members, _ = collect_inequivalent_members(
         standard_epi(2, target_a5()), gens, 2)
-    pair = build_subdirect_image(members)
-    assert pair.group().order == 3600
+    pair = PermGroup(build_subdirect_image(members))
+    assert pair.order == 3600
     seed = standard_epi(2, target_a5())
     t = target_a5().generators[0]
     ti = t.inverse()
     twin = FiniteHom(target_a5(),
                      tuple(t * img * ti for img in seed.images))
-    diagonal = build_subdirect_image([seed, twin])
-    assert diagonal.group().order == 60  # negative control: equivalent pair
+    diagonal = PermGroup(build_subdirect_image([seed, twin]))
+    assert diagonal.order == 60  # negative control: equivalent pair
     borel_results = {}
     for p in (5, 7, 11, 13):
         w = borel_subgroup(p)

@@ -71,16 +71,61 @@ def test_alpha_genus_matching_cover(capsys):
     assert "containment: ok, index 64" in out
 
 
+# each budget flag on a subcommand that reads its budget
+READING_SUBCOMMAND = {
+    "--budget-tuples": ["enumerate", "--genus", "2", "--target", "c2"],
+    "--budget-points": ["forge", "--route", "s3"],
+    "--budget-enum": ["alpha", "--cover", "homology2"],
+}
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--budget-points", "0"),
     ("--budget-tuples", "-5"),
     ("--budget-enum", "0"),
 ])
-def test_non_positive_budgets_are_usage_errors(flag, value, capsys):
-    assert run(["enumerate", "--genus", "2", "--target", "c2",
-                flag, value]) == EXIT_USAGE
+def test_non_positive_budgets_are_usage_errors(flag, value, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run(READING_SUBCOMMAND[flag] + [flag, value,
+                                           "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert flag in err and "positive integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["enumerate", "--target", "c2"], "--budget-points"),
+    (["enumerate", "--target", "c2"], "--budget-enum"),
+    (["forge", "--route", "s3", "--truncate-k", "1"], "--budget-tuples"),
+    (["search", "--route", "s3", "--budget", "1"], "--budget-tuples"),
+    (["alpha", "--cover", "homology2"], "--budget-tuples"),
+    (["alpha", "--cover", "homology2"], "--budget-points"),
+])
+def test_unread_budget_flags_are_usage_errors(argv, flag, tmp_path,
+                                              monkeypatch, capsys):
+    # a subcommand takes only the budget flags of the budgets it reads
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    assert run(argv + [flag, "1", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["enumerate", "--target", "c2"], {"tuples"}),
+    (["forge"], {"points", "enum"}),
+    (["search"], {"points", "enum"}),
+    (["alpha"], {"enum"}),
+])
+def test_budget_flags_replace_only_what_they_name(argv, flags, monkeypatch):
+    monkeypatch.delenv("MCGLIFT_BUDGET_PROFILE", raising=False)
+    for key in sorted(flags):
+        argv = argv + [f"--budget-{key}", "7"]
+    budgets = resolve_budgets(build_parser().parse_args(argv))
+    for key in ("tuples", "points", "enum"):
+        expected = 7 if key in flags else getattr(Budgets(), key)
+        assert getattr(budgets, key) == expected
 
 
 def test_unknown_budget_profile_is_a_usage_error(monkeypatch, capsys):
@@ -255,6 +300,16 @@ def test_search_passes_the_enumeration_budget(capsys):
     methods = [job["certificate"]["checks"]["a"]["method"]
                for job in report["jobs"]]
     assert methods == ["enumeration", "structural"]
+
+
+def test_search_s3_job_is_valid(capsys):
+    assert run(["search", "--genus", "2", "--route", "s3",
+                "--budget", "1"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [(job["route"], job["status"]) for job in report["jobs"]] == [
+        ("sylow-s3", "VALID")]
+    assert report["best_valid"]["degree"] == str(3**30)
+    assert report["best_flagged"] is None
 
 
 def test_search_zero_budget(capsys):

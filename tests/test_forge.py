@@ -23,7 +23,7 @@ from mcglift.forge import (
     standard_epi,
     structural_order_s3,
 )
-from mcglift.perm import Sylow2Stalled
+from mcglift.perm import PermGroup, Sylow2Stalled
 from mcglift.quotients import (
     FiniteHom,
     target_a5,
@@ -59,10 +59,10 @@ def test_standard_epi_shape():
 
 
 def test_build_subdirect_single_factor():
-    sub = build_subdirect_image([standard_epi(2, target_s3())])
-    assert sub.k == 1
-    assert sub.block_degree == 3
-    assert sub.group().order == 6
+    gens = build_subdirect_image([standard_epi(2, target_s3())])
+    assert len(gens) == 4
+    assert all(g.degree == 3 for g in gens)
+    assert PermGroup(gens).order == 6
 
 
 def test_build_subdirect_rejects_bad_members():
@@ -74,12 +74,21 @@ def test_build_subdirect_rejects_bad_members():
         build_subdirect_image([non_epi])
 
 
+@pytest.mark.parametrize("genus, target", [(3, target_s3), (2, target_a5)])
+def test_build_subdirect_rejects_mixed_members(genus, target):
+    other = standard_epi(genus, target())
+    with pytest.raises(SubdirectError) as e:
+        build_subdirect_image([standard_epi(2, target_s3()), other])
+    assert str(e.value) == "members disagree in genus or target"
+
+
 def test_structural_order_matches_chain_small_k(s3_orbit_members):
     for k in (1, 2, 3, 4):
         members = list(s3_orbit_members[:k])
         structural = structural_order_s3(members)
-        sub = build_subdirect_image(members)  # independent chain, no hints
-        assert sub.group().order == structural["order"]
+        # independent chain, no hints
+        group = PermGroup(build_subdirect_image(members))
+        assert group.order == structural["order"]
         assert structural["order"] == (
             2 ** structural["two_rank"] * 3 ** structural["three_rank"])
 
@@ -90,8 +99,8 @@ def test_structural_order_random_subsets(s3_orbit_members):
         k = rng.randint(1, 6)
         members = rng.sample(s3_orbit_members, k)
         structural = structural_order_s3(members)
-        sub = build_subdirect_image(members)
-        assert sub.group().order == structural["order"]
+        group = PermGroup(build_subdirect_image(members))
+        assert group.order == structural["order"]
 
 
 def test_odd_basis_lies_in_the_image_and_is_even(s3_orbit_members):
@@ -99,7 +108,7 @@ def test_odd_basis_lies_in_the_image_and_is_even(s3_orbit_members):
     for k in range(1, 7):
         members = rng.sample(s3_orbit_members, k)
         structural = structural_order_s3(members)
-        group = build_subdirect_image(members).group()  # no hints
+        group = PermGroup(build_subdirect_image(members))  # no hints
         assert len(structural["odd_basis"]) == structural["three_rank"]
         for element in structural["odd_basis"]:
             assert element in group
@@ -351,22 +360,31 @@ def test_collect_inequivalent_members():
             standard_epi(2, target_psl2(5)), gens, 0)
 
 
+def test_collect_inequivalent_members_past_the_whole_closure():
+    # the 360 epimorphisms of the genus-2 surface group onto S3 fall into
+    # exactly 60 classes modulo Aut(S3)
+    with pytest.raises(ForgeError) as e:
+        collect_inequivalent_members(
+            standard_epi(2, target_s3()), standard_autgens(2), 61)
+    assert str(e.value) == "orbit closure has only 60 classes, wanted 61"
+
+
 def test_inequivalent_pair_gives_full_product():
     gens = standard_autgens(2)
     members, _ = collect_inequivalent_members(
         standard_epi(2, target_a5()), gens, 2)
-    pair = build_subdirect_image(members)
-    assert pair.group().order == 3600
-    single = build_subdirect_image(members[:1])
-    assert single.group().order == 60
+    pair = PermGroup(build_subdirect_image(members))
+    assert pair.order == 3600
+    single = PermGroup(build_subdirect_image(members[:1]))
+    assert single.order == 60
 
 
 def test_equivalent_pair_gives_diagonal():
     target = target_a5()
     seed = standard_epi(2, target)
     twin = conjugated(seed, target.generators[0])
-    sub = build_subdirect_image([seed, twin])
-    assert sub.group().order == 60
+    sub = PermGroup(build_subdirect_image([seed, twin]))
+    assert sub.order == 60
 
 
 def test_minimal_degree_search_budgets():

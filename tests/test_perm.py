@@ -5,12 +5,14 @@ self-normalizing check."""
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcglift.forge import (
+    _ROTATIONS,
     StructuralFormError,
     _independent_rows,
     normalizer_is_self_s3,
@@ -28,6 +30,7 @@ from mcglift.perm import (
     sylow2,
     two_part,
 )
+from mcglift.quotients import target_c2k
 
 
 def perm(text, degree):
@@ -79,6 +82,105 @@ def test_cycle_roundtrip_and_order():
     assert p.order() == 6
     assert p.inverse() * p == Permutation.identity(6)
     assert perm("()", 4) == Permutation.identity(4)
+
+
+# -- block-diagonal permutations ---------------------------------------------
+# Permutation.from_blocks against explicit offsets, and against copies of the
+# block-form builders it replaced in forge and quotients.
+
+
+@st.composite
+def block_lists(draw):
+    n = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 8))
+    return [tuple(draw(st.permutations(range(n)))) for _ in range(count)]
+
+
+@given(block_lists())
+def test_from_blocks_matches_explicit_offsets(blocks):
+    n = len(blocks[0])
+    images = []
+    for j, block in enumerate(blocks):
+        for i in range(n):
+            images.append(n * j + block[i])
+    built = Permutation.from_blocks(blocks)
+    assert built == Permutation(images)
+    assert hash(built) == hash(tuple(images))
+    assert built.degree == n * len(blocks)
+
+
+def rotation_product(exponents):
+    """The element of A3^k acting on block j as x -> x + e_j (mod 3)."""
+    images = []
+    for j, e in enumerate(exponents):
+        images.extend(3 * j + (x + e) % 3 for x in range(3))
+    return Permutation(images)
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
+def test_from_blocks_matches_the_rotation_product(exponents):
+    assert Permutation.from_blocks(
+        [_ROTATIONS[e] for e in exponents]) == rotation_product(exponents)
+
+
+def embed_block(p, block, block_degree, total):
+    images = list(range(total))
+    lo = block * block_degree
+    for i in range(block_degree):
+        images[lo + i] = lo + p.images[i]
+    return Permutation(images)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.integers(1, 6), st.integers(0, 5))))
+def test_from_blocks_matches_the_embedded_block(case):
+    images, k, j = case
+    j %= k
+    p = Permutation(images)
+    fixed = tuple(range(p.degree))
+    built = Permutation.from_blocks(
+        [p.images if i == j else fixed for i in range(k)])
+    assert built == embed_block(p, j, p.degree, k * p.degree)
+
+
+def c2k_basis(k):
+    """Basis vector i of C2^k swaps 2i and 2i+1."""
+    basis = []
+    for i in range(k):
+        images = list(range(2 * k))
+        images[2 * i], images[2 * i + 1] = images[2 * i + 1], images[2 * i]
+        basis.append(Permutation(images))
+    return basis
+
+
+def test_c2k_basis_is_built_from_blocks():
+    for k in range(1, 7):
+        assert list(target_c2k(k).generators) == c2k_basis(k)
+
+
+@given(st.integers(1, 6).flatmap(lambda r: st.tuples(
+    st.lists(st.integers(0, 9), min_size=r, max_size=r, unique=True),
+    st.integers(0, 2**10 - 1))))
+def test_from_blocks_matches_the_sign_image_product(case):
+    pivots, row = case
+    basis = c2k_basis(len(pivots))
+    product = Permutation.identity(2 * len(pivots))
+    for b, pivot in enumerate(pivots):
+        if row >> pivot & 1:
+            product = product * basis[b]
+    blocks = [(1, 0) if row >> pivot & 1 else (0, 1) for pivot in pivots]
+    assert Permutation.from_blocks(blocks) == product
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([], "no blocks"),
+    ([(0, 1), (0, 1, 2)], "mixed length"),
+    ([(0, 1, 2), (1, 2, 0), (0, 0, 1)], "not a permutation"),
+    ([(1, 2)], "not a permutation"),
+])
+def test_from_blocks_rejects_bad_blocks(blocks, message):
+    with pytest.raises(PermError, match=message):
+        Permutation.from_blocks(blocks)
 
 
 NAMED_GROUPS = [
@@ -602,6 +704,35 @@ def test_normalizer_structural_rejects_wrong_order():
     w = subgroup_witness(group, small)
     with pytest.raises(StructuralFormError):
         normalizer_is_self_s3(w)
+
+
+def test_normalizer_structural_rejects_a_group_not_in_block_form():
+    # (0 3) joins the first two blocks
+    group = PermGroup([perm("(0 3)", 6), perm("(0 1 2)", 6)])
+    w = subgroup_witness(group, PermGroup([perm("(0 3)", 6)]))
+    with pytest.raises(StructuralFormError) as e:
+        normalizer_is_self_s3(w)
+    assert str(e.value) == ("structural normalizer check requested on a"
+                            " group not in S3-block form")
+
+
+@pytest.mark.parametrize("hgens, message", [
+    (["(0 1)(3 4 5)"], "subgroup restriction to block 1 is not an involution"),
+    (["(0 1)(3 4)", "(0 2)"],
+     "block 0 sees two distinct involutions; subgroup is not inside a"
+     " product of the chosen 2-Sylows"),
+])
+def test_normalizer_structural_rejects_foreign_subgroup_generators(
+        hgens, message):
+    # either generator set makes |H| divisible by 3, so no subgroup of the
+    # 2-part's order has it; a stand-in record declaring that order reaches
+    # the per-block checks behind the order check
+    group = s3_product_group(2)
+    sub = SimpleNamespace(order=two_part(group.order),
+                          generators=[perm(g, 6) for g in hgens])
+    with pytest.raises(StructuralFormError) as e:
+        normalizer_is_self_s3(SimpleNamespace(ambient=group, sub=sub))
+    assert str(e.value) == message
 
 
 def test_normalizer_enumeration_negative():
