@@ -153,8 +153,11 @@ def resolve_budgets(args):
 def _emit_json(payload, path):
     text = json.dumps(payload, sort_keys=True, indent=2)
     if path:
-        with open(path, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(path, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            raise UsageError(f"cannot write {path}: {e.strerror}") from e
     return text
 
 
@@ -163,7 +166,15 @@ def cmd_enumerate(args, budgets):
         raise UsageError(f"--prime does not apply to --target {args.target}")
     target = get_target(args.target, prime=args.prime)
     homs = enumerate_homs(args.genus, target, budget=budgets.tuples)
-    epis = [h for h in homs if h.is_surjective()]
+    # surjectivity depends only on the image set, so one closure per set
+    onto = {}
+    epis = []
+    for h in homs:
+        images = frozenset(h.idx)
+        if images not in onto:
+            onto[images] = h.is_surjective()
+        if onto[images]:
+            epis.append(h)
     try:
         oracle = count_homs_oracle(args.genus, target)
     except QuotientError:
@@ -176,13 +187,13 @@ def cmd_enumerate(args, budgets):
         oracle_note = f", oracle: {oracle}"
     print(f"homs: {len(homs)}, epis: {len(epis)}{oracle_note}")
     if args.out:
+        names = [p.cycle_string() for p in target.elements]
         listing = {
             "genus": args.genus,
             "target": target.name,
             "homs": len(homs),
             "epis": len(epis),
-            "epi_images": [[p.cycle_string() for p in h.images]
-                           for h in epis],
+            "epi_images": [[names[i] for i in h.idx] for h in epis],
         }
         _emit_json(listing, args.out)
     return EXIT_OK

@@ -226,6 +226,12 @@ def normalizer_is_self_s3(witness):
     H, so on block j it commutes with X_j; the only even permutation of
     {0, 1, 2} commuting with a transposition is the identity, so a = 1 and
     every normalizing element lies in H.  G need not be onto each factor.
+
+    The two per-block raises ("not an involution", "two distinct
+    involutions") are defence in depth: for a real `SubgroupWitness` they
+    cannot fire.  Either case puts an element of order 3 into the
+    restriction of H to that block, so 3 divides |H| and the order check
+    above has already raised.  Only a stand-in subgroup record reaches them.
     """
     g, h = witness.ambient, witness.sub
     k = s3_block_count(g)

@@ -22,7 +22,7 @@ from mcglift.cli import (
     main,
     resolve_budgets,
 )
-from mcglift.quotients import FiniteHom
+from mcglift.quotients import FiniteHom, enumerate_homs, get_target
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -46,6 +46,50 @@ def test_enumerate_listing(tmp_path, capsys):
     data = json.loads(path.read_text())
     assert data["homs"] == 16 and data["epis"] == 15
     assert len(data["epi_images"]) == 15
+
+
+@pytest.mark.parametrize("target", ["s3", "c2"])
+def test_enumerate_listing_bytes_match_the_permutation_rendering(
+        target, tmp_path, capsys):
+    # the listing as rendered from permutations, one closure per hom
+    t = get_target(target)
+    homs = enumerate_homs(2, t)
+    epis = [h for h in homs if h.is_surjective()]
+    listing = {
+        "genus": 2,
+        "target": t.name,
+        "homs": len(homs),
+        "epis": len(epis),
+        "epi_images": [[p.cycle_string() for p in h.images] for h in epis],
+    }
+    path = tmp_path / "listing.json"
+    assert run(["enumerate", "--genus", "2", "--target", target,
+                "--out", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(
+        f"homs: {len(homs)}, epis: {len(epis)}")
+    assert path.read_bytes() == (
+        json.dumps(listing, sort_keys=True, indent=2) + "\n").encode()
+    # the epimorphisms, in enumeration order, are the per-hom filter's
+    names = [p.cycle_string() for p in t.elements]
+    rows = json.loads(path.read_text())["epi_images"]
+    assert [tuple(map(names.index, row)) for row in rows] == [
+        h.idx for h in epis]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--target", "c2"],
+    ["forge", "--route", "s3", "--truncate-k", "1"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcglift.cli"] + argv + ["--out", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith(f"usage error: cannot write {path}")
+    assert "Traceback" not in proc.stderr
+    assert not path.exists()
 
 
 def test_usage_errors(capsys):

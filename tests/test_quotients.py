@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcglift.perm import EnumerationBoundExceeded, PermGroup, Permutation
 from mcglift.quotients import (
@@ -214,6 +216,35 @@ def test_is_surjective_matches_the_chain_order():
     first = full.target.generators[0]
     part = FiniteHom(full.target, (first,) * 6)
     assert not part.is_surjective() and not chain_says_surjective(part)
+
+
+@pytest.mark.parametrize("target", [target_s3(), target_c2()])
+def test_surjectivity_depends_only_on_the_image_set(target):
+    by_set = {}
+    for hom in enumerate_homs(2, target):
+        by_set.setdefault(frozenset(hom.idx), []).append(hom)
+    assert sum(map(len, by_set.values())) == {"S3": 486, "C2": 16}[
+        target.name]
+    for homs in by_set.values():
+        answer = chain_says_surjective(homs[0])
+        assert all(hom.is_surjective() == answer for hom in homs)
+
+
+_PSL5 = target_psl2(5)
+_PSL5_HOMS = (random_homs(_PSL5, list(_PSL5.elements), random.Random(5), 20)
+              + random_homs(_PSL5, borel_subgroup(5).sub.elements(),
+                            random.Random(6), 20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(_PSL5_HOMS) - 1), st.data())
+def test_shuffled_images_keep_surjectivity(i, data):
+    # from_indices is trusted and is_surjective reads no relator, so the
+    # shuffled tuple need not satisfy the surface relation
+    hom = _PSL5_HOMS[i]
+    shuffled = data.draw(st.permutations(hom.idx))
+    assert (FiniteHom.from_indices(_PSL5, shuffled).is_surjective()
+            == hom.is_surjective())
 
 
 def test_canonical_rep_collapses_conjugates():
