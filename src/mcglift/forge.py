@@ -184,8 +184,11 @@ def sylow2_s3(group, seed=0):
     elsewhere, so x <- p^2 x p^-2 turns x into y on those blocks and leaves
     it alone on the rest.  The chosen involutions then agree on every block
     they share, so they commute and span a group of order 2^r; that order
-    is verified.  Raises StructuralFormError if the group is not in S3-block
-    form.
+    is verified, and a shortfall raises Sylow2Stalled.  Raises
+    StructuralFormError if the group is not in S3-block form, and
+    RuntimeError if r, read off the generators' signs, disagrees with the
+    2-part of |G|: the two were found apart, so that is a breach of the
+    dual-route invariant rather than a failed check.
     """
     k = s3_block_count(group)
     if k is None:
@@ -200,6 +203,11 @@ def sylow2_s3(group, seed=0):
     signs = [_block_sign_vector(g, k) for g in gens]
     chosen, _ = _independent_rows(signs, 2)
     r = len(chosen)
+    if two_part(group.order) != 1 << r:
+        raise RuntimeError(
+            f"sign rank {r} disagrees with the 2-part {two_part(group.order)}"
+            f" of |G| = {group.order}"
+        )
     hgens = []
     for i in chosen:
         x = gens[i] * gens[i] * gens[i]
@@ -208,7 +216,7 @@ def sylow2_s3(group, seed=0):
             x = p * p * x * (p * p).inverse()
         hgens.append(x)
     sub = PermGroup(hgens, degree=group.degree)
-    if sub.order != 1 << r or two_part(group.order) != 1 << r:
+    if sub.order != 1 << r:
         raise Sylow2Stalled(
             f"structural complement has order {sub.order}, expected {1 << r}"
         )

@@ -8,12 +8,17 @@ Groups are held as a base and strong generating set (deterministic
 Schreier-Sims), so orders are exact Python integers and membership is
 decided by sifting.  Groups are immutable once constructed.  The chain
 works on raw image tuples and wraps them as `Permutation` only at its
-public edges.  Each strong generator's inverse is stored once, beside it,
-and only coset representatives at depth >= 2 of a Schreier tree are
-cached, until that orbit is next rebuilt: a cache of every point would
-keep a full-degree inverse per orbit point per level, which on chains of
-hundreds of levels over tens of thousands of points costs more memory,
-and time, than the compositions it saves.
+public edges.  Each strong generator's inverse is stored once, beside it.
+
+The construction is resumable.  Schreier trees only grow: a new strong
+generator extends every tree it acts on, and no tree entry ever changes.
+Each level records, per orbit point, how many of its Schreier generators
+are already verified, and the completion never sifts one of those again
+(`PermGroup` says why that is sound).  Only coset representatives at depth
+>= 2 of a tree are cached, for as long as the tree lives: a cache of every
+point would keep a full-degree inverse per orbit point per level, which on
+chains of hundreds of levels over tens of thousands of points costs more
+memory, and time, than the compositions it saves.
 
 `Permutation.from_blocks` builds every block-diagonal permutation (block j
 is the points n*j ... n*j+n-1): product images, the S3 odd basis and sign
@@ -213,47 +218,67 @@ class Permutation:
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point, the strong generators
-    placed at this level (they fix all earlier base points and move this
-    one or deeper), and a Schreier tree for the orbit.
+    """One level of a stabilizer chain: a base point, the acting generators,
+    a Schreier tree for the orbit of the base under them, and a record of the
+    Schreier generators already verified.
 
-    The orbit at level j is computed under every strong generator fixing the
-    first j base points — i.e. the generators placed at levels j, j+1, … —
-    so trees are rebuilt with that union, not with this level's list alone.
+    The acting generators of level j are every strong generator that fixes
+    the first j base points, i.e. those placed at levels j, j+1, ..., kept
+    in the order they were placed.  A placement only appends to this list.
+
+    Trees only grow.  `extend` adds one acting generator: it applies the new
+    generator to the points already in the orbit, then every acting
+    generator to each point newly reached.  No entry of the tree ever
+    changes, so the coset representative of a point is the same element for
+    the life of the chain.
 
     Elements are image tuples, and each strong generator is the pair
     (g, g^-1), inverted once when it is placed; tree entries point at these
     pairs.  A point one edge from the base has that pair as its coset
     representative, so only points at depth >= 2 compose one, and those are
-    cached until the next rebuild.  A cache of every point would hold an
-    inverse of full degree per orbit point per level, which on large chains
-    costs more memory, and time, than the compositions it saves.
+    cached; the cache lives as long as the tree.  A cache of every point
+    would hold an inverse of full degree per orbit point per level, which on
+    large chains costs more memory, and time, than the compositions it
+    saves.
+
+    `checked[n]` belongs to the n-th point x the tree reached: the Schreier
+    generators t_{g x}^-1 * g * t_x of the first `checked[n]` acting
+    generators g are known to lie in the group of the deeper levels.  A
+    count per point suffices because the acting list only grows at its end.
     """
 
-    __slots__ = ("base", "gens", "tree", "cache")
+    __slots__ = ("base", "acting", "tree", "checked", "cache")
 
     def __init__(self, base):
         self.base = base
-        self.gens = []
+        self.acting = []
         self.tree = {base: None}
+        self.checked = [0]
         self.cache = {}
 
-    def rebuild_orbit(self, acting_gens):
-        self.cache = {}
-        self.tree = {self.base: None}
-        queue = [self.base]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for pair in acting_gens:
-                y = pair[0][x]
-                if y not in self.tree:
-                    self.tree[y] = (pair, x)
-                    queue.append(y)
+    def extend(self, pair):
+        """Add the strong generator `pair` to the acting set and grow the
+        tree to the orbit under the enlarged set."""
+        self.acting.append(pair)
+        tree = self.tree
+        g = pair[0]
+        reached = []
+        for x in list(tree):
+            y = g[x]
+            if y not in tree:
+                tree[y] = (pair, x)
+                reached.append(y)
+        acting = self.acting
+        for x in reached:  # grows while it is read: a breadth-first search
+            for p in acting:
+                y = p[0][x]
+                if y not in tree:
+                    tree[y] = (p, x)
+                    reached.append(y)
+        self.checked.extend([0] * len(reached))
 
     def pair(self, point):
-        """(t, t^-1) for the element t of <gens> mapping base to point, read
+        """(t, t^-1) for the element t of <acting> mapping base to point, read
         off the Schreier tree; (None, None) for the base itself."""
         step = self.tree[point]
         if step is None:
@@ -281,6 +306,25 @@ class _Level:
 
 class PermGroup:
     """A permutation group with a deterministic base and strong generating set.
+
+    Construction sifts each generator into the chain, placing what is left
+    as a strong generator, then completes the chain from the deepest level
+    up.  Level i is complete once every Schreier generator t_{gx}^-1 * g *
+    t_x of its tree (x in the orbit, g acting) sifts to the identity through
+    the levels below i; a residue that does not is placed where its sift
+    stopped, and the completion resumes at that level.
+
+    Each level counts, per orbit point, the acting generators whose Schreier
+    generator has sifted to the identity, and the scan resumes from those
+    counts rather than from the first point.  This is sound because nothing
+    a verified generator depends on ever changes or shrinks: trees only
+    grow, so t_x and t_{gx} stay the same elements and the Schreier
+    generator stays the same element; it was shown to lie in <S_{i+1}>, the
+    group of the acting generators below level i, and S_{i+1} only grows.
+    When the completion ends, every Schreier generator of every level has
+    been verified against its final tree, so by Schreier's lemma the
+    stabilizer of base point i in <S_i> is <S_{i+1}> at every level: the
+    chain is a complete base and strong generating set.
 
     `known_order` is an optional externally computed order: construction stops
     as soon as the transversal product count reaches it.  The partial chain is
@@ -337,13 +381,6 @@ class PermGroup:
             n *= len(lvl.tree)
         return n
 
-    def _acting_gens(self, j):
-        """S_j: every strong generator fixing the first j base points."""
-        gens = []
-        for lvl in self._levels[j:]:
-            gens.extend(lvl.gens)
-        return gens
-
     def _add_generator(self, g):
         residue, idx = self._sift(g)
         if residue != self._id:
@@ -358,32 +395,41 @@ class PermGroup:
         inv = [0] * self.degree
         for x, i in zip(g, self._id):
             inv[x] = i
-        self._levels[idx].gens.append((g, tuple(inv)))
-        # g joins S_j for every j <= idx; those orbits can all grow.
-        acting = self._acting_gens(idx)
-        for j in range(idx, -1, -1):
-            self._levels[j].rebuild_orbit(acting)
-            if j > 0:
-                acting = acting + self._levels[j - 1].gens
+        pair = (g, tuple(inv))
+        # g fixes the first idx base points, so it joins the acting set of
+        # every level j <= idx, and those orbits can all grow
+        for lvl in self._levels[:idx + 1]:
+            lvl.extend(pair)
 
     def _first_schreier_residue(self, i):
-        """First nontrivial sifted Schreier generator at level i, or None."""
+        """First Schreier generator at level i, not yet verified, that does
+        not sift to the identity through the deeper levels: returns (residue,
+        level it got stuck at), or None once every one is verified.
+
+        The scan resumes from each point's `checked` count, and every
+        generator that sifts to the identity is added to that count.
+        """
         lvl = self._levels[i]
         identity = self._id
-        acting = self._acting_gens(i)
-        for x in sorted(lvl.tree):
+        acting, checked = lvl.acting, lvl.checked
+        for n, x in enumerate(lvl.tree):
+            c = checked[n]
+            if c == len(acting):
+                continue
             tx, _ = lvl.pair(x)
-            for g, _ in acting:
+            for g, _ in acting[c:]:
                 _, ty_inv = lvl.pair(g[x])
                 # schreier generator t_y^-1 * g * t_x, which fixes the base
                 s = g if tx is None else tuple(map(g.__getitem__, tx))
                 if ty_inv is not None:
                     s = tuple(map(ty_inv.__getitem__, s))
-                if s == identity:
-                    continue
-                residue, idx = self._sift(s, start=i + 1)
-                if residue != identity:
-                    return residue, idx
+                if s != identity:
+                    residue, idx = self._sift(s, start=i + 1)
+                    if residue != identity:
+                        checked[n] = c
+                        return residue, idx
+                c += 1
+            checked[n] = c
         return None
 
     def _sift(self, p, start=0):

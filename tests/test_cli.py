@@ -337,6 +337,29 @@ def test_forge_exits_3_when_table_and_permutation_routes_disagree(
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("rank, prime, message", [
+    ("two_rank", 2, "sign rank 4 disagrees with the 2-part 8"),
+    ("three_rank", 3, "order cross-check failed"),
+])
+def test_forge_exits_3_when_a_structural_rank_is_one_short(
+        rank, prime, message, monkeypatch, tmp_path, capsys):
+    # a structural order one rank short, its order scaled to match
+    real = forge.structural_order_s3
+
+    def short(members):
+        structural = dict(real(members))
+        structural[rank] -= 1
+        structural["order"] //= prime
+        return structural
+
+    monkeypatch.setattr(forge, "structural_order_s3", short)
+    out = tmp_path / "c.json"
+    assert run(["forge", "--route", "s3", "--genus", "2",
+                "--out", str(out)]) == EXIT_BREACH
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_passes_the_enumeration_budget(capsys):
     assert run(["search", "--genus", "2", "--route", "hall", "--budget", "2",
                 "--budget-enum", "100"]) == EXIT_OK

@@ -11,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcglift.autos import standard_autgens
 from mcglift.forge import (
     _ROTATIONS,
     StructuralFormError,
     _independent_rows,
+    build_subdirect_image,
+    collect_inequivalent_members,
     normalizer_is_self_s3,
     s3_block_count,
+    standard_epi,
     sylow2_s3,
 )
 from mcglift.perm import (
@@ -30,7 +34,7 @@ from mcglift.perm import (
     sylow2,
     two_part,
 )
-from mcglift.quotients import target_c2k
+from mcglift.quotients import target_c2k, target_psl2
 
 
 def perm(text, degree):
@@ -229,25 +233,29 @@ def test_bsgs_against_mulclose_random_sweep():
 class ReferenceLevel:
     """The stabilizer-chain level on `Permutation` objects, with every coset
     representative rebuilt from the Schreier tree on each use: the chain
-    algorithm `PermGroup` must reproduce exactly."""
+    algorithm `PermGroup` must reproduce exactly.  The tree only grows, and
+    `checked[x]` counts the acting generators whose Schreier generator at x
+    has sifted to the identity."""
 
     def __init__(self, base):
         self.base = base
         self.gens = []
+        self.acting = []
         self.tree = {base: None}
+        self.checked = {base: 0}
 
-    def rebuild_orbit(self, acting_gens):
-        self.tree = {self.base: None}
-        queue = [self.base]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for g in acting_gens:
-                y = g.images[x]
+    def extend(self, g):
+        # the new generator on every old point, then every acting generator
+        # on each point reached, breadth first
+        self.acting.append(g)
+        queue = [(x, [g]) for x in self.tree]
+        for x, gens in queue:
+            for h in gens:
+                y = h.images[x]
                 if y not in self.tree:
-                    self.tree[y] = (g, x)
-                    queue.append(y)
+                    self.tree[y] = (h, x)
+                    self.checked[y] = 0
+                    queue.append((y, self.acting))
 
     def transversal(self, point):
         step = self.tree[point]
@@ -264,7 +272,8 @@ class ReferenceLevel:
 
 
 class ReferenceChain:
-    """Deterministic Schreier-Sims on `Permutation` objects."""
+    """Deterministic Schreier-Sims on `Permutation` objects, with trees
+    grown in place and each level's checks resumed where they stopped."""
 
     def __init__(self, generators, degree, known_order=None):
         self.degree = degree
@@ -290,34 +299,29 @@ class ReferenceChain:
     def count(self):
         return math.prod(len(lvl.tree) for lvl in self.levels)
 
-    def acting(self, j):
-        return [g for lvl in self.levels[j:] for g in lvl.gens]
-
     def place(self, g, idx):
         if idx == len(self.levels):
             base = min(x for x in range(self.degree) if g.images[x] != x)
             self.levels.append(ReferenceLevel(base))
         self.levels[idx].gens.append(g)
-        acting = self.acting(idx)
-        for j in range(idx, -1, -1):
-            self.levels[j].rebuild_orbit(acting)
-            if j > 0:
-                acting = acting + self.levels[j - 1].gens
+        for lvl in self.levels[:idx + 1]:
+            lvl.extend(g)
 
     def first_schreier_residue(self, i):
         lvl = self.levels[i]
-        for x in sorted(lvl.tree):
+        for x in lvl.tree:
             tx = lvl.transversal(x)
-            for g in self.acting(i):
+            while lvl.checked[x] < len(lvl.acting):
+                g = lvl.acting[lvl.checked[x]]
                 ty = lvl.transversal(g.images[x])
                 s = g if tx is None else g * tx
                 if ty is not None:
                     s = ty.inverse() * s
-                if s.is_identity():
-                    continue
-                residue, idx = self.sift(s, start=i + 1)
-                if not residue.is_identity():
-                    return residue, idx
+                if not s.is_identity():
+                    residue, idx = self.sift(s, start=i + 1)
+                    if not residue.is_identity():
+                        return residue, idx
+                lvl.checked[x] += 1
         return None
 
     def sift(self, p, start=0):
@@ -343,18 +347,33 @@ class ReferenceChain:
 LISTED_ORDER = 5040
 
 
+def tree_edges(tree, images):
+    return [(y, None if step is None else (images(step[0]), step[1]))
+            for y, step in tree.items()]
+
+
 def assert_chain_matches_reference(gens, degree, candidate,
                                    known_order=None):
     group = PermGroup(gens, degree=degree, known_order=known_order)
     ref = ReferenceChain(gens, degree, known_order=known_order)
     assert [lvl.base for lvl in group._levels] == \
         [lvl.base for lvl in ref.levels]
-    assert [sorted(lvl.tree) for lvl in group._levels] == \
-        [sorted(lvl.tree) for lvl in ref.levels]
-    assert [[g for g, _ in lvl.gens] for lvl in group._levels] == \
+    # each tree in the order it reached its points, edges as (generator
+    # images, parent), and the verified count of every point
+    assert [tree_edges(lvl.tree, lambda pair: pair[0])
+            for lvl in group._levels] == \
+        [tree_edges(lvl.tree, lambda g: g.images) for lvl in ref.levels]
+    assert [lvl.checked for lvl in group._levels] == \
+        [list(lvl.checked.values()) for lvl in ref.levels]
+    # acting generators in arrival order; those placed at a level are the
+    # ones that move its base point
+    assert [[g for g, _ in lvl.acting] for lvl in group._levels] == \
+        [[g.images for g in lvl.acting] for lvl in ref.levels]
+    assert [[g for g, _ in lvl.acting if g[lvl.base] != lvl.base]
+            for lvl in group._levels] == \
         [[g.images for g in lvl.gens] for lvl in ref.levels]
     for lvl in group._levels:
-        for g, g_inv in lvl.gens:
+        for g, g_inv in lvl.acting:
             assert tuple(map(g.__getitem__, g_inv)) == group._id
     assert group.order == ref.count()
     if group.order <= LISTED_ORDER:
@@ -407,6 +426,73 @@ def block_form_groups(draw):
 def test_chain_matches_reference_on_block_form_groups(case):
     degree, gens, candidate = case
     assert_chain_matches_reference(gens, degree, candidate)
+
+
+def assert_chain_is_a_bsgs(group, generators):
+    """The chain's base and strong generators form a base and strong
+    generating set, checked without the chain's own trees or sifting.
+
+    S_i is every strong generator fixing the first i base points.  The orbit
+    of base point i under S_i is rebuilt here with its own transversal; it
+    must be the level's orbit, and every Schreier generator
+    t_{sx}^-1 * s * t_x of it (x in the orbit, s in S_i) must sift to the
+    identity through the levels below i.  By Schreier's lemma the stabilizer
+    of b_i in <S_i> is then <S_{i+1}>, so the order is the product of the
+    orbit lengths.  Every input generator must sift to the identity too."""
+    levels = group._levels
+    base = [lvl.base for lvl in levels]
+    strong = [Permutation(g) for g, _ in levels[0].acting] if levels else []
+    reps = []  # per level: point -> (t, t^-1) with t(b_i) = point
+    for i, b in enumerate(base):
+        acting = [s for s in strong if all(s(c) == c for c in base[:i])]
+        ident = Permutation.identity(group.degree)
+        level = {b: (ident, ident)}
+        queue = [b]
+        for x in queue:
+            for s in acting:
+                y = s(x)
+                if y not in level:
+                    t = s * level[x][0]
+                    level[y] = (t, t.inverse())
+                    queue.append(y)
+        assert set(level) == set(levels[i].tree)
+        reps.append((acting, level))
+    assert group.order == math.prod(len(level) for _, level in reps)
+
+    def sifts_to_identity(p, start):
+        for j in range(start, len(base)):
+            y = p(base[j])
+            if y not in reps[j][1]:
+                return False
+            p = reps[j][1][y][1] * p
+        return p.is_identity()
+
+    for i, (acting, level) in enumerate(reps):
+        for x, (tx, _) in level.items():
+            for s in acting:
+                schreier = level[s(x)][1] * s * tx
+                assert sifts_to_identity(schreier, i + 1), (i, x)
+    assert all(sifts_to_identity(g, 0) for g in generators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_generator_sets(), block_form_groups()), st.booleans())
+def test_completed_chain_is_a_bsgs(case, declare):
+    degree, gens, _ = case
+    # a declared order that is right stops the build as soon as it is met
+    known = PermGroup(gens, degree=degree).order if declare else None
+    assert_chain_is_a_bsgs(
+        PermGroup(gens, degree=degree, known_order=known), gens)
+
+
+def test_completed_hall_chain_is_a_bsgs():
+    # the 12-factor image of the hall route at p = 5: 72 points, 36 levels
+    members, _ = collect_inequivalent_members(
+        standard_epi(2, target_psl2(5)), standard_autgens(2), 12)
+    gens = build_subdirect_image(members)
+    group = PermGroup(gens)
+    assert group.order == 60**12
+    assert_chain_is_a_bsgs(group, gens)
 
 
 def test_membership_negative():
