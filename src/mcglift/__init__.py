@@ -31,6 +31,7 @@ from .quotients import (
     count_homs_oracle,
     enumerate_epis,
     enumerate_homs,
+    epis_among,
     mod2_homology_hom,
     target_a5,
     target_c2,

@@ -41,6 +41,7 @@ from .quotients import (
     QuotientError,
     count_homs_oracle,
     enumerate_homs,
+    epis_among,
     get_target,
 )
 from .words import SurfacePresentation, WordError, inverse_word
@@ -150,15 +151,53 @@ def resolve_budgets(args):
         **{key: value for key, value in flags.items() if value is not None})
 
 
+def _write_out(path, chunks):
+    """Write the strings `chunks` to `path` in turn.  A file that cannot be
+    opened or written is a usage error."""
+    try:
+        with open(path, "w") as f:
+            f.writelines(chunks)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from e
+
+
 def _emit_json(payload, path):
     text = json.dumps(payload, sort_keys=True, indent=2)
     if path:
-        try:
-            with open(path, "w") as f:
-                f.write(text + "\n")
-        except OSError as e:
-            raise UsageError(f"cannot write {path}: {e.strerror}") from e
+        _write_out(path, (text, "\n"))
     return text
+
+
+def write_listing(path, genus, target, hom_count, epis):
+    """Write the `enumerate --out` listing of the epimorphisms `epis` onto
+    `target`, one row of generator images in cycle notation per epimorphism.
+
+    The bytes are exactly `json.dumps(listing, sort_keys=True, indent=2)`
+    and a newline, for the listing with the keys `epi_images`, `epis`,
+    `genus`, `homs` and `target`, so a listing is the same file whichever
+    way it was written.  With an indent, `json.dumps` runs the pure-Python
+    encoder and holds every chunk of the document before it joins them,
+    which made it most of the time of a genus-3 S3 listing and most of the
+    memory of the 241920-row PSL2(5) one.  Here each target element is
+    encoded once, each row is joined from those lines by index, and the
+    rows are streamed to the file."""
+    lines = ["      " + json.dumps(p.cycle_string()) for p in target.elements]
+    scalars = json.dumps(
+        {"epis": len(epis), "genus": genus, "homs": hom_count,
+         "target": target.name},
+        sort_keys=True, indent=2)
+
+    def chunks():
+        # sorted, epi_images comes first; the scalars' own braces close it
+        yield '{\n  "epi_images": ['
+        sep = "\n    [\n"
+        for h in epis:
+            yield sep + ",\n".join([lines[i] for i in h.idx]) + "\n    ]"
+            sep = ",\n    [\n"
+        yield "\n  ]," if epis else "],"
+        yield scalars[1:] + "\n"
+
+    _write_out(path, chunks())
 
 
 def cmd_enumerate(args, budgets):
@@ -166,15 +205,7 @@ def cmd_enumerate(args, budgets):
         raise UsageError(f"--prime does not apply to --target {args.target}")
     target = get_target(args.target, prime=args.prime)
     homs = enumerate_homs(args.genus, target, budget=budgets.tuples)
-    # surjectivity depends only on the image set, so one closure per set
-    onto = {}
-    epis = []
-    for h in homs:
-        images = frozenset(h.idx)
-        if images not in onto:
-            onto[images] = h.is_surjective()
-        if onto[images]:
-            epis.append(h)
+    epis = epis_among(homs)
     try:
         oracle = count_homs_oracle(args.genus, target)
     except QuotientError:
@@ -187,15 +218,7 @@ def cmd_enumerate(args, budgets):
         oracle_note = f", oracle: {oracle}"
     print(f"homs: {len(homs)}, epis: {len(epis)}{oracle_note}")
     if args.out:
-        names = [p.cycle_string() for p in target.elements]
-        listing = {
-            "genus": args.genus,
-            "target": target.name,
-            "homs": len(homs),
-            "epis": len(epis),
-            "epi_images": [[names[i] for i in h.idx] for h in epis],
-        }
-        _emit_json(listing, args.out)
+        write_listing(args.out, args.genus, target, len(homs), epis)
     return EXIT_OK
 
 

@@ -438,8 +438,29 @@ def enumerate_homs(genus, target, budget=DEFAULT.tuples):
     return homs
 
 
+def epis_among(homs):
+    """The surjective homomorphisms among `homs`, in their order.
+
+    Surjectivity depends only on the target and the set of images, so there
+    is one `is_surjective` closure per distinct pair: 63 for the 16038
+    genus-3 S3 homomorphisms, 55990 for the 286140 genus-2 A5 ones."""
+    by_target = {}  # target -> image set -> whether it generates the target
+    epis = []
+    for h in homs:
+        onto = by_target.get(h.target)
+        if onto is None:
+            onto = by_target[h.target] = {}
+        images = frozenset(h.idx)
+        answer = onto.get(images)
+        if answer is None:
+            answer = onto[images] = h.is_surjective()
+        if answer:
+            epis.append(h)
+    return epis
+
+
 def enumerate_epis(genus, target, budget=DEFAULT.tuples):
-    return [h for h in enumerate_homs(genus, target, budget) if h.is_surjective()]
+    return epis_among(enumerate_homs(genus, target, budget))
 
 
 def count_homs_oracle(genus, target):

@@ -9,6 +9,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcglift.autos import standard_autgens
 from mcglift import forge
@@ -21,6 +23,7 @@ from mcglift.cli import (
     build_parser,
     main,
     resolve_budgets,
+    write_listing,
 )
 from mcglift.quotients import FiniteHom, enumerate_homs, get_target
 
@@ -74,6 +77,87 @@ def test_enumerate_listing_bytes_match_the_permutation_rendering(
     rows = json.loads(path.read_text())["epi_images"]
     assert [tuple(map(names.index, row)) for row in rows] == [
         h.idx for h in epis]
+
+
+def listing_bytes(genus, target, hom_count, epis):
+    """The listing as `enumerate --out` rendered it with `json.dumps`: one
+    cycle string per target element, one row of names per epimorphism."""
+    names = [p.cycle_string() for p in target.elements]
+    listing = {
+        "genus": genus,
+        "target": target.name,
+        "homs": hom_count,
+        "epis": len(epis),
+        "epi_images": [[names[i] for i in h.idx] for h in epis],
+    }
+    return (json.dumps(listing, sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_genus3_s3_listing_bytes_match_json_dumps(tmp_path, capsys):
+    # the benchmark's command: 15120 rows
+    s3 = get_target("s3")
+    homs = enumerate_homs(3, s3)
+    epis = [h for h in homs if h.is_surjective()]
+    path = tmp_path / "listing.json"
+    assert run(["enumerate", "--genus", "3", "--target", "s3",
+                "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(epis) == 15120
+    assert path.read_bytes() == listing_bytes(3, s3, len(homs), epis)
+
+
+def test_empty_listing_bytes_match_json_dumps(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(FiniteHom, "is_surjective", lambda self: False)
+    path = tmp_path / "listing.json"
+    assert run(["enumerate", "--genus", "2", "--target", "c2",
+                "--out", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("homs: 16, epis: 0")
+    data = path.read_bytes()
+    assert data == listing_bytes(2, get_target("c2"), 16, [])
+    assert b'"epi_images": [],\n' in data
+
+
+_S3_GENUS2_HOMS = enumerate_homs(2, get_target("s3"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.sets(st.integers(0, len(_S3_GENUS2_HOMS) - 1), max_size=30))
+@example(picks=set())
+@example(picks={0})
+@example(picks={len(_S3_GENUS2_HOMS) - 1})
+def test_write_listing_bytes_match_json_dumps(picks, tmp_path_factory):
+    rows = [_S3_GENUS2_HOMS[i] for i in sorted(picks)]
+    s3 = get_target("s3")
+    path = tmp_path_factory.mktemp("listing") / "listing.json"
+    write_listing(str(path), 2, s3, len(_S3_GENUS2_HOMS), rows)
+    assert path.read_bytes() == listing_bytes(
+        2, s3, len(_S3_GENUS2_HOMS), rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--target", "c2"],
+    ["forge", "--route", "s3", "--truncate-k", "1"],
+])
+def test_out_naming_a_directory_is_a_usage_error(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcglift.cli"] + argv + ["--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith(f"usage error: cannot write {tmp_path}")
+    assert "Traceback" not in proc.stderr
+    assert tmp_path.is_dir()
+
+
+def test_budget_exit_leaves_the_out_file_untouched(tmp_path, capsys):
+    # the file is opened only after the enumeration, so a budget exit
+    # neither creates nor truncates it
+    path = tmp_path / "listing.json"
+    path.write_bytes(b'{"kept": true}\n')
+    assert run(["enumerate", "--target", "a5", "--genus", "2",
+                "--budget-tuples", "100", "--out", str(path)]) == EXIT_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
+    assert path.read_bytes() == b'{"kept": true}\n'
 
 
 @pytest.mark.parametrize("argv", [

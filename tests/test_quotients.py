@@ -16,6 +16,7 @@ from mcglift.quotients import (
     count_homs_oracle,
     enumerate_epis,
     enumerate_homs,
+    epis_among,
     get_target,
     mod2_homology_hom,
     target_a5,
@@ -106,6 +107,27 @@ def test_epi_count_by_inclusion_exclusion():
     hom_1 = 1
     expected = hom_s3 - 3 * hom_c2 - hom_c3 + 3 * hom_1
     assert expected == 360 == len(enumerate_epis(2, target_s3()))
+
+
+@pytest.mark.parametrize("name", ["s3", "c2", "a5"])
+def test_enumerate_epis_is_the_per_hom_filter(name):
+    # one closure per image set keeps exactly the homs that one closure
+    # per hom keeps, in enumeration order
+    target = get_target(name)
+    epis = [h.idx for h in enumerate_epis(2, target)]
+    assert epis == [
+        h.idx for h in enumerate_homs(2, target) if h.is_surjective()]
+
+
+def test_epis_among_keeps_targets_apart():
+    # the same index tuple is onto C2 but not onto S3
+    c2, s3 = target_c2(), target_s3()
+    one = c2.element_index[c2.generators[0]]
+    onto_c2 = FiniteHom.from_indices(c2, (one, 0, 0, 0))
+    into_s3 = FiniteHom.from_indices(s3, (one, 0, 0, 0))
+    assert onto_c2.is_surjective() and not into_s3.is_surjective()
+    assert epis_among([into_s3, onto_c2, into_s3]) == [onto_c2]
+    assert epis_among([onto_c2, into_s3]) == [onto_c2]
 
 
 def test_hom_counts_c2():
