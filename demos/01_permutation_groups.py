@@ -50,18 +50,22 @@ print("\n|S3 x S3 x S3| =", cube.order)
 # group order: here 2^3 = 8 with odd index 27.  Two routes are available:
 # `sylow2` grows a 2-subgroup element by element and works on any group
 # small enough to list, while `sylow2_s3` exploits the S3-block form
-# directly.  Both return a witness whose order and membership relations were
-# verified during construction.
+# directly.  `sylow2` returns a witness whose order and membership relations
+# were verified during construction; `sylow2_s3` builds no stabilizer chain
+# and returns r commuting involutions with independent block signs, which
+# certify the order 2^r by themselves.
 w_growth = sylow2(cube)
-w_struct = sylow2_s3(cube)
+h_struct = sylow2_s3(cube)
 print("\nSylow-2 order (growth):    ", w_growth.sub.order)
-print("Sylow-2 order (structural):", w_struct.sub.order)
-print("index:", w_struct.index)
+print("Sylow-2 order (structural):", h_struct.order)
+print("index:", cube.order // h_struct.order)
 
 # The certified property downstream work relies on: this Sylow 2-subgroup
-# is its own normalizer inside the ambient group.
+# is its own normalizer inside the ambient group.  The enumeration route
+# needs a witness, with a chain for the subgroup.
+w_struct = subgroup_witness(cube, PermGroup(h_struct.generators, degree=9))
 print("\nself-normalizing (structural route):",
-      normalizer_is_self_s3(w_struct))
+      normalizer_is_self_s3(cube, h_struct))
 print("self-normalizing (enumeration route):",
       normalizer_is_self(w_struct))
 

@@ -67,6 +67,7 @@ from .forge import (
     forge_certificate_hall,
     forge_certificate_s3,
     minimal_degree_search,
+    module_rank_s3,
     normalizer_is_self_s3,
     structural_order_s3,
     sylow2_s3,

@@ -13,17 +13,26 @@ epimorphisms onto PSL2(F_p) forces the product image to be the full product
 (no proper subdirect product exists across inequivalent simple factors), H =
 the product of Borel subgroups, self-normalizing factor-wise.
 
-Orders of large images are certified two ways: a structural 2-rank/3-rank
-count (exact, via the sign quotient and the abelian odd part) feeds the BSGS
-as a declared order, and the BSGS construction independently fails loudly if
-the chain cannot reach it.
+On the S3 route |G| = 2^r * 3^m is certified by two independent exact
+linear routes over F2 and F3, and no stabilizer chain of G or H is built:
+`module_rank_s3` closes a few explicit elements of the odd part under the
+sign action, and `structural_order_s3` reduces the rotation exponents of the
+sign kernel's Schreier generators (Reidemeister-Schreier).  Each route gives
+m independent explicit elements of G, a lower bound, and rests on a
+generation theorem, an upper bound.  If their (r, m) differ, the run raises
+RuntimeError (exit 3) and neither is kept.  Only when |G| fits the
+enumeration budget is an unhinted chain built, as a third check of the
+order and for the enumeration branch of condition (a).  On the hall route
+|G| is a chain with no declared order, checked against |Q|^k.
 
 The S3 section below owns the block form, G inside S3 x ... x S3 acting on
 {0,1,2} + {3,4,5} + ...: the order, `sylow2_s3` and `normalizer_is_self_s3`
-are structural there, and tests check the last two against `perm.sylow2` and
+are structural there, and read G as its generators and the routes' order
+(a `BlockGroup`).  Tests check the last two against `perm.sylow2` and
 `perm.normalizer_is_self`.  `sylow2_s3` builds H blockwise: the cubes of a
 sign basis of generators are involutions, and conjugating each by 3-cycles
-of G aligns it with the earlier ones on every block they share.
+of G aligns it with the earlier ones on every block they share; r commuting
+involutions with independent signs certify |H| = 2^r.
 
 Both routes share one private run record, `_Run`: it checks the genus and
 the seed epimorphism, and holds the generator set, seed material, k, the
@@ -40,6 +49,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -111,9 +121,18 @@ class StructuralFormError(PermError):
     """Raised when a structural path is requested on a group not in S3-block form."""
 
 
+class BlockGroup(namedtuple("BlockGroup", "generators degree order")):
+    """A group in S3-block form held without a stabilizer chain: its
+    generators, its degree, and an order certified by other means (the
+    linear routes for G, the involution checks of `sylow2_s3` for H)."""
+
+    __slots__ = ()
+
+
 def s3_block_count(group):
     """Number k of 3-point blocks if the group lies in S3 x ... x S3 acting on
-    {0,1,2} + {3,4,5} + ..., else None."""
+    {0,1,2} + {3,4,5} + ..., else None.  Only the generators and degree of
+    `group` are read, so it may be a PermGroup or a BlockGroup."""
     if group.degree % 3:
         return None
     blocks = tuple(x // 3 for x in range(group.degree))
@@ -137,67 +156,106 @@ def _block_sign_vector(p, k):
     return mask
 
 
+# translation tables that turn a bytes row over {0, 1, 2}, reversed, into the
+# binary digits of its 1s and of its 2s
+_ONES = bytes.maketrans(b"\0\1\2", b"010")
+_TWOS = bytes.maketrans(b"\0\1\2", b"001")
+
+
 def _independent_rows(rows, p):
-    """Greedy row reduction over F_p, p prime, in input order.
+    """Greedy row reduction over F_p, p = 2 or 3, in input order.
 
     For p = 2 each row is an int bitmask, bit c being column c, reduced by
-    xor; for odd p it is a sequence of ints.  Returns (chosen, pivots): the
-    indices of the rows that are not in the span of the rows before them,
-    and the pivot column of each, its first nonzero column after reduction.
-    Every kept row is reduced against the earlier kept rows, so it is zero
-    on their pivot columns and a row in their span reduces to zero.
+    xor.  For p = 3 each row is a sequence of ints in {0, 1, 2}, entry c
+    being column c; it is packed into two int bitplanes, the columns that
+    hold 1 and the columns that hold 2, and reduced with bitwise
+    operations.  Any other p, or an F3 entry outside {0, 1, 2}, raises
+    ValueError.  Returns (chosen, pivots): the indices of the rows that are
+    not in the span of the rows before them, and the pivot column of each,
+    its first nonzero column after reduction.  Every kept row is reduced
+    against the earlier kept rows, so it is zero on their pivot columns and
+    a row in their span reduces to zero.
     """
-    basis = []  # (pivot, row scaled to 1 at the pivot)
     chosen = []
-    for i, row in enumerate(rows):
-        if p == 2:
+    if p == 2:
+        basis = []  # (pivot, row)
+        for i, row in enumerate(rows):
             for pivot, b in basis:
                 if row >> pivot & 1:
                     row ^= b
-            if not row:
+            if row:
+                basis.append(((row & -row).bit_length() - 1, row))
+                chosen.append(i)
+        return chosen, [pivot for pivot, _ in basis]
+    if p != 3:
+        raise ValueError(f"row reduction over F_{p} is not supported")
+    basis = []  # (pivot, ones, twos), scaled to 1 at the pivot
+    for i, row in enumerate(rows):
+        data = bytes(row)[::-1]
+        if data.translate(None, b"\0\1\2"):
+            raise ValueError("F3 row entries must lie in {0, 1, 2}")
+        ones = int(b"0" + data.translate(_ONES), 2)
+        twos = int(b"0" + data.translate(_TWOS), 2)
+        for pivot, b1, b2 in basis:
+            # subtract f * b for the row's entry f at the pivot: -b swaps
+            # the planes of b, and -2b = b
+            if ones >> pivot & 1:
+                c1, c2 = b2, b1
+            elif twos >> pivot & 1:
+                c1, c2 = b1, b2
+            else:
                 continue
-            basis.append(((row & -row).bit_length() - 1, row))
-        else:
-            row = [x % p for x in row]
-            for pivot, b in basis:
-                f = row[pivot]
-                if f:
-                    row = [(x - f * y) % p for x, y in zip(row, b)]
-            pivot = next((c for c, x in enumerate(row) if x), None)
-            if pivot is None:
-                continue
-            inv = pow(row[pivot], -1, p)
-            basis.append((pivot, [x * inv % p for x in row]))
+            # F3 addition plane by plane: x + 0 = x, 1 + 1 = 2, 2 + 2 = 1,
+            # 1 + 2 = 0
+            zero_row, zero_c = ~(ones | twos), ~(c1 | c2)
+            ones, twos = ((ones & zero_c) | (c1 & zero_row) | (twos & c2),
+                          (twos & zero_c) | (c2 & zero_row) | (ones & c1))
+        nonzero = ones | twos
+        if not nonzero:
+            continue
+        pivot = (nonzero & -nonzero).bit_length() - 1
+        if twos >> pivot & 1:
+            ones, twos = twos, ones  # scale by 2 = -1, so the pivot is 1
+        basis.append((pivot, ones, twos))
         chosen.append(i)
-    return chosen, [pivot for pivot, _ in basis]
+    return chosen, [pivot for pivot, _, _ in basis]
 
 
 def sylow2_s3(group, seed=0):
-    """A 2-Sylow of G <= S3^k, as a SubgroupWitness: an elementary abelian
-    2-group mapping isomorphically onto the sign image.
+    """A 2-Sylow H of G <= S3^k, as a BlockGroup of order 2^r, where 2^r is
+    the 2-part of |G|; no chain of G or H is built.  `group` is a
+    BlockGroup or a PermGroup: only its generators, degree and order are
+    read, so on the forge it is the product generators with the order of
+    the linear routes.
 
-    The sign map s: G -> F2^k has image V of order 2^r with r = the 2-part
-    exponent of |G|; the kernel is the odd abelian part.  Each generator g
-    of a sign basis gives the involution x = g^3 with g's sign vector.  For
-    each involution y already chosen, p = y x is a 3-cycle exactly on the
-    blocks where y and x are distinct transpositions and has order <= 2
-    elsewhere, so x <- p^2 x p^-2 turns x into y on those blocks and leaves
-    it alone on the rest.  The chosen involutions then agree on every block
-    they share, so they commute and span a group of order 2^r; that order
-    is verified, and a shortfall raises Sylow2Stalled.  Raises
-    StructuralFormError if the group is not in S3-block form, and
-    RuntimeError if r, read off the generators' signs, disagrees with the
-    2-part of |G|: the two were found apart, so that is a breach of the
-    dual-route invariant rather than a failed check.
+    The sign map s: G -> F2^k has image V of order 2^r, and its kernel is
+    the odd abelian part.  Only the sign vectors of the generators are
+    read: those of a sign basis span V.  Each basis generator g gives the
+    involution x = g^3 with g's sign vector.  For each involution y already
+    chosen, p = y x is a 3-cycle exactly on the blocks where y and x are
+    distinct transpositions and has order <= 2 elsewhere, so
+    x <- p^2 x p^-2 turns x into y on those blocks and leaves it alone on
+    the rest.
+
+    The result is then checked: each involution squares to the identity,
+    the r of them commute pairwise, and their sign vectors are
+    independent.  Commuting involutions span an elementary abelian group of
+    order at most 2^r, and s maps it onto a space of rank r, so |H| = 2^r
+    exactly.  H <= G holds by construction: its generators are cubes of
+    generators of G and conjugates of those by elements of G.  A failed
+    check raises Sylow2Stalled.  Raises StructuralFormError if the group is
+    not in S3-block form, and RuntimeError if r, read off the generators'
+    signs, disagrees with the 2-part of |G|: the two were found apart, so
+    that is a breach of the dual-route invariant rather than a failed
+    check.
     """
     k = s3_block_count(group)
     if k is None:
         raise StructuralFormError(
             "structural sylow2 requested on a group not in S3-block form"
         )
-    rng = random.Random(seed)
     gens = list(group.generators)
-    rng.shuffle(gens)
+    random.Random(seed).shuffle(gens)
 
     # generators with independent sign vectors span V
     signs = [_block_sign_vector(g, k) for g in gens]
@@ -215,44 +273,51 @@ def sylow2_s3(group, seed=0):
             p = y * x
             x = p * p * x * (p * p).inverse()
         hgens.append(x)
-    sub = PermGroup(hgens, degree=group.degree)
-    if sub.order != 1 << r:
+
+    if not all((x * x).is_identity() for x in hgens):
+        raise Sylow2Stalled("a structural involution does not square to 1")
+    for i, x in enumerate(hgens):
+        if any(x * y != y * x for y in hgens[:i]):
+            raise Sylow2Stalled("two structural involutions do not commute")
+    hsigns = [_block_sign_vector(x, k) for x in hgens]
+    if len(_independent_rows(hsigns, 2)[0]) != r:
         raise Sylow2Stalled(
-            f"structural complement has order {sub.order}, expected {1 << r}"
-        )
-    return subgroup_witness(group, sub)
+            "the structural involutions have dependent sign vectors")
+    return BlockGroup(tuple(hgens), group.degree, 1 << r)
 
 
-def normalizer_is_self_s3(witness):
-    """Certify N_G(H) = H for H a 2-Sylow of a group G <= S3^k.
+def normalizer_is_self_s3(group, sub):
+    """Certify N_G(H) = H for H a 2-Sylow of a group G <= S3^k.  Each of
+    `group` and `sub` is a BlockGroup or a PermGroup: only generators,
+    degree and order are read, so |G| may come from the linear routes.
 
-    Checks: G preserves the 3-blocks; |H| equals the 2-part of |G|; every H
-    generator restricts on each block to the identity or to one fixed
-    transposition X_j; every block is hit.  Why these suffice: the odd part
-    A = G n A3^k is normal of odd order and H n A = 1, so G = H.A.  An
-    element of A that normalizes H has [a, h] in H n A = 1 for every h in
-    H, so on block j it commutes with X_j; the only even permutation of
-    {0, 1, 2} commuting with a transposition is the identity, so a = 1 and
-    every normalizing element lies in H.  G need not be onto each factor.
+    Checks: G's generators preserve the 3-blocks; |H| equals the 2-part of
+    |G|; every H generator restricts on each block to the identity or to
+    one fixed transposition X_j; every block is hit.  Why these suffice:
+    the odd part A = G n A3^k is normal of odd order and H n A = 1, so
+    G = H.A.  An element of A that normalizes H has [a, h] in H n A = 1 for
+    every h in H, so on block j it commutes with X_j; the only even
+    permutation of {0, 1, 2} commuting with a transposition is the
+    identity, so a = 1 and every normalizing element lies in H.  G need not
+    be onto each factor.
 
     The two per-block raises ("not an involution", "two distinct
-    involutions") are defence in depth: for a real `SubgroupWitness` they
-    cannot fire.  Either case puts an element of order 3 into the
-    restriction of H to that block, so 3 divides |H| and the order check
-    above has already raised.  Only a stand-in subgroup record reaches them.
+    involutions") are defence in depth: for a real 2-subgroup they cannot
+    fire.  Either case puts an element of order 3 into the restriction of H
+    to that block, so 3 divides |H| and the order check above has already
+    raised.  Only a stand-in subgroup record reaches them.
     """
-    g, h = witness.ambient, witness.sub
-    k = s3_block_count(g)
+    k = s3_block_count(group)
     if k is None:
         raise StructuralFormError(
             "structural normalizer check requested on a group not in S3-block form"
         )
-    if h.order != two_part(g.order):
+    if sub.order != two_part(group.order):
         raise StructuralFormError(
-            f"subgroup order {h.order} is not the 2-part of {g.order}"
+            f"subgroup order {sub.order} is not the 2-part of {group.order}"
         )
     chosen = [None] * k
-    for p in h.generators:
+    for p in sub.generators:
         signs = _block_sign_vector(p, k)
         for j in range(k):
             lo = 3 * j
@@ -280,33 +345,120 @@ def normalizer_is_self_s3(witness):
 _ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
+def _s3_signs(members):
+    """For S3-valued members: the sign rows of the product generators, row
+    i a bitmask whose bit j is the sign of generator i's image in factor j,
+    and two translation tables over S3 element indices, `odd` (1 for a
+    transposition, else 0) and `shift` (p(0) for a rotation p of {0, 1, 2},
+    which is x -> x + p(0)).  Raises SubdirectError for other members."""
+    s3 = target_s3()
+    if members[0].target is not s3:
+        raise SubdirectError("structural order requires S3 members")
+    odd = bytes(_block_sign_vector(p, 1) for p in s3.elements).ljust(256, b"\0")
+    shift = bytes(p.images[0] for p in s3.elements).ljust(256, b"\0")
+    sign_rows = [sum(odd[member.idx[i]] << j
+                     for j, member in enumerate(members))
+                 for i in range(len(members[0].idx))]
+    return sign_rows, odd, shift
+
+
+def _exponent_columns(members, words, odd, shift, what):
+    """Per member, the rotation exponents of the images of `words` as a
+    bytes column; `words` lie in the sign kernel, so an image that is a
+    transposition is a broken invariant and raises RuntimeError."""
+    columns = []
+    for member in members:
+        values = bytes(member.evaluate_indices(words))
+        if 1 in values.translate(odd):
+            raise RuntimeError(f"{what} evaluates to a transposition")
+        columns.append(values.translate(shift))
+    return columns
+
+
+def _module_seeds(sign_rows, basis):
+    """Words that normally generate the kernel of the free group onto the
+    sign image V, for a sign basis `basis` of the generators: b^2 and
+    [b, c] for basis generators b, c, and g w_g^-1 for every other
+    generator g, w_g being the product of the basis generators whose sign
+    rows sum to g's.  Letters are 1-based, negative for inverses."""
+    words = {0: ()}  # a sign row in the span of the basis -> its basis word
+    for i in basis:
+        words.update([(row ^ sign_rows[i], word + (i + 1,))
+                      for row, word in list(words.items())])
+    seeds = [(i + 1, i + 1) for i in basis]
+    seeds += [(i + 1, j + 1, -(i + 1), -(j + 1))
+              for n, i in enumerate(basis) for j in basis[n + 1:]]
+    seeds += [(g + 1,) + tuple(-x for x in reversed(words[row]))
+              for g, row in enumerate(sign_rows) if g not in basis]
+    return seeds
+
+
+def module_rank_s3(members):
+    """|G| for the product image of S3-valued members, as 2^r * 3^m, by the
+    module closure of a few explicit elements of its odd part.
+
+    Write G <= S3^k, A = G n C3^k its odd part and V = G/A <= F2^k its sign
+    image, of rank r: a sign basis b_1 ... b_r among the generators spans
+    V.  The seeds `_module_seeds` lists (b_i^2, [b_i, b_j] and g w_g^-1)
+    are the relators of a presentation of V on the generators, so they
+    normally generate the kernel N of the free group onto V, and A, the
+    image of N in G, is the normal closure of their images.  A is abelian
+    and G acts on it through V: a sign vector negates the coordinates
+    where it is 1.  So A, as rotation exponents in F3^k, is the
+    F3[V]-submodule generated by the seeds.  Group the factors by their
+    sign column, the signs of b_1 ... b_r there: V acts on each class by
+    one character, and distinct columns give distinct characters.  Since
+    |V| = 2^r is invertible in F3, the projection onto a class is the
+    idempotent 2^-r * sum over v in V of chi(v) v, so A is the direct sum
+    over the classes of the spans of the seeds' restrictions, and
+
+        m = sum over classes of the F3-rank of the seeds' rotation
+            exponents restricted to the class.
+
+    Each restriction is an F3 combination of conjugates of a seed, an
+    explicit element of A, so m is a lower bound; the generation theorem
+    above makes it an upper bound.  A seed that evaluates to a
+    transposition in some factor raises RuntimeError.
+
+    Returns a dict with the order and both ranks.
+    """
+    members = list(members)
+    sign_rows, odd, shift = _s3_signs(members)
+    basis, _ = _independent_rows(sign_rows, 2)
+    seeds = _module_seeds(sign_rows, basis)
+    columns = _exponent_columns(members, seeds, odd, shift, "module seed")
+    classes = {}
+    for member, column in zip(members, columns):
+        sign_column = bytes(odd[member.idx[i]] for i in basis)
+        classes.setdefault(sign_column, []).append(column)
+    three_rank = sum(len(_independent_rows(zip(*cls), 3)[0])
+                     for cls in classes.values())
+    r = len(basis)
+    return {"order": 2**r * 3**three_rank, "two_rank": r,
+            "three_rank": three_rank}
+
+
 def structural_order_s3(members):
-    """|G| for the product image of S3-valued members, as 2^r * 3^m.
+    """|G| for the product image of S3-valued members, as 2^r * 3^m, by
+    Reidemeister-Schreier.
 
     r is the rank over F2 of the generator sign rows (G surjects onto its
     sign image).  The kernel of the sign map meets the product in a subgroup
     of the rotation part, which is elementary abelian of exponent 3; its
     dimension m is the F3-rank of the Schreier generators of the sign-kernel
-    subgroup of the surface group, evaluated factor-wise.  Both counts are
-    exact, so |G| = 2^r * 3^m exactly.
+    subgroup of the surface group, evaluated factor-wise.  The Schreier
+    generators generate that subgroup (Schreier's lemma), so m is an upper
+    bound, and their independent images are explicit elements of G, so it
+    is a lower bound: |G| = 2^r * 3^m exactly.
 
-    Returns a dict with the order, both ranks, and permutations generating
-    the odd part (images of explicit words, hence certified members of G).
-    Breaches of its invariants raise RuntimeError, or CosetError from the
-    coset table of the sign quotient.
+    Returns a dict with the order, both ranks, and `odd_rows`: the
+    rotation exponents, one bytes row per basis element over the k
+    factors, of m independent explicit elements of the odd part.  Breaches
+    of its invariants raise RuntimeError, or CosetError from the coset
+    table of the sign quotient.
     """
     members = list(members)
-    s3 = target_s3()
-    if members[0].target is not s3:
-        raise SubdirectError("structural order requires S3 members")
-    # per element index: its sign, and the shift p(0) of a rotation p of
-    # {0, 1, 2}, which is x -> x + p(0)
-    odd = [_block_sign_vector(p, 1) for p in s3.elements]
-    shift = [p.images[0] for p in s3.elements]
-    # row i, as a bitmask: bit j is the sign of generator i's image in factor j
-    sign_rows = [sum(odd[member.idx[i]] << j
-                     for j, member in enumerate(members))
-                 for i in range(len(members[0].idx))]
+    sign_rows, odd, shift = _s3_signs(members)
     chosen, pivots = _independent_rows(sign_rows, 2)
     r = len(chosen)
 
@@ -322,21 +474,14 @@ def structural_order_s3(members):
     words = CosetTable(FiniteHom(c2r, sign_images)).words
 
     # factor-wise rotation exponents of each Schreier generator word
-    columns = []
-    for member in members:
-        values = member.evaluate_indices(words)
-        if any(odd[v] for v in values):
-            raise RuntimeError("sign-kernel word evaluates to a transposition")
-        columns.append([shift[v] for v in values])
-    exponent_rows = list(zip(*columns))
+    columns = _exponent_columns(members, words, odd, shift, "sign-kernel word")
+    exponent_rows = [bytes(row) for row in zip(*columns)]
     chosen, _ = _independent_rows(exponent_rows, 3)
     return {
         "order": 2**r * 3**len(chosen),
         "two_rank": r,
         "three_rank": len(chosen),
-        "odd_basis": [
-            Permutation.from_blocks([_ROTATIONS[e] for e in exponent_rows[i]])
-            for i in chosen],
+        "odd_rows": [exponent_rows[i] for i in chosen],
     }
 
 
@@ -497,15 +642,16 @@ class _Run:
         except SubdirectError as e:
             raise _Stop("subdirect-image", e) from e
 
-    def check_a(self, witness, structural, budgets):
+    def check_a(self, order, witness, structural, budgets):
         """The size rule for condition (a), N_G(H) = H, timed as
-        normalizer_s: enumerate G while |G| fits `budgets.enum`, else run the
+        normalizer_s: while |G| = `order` fits `budgets.enum`, enumerate G
+        through the SubgroupWitness that `witness()` returns, else run the
         route's `structural()` check.  An enumeration past `budgets.enum`,
         in either branch, stops the run PARTIAL."""
         with self.stage("normalizer_s"):
             try:
-                if witness.ambient.order <= budgets.enum:
-                    passed = normalizer_is_self(witness, bound=budgets.enum)
+                if order <= budgets.enum:
+                    passed = normalizer_is_self(witness(), bound=budgets.enum)
                     return {"pass": bool(passed), "method": "enumeration"}
                 return {"pass": bool(structural()), "method": "structural"}
             except EnumerationBoundExceeded as e:
@@ -569,50 +715,61 @@ def _s3_steps(run, truncate_k, seed, budgets):
             key: char["failure"][key] for key in ("direction", "member")}}
         run.characterize(char["pass"], **failure)
 
-    run.k = len(members)
+    run.k = k = len(members)
     with run.stage("group_s"):
-        # the point budget is checked before the structural order runs
+        # the point budget is checked before either linear route runs
         gens = run.subdirect_image(members, budgets)
+        module = module_rank_s3(members)
         structural = structural_order_s3(members)
-        try:
-            # the odd basis goes first: the chain then reaches the declared
-            # order after far fewer Schreier generators
-            G = PermGroup(structural["odd_basis"] + list(gens),
-                          degree=3 * run.k, known_order=structural["order"])
-        except PermError as e:
-            # the declared structural order and the chain disagree: a breach
-            # of the dual-route invariant, not a mere failed check
-            raise RuntimeError(f"order cross-check failed: {e}") from e
-    if G.order != structural["order"]:
-        raise RuntimeError(
-            f"chain order {G.order} disagrees with structural order"
-            f" {structural['order']}"
-        )
+        ranks = [(route["two_rank"], route["three_rank"])
+                 for route in (module, structural)]
+        if ranks[0] != ranks[1]:
+            # two exact routes that disagree: a breach, and neither is kept
+            raise RuntimeError(
+                f"order cross-check failed: the module closure gives"
+                f" (r, m) = {ranks[0]}, Reidemeister-Schreier gives"
+                f" {ranks[1]}")
+        r, m = ranks[0]
+        order = 2**r * 3**m
+        if order <= budgets.enum:
+            # G is small enough to enumerate: an unhinted chain checks the
+            # order a third time and must hold route 2's odd basis
+            G = PermGroup(gens)
+            if G.order != order:
+                raise RuntimeError(
+                    f"chain order {G.order} disagrees with the linear order"
+                    f" {order}")
+            for row in structural["odd_rows"]:
+                element = Permutation.from_blocks([_ROTATIONS[e] for e in row])
+                if element not in G:
+                    raise RuntimeError("an odd basis element is not in G")
 
+    G_block = BlockGroup(gens, 3 * k, order)
     with run.stage("sylow_s"):
         try:
-            witness = sylow2_s3(G, seed=seed)
+            H = sylow2_s3(G_block, seed=seed)
         except (Sylow2Stalled, StructuralFormError) as e:
             raise _Stop("sylow2", e) from e
 
     try:
         check_a = run.check_a(
-            witness, lambda: normalizer_is_self_s3(witness), budgets)
+            order,
+            lambda: subgroup_witness(G, PermGroup(H.generators, degree=3 * k)),
+            lambda: normalizer_is_self_s3(G_block, H),
+            budgets)
     except StructuralFormError as e:
         raise _Stop("normalizer", e) from e
 
-    H = witness.sub
-    degree = G.order // H.order
+    degree = order // H.order
     if degree % 2 == 0:
         raise RuntimeError("sylow-s3 degree came out even; Sylow index broken")
-    if degree != 3 ** structural["three_rank"]:
+    if degree != 3**m:
         raise RuntimeError("degree does not equal the 3-part of |G|")
     return dict(
-        G_order=G.order, H_order=H.order, degree=degree, check_a=check_a,
-        check_b={"pass": H.order == two_part(G.order),
+        G_order=order, H_order=H.order, degree=degree, check_a=check_a,
+        check_b={"pass": H.order == two_part(order),
                  "method": "sylow-conjugacy"},
-        order_structure={key: structural[key]
-                         for key in ("two_rank", "three_rank")})
+        order_structure={"two_rank": r, "three_rank": m})
 
 
 def collect_inequivalent_members(seed_epi, gens, want):
@@ -697,7 +854,8 @@ def _hall_steps(run, p, members, collection, budgets):
         witness = subgroup_witness(G, H)
 
     check_a = run.check_a(
-        witness, lambda: normalizer_is_self(bw, bound=budgets.enum), budgets)
+        G.order, lambda: witness,
+        lambda: normalizer_is_self(bw, bound=budgets.enum), budgets)
 
     with run.stage("check_b_s"):
         pass_b, conjugator = _hall_check_b(p, bw)

@@ -325,15 +325,9 @@ class PermGroup:
     been verified against its final tree, so by Schreier's lemma the
     stabilizer of base point i in <S_i> is <S_{i+1}> at every level: the
     chain is a complete base and strong generating set.
-
-    `known_order` is an optional externally computed order: construction stops
-    as soon as the transversal product count reaches it.  The partial chain is
-    still sound for membership and order queries because the set of elements
-    that sift to the identity has exactly `prod(orbit lengths)` members and is
-    contained in the group.
     """
 
-    def __init__(self, generators, degree=None, known_order=None):
+    def __init__(self, generators, degree=None):
         generators = [g for g in generators if not g.is_identity()]
         if degree is None:
             if not generators:
@@ -346,23 +340,19 @@ class PermGroup:
         self.generators = tuple(generators)
         self._id = tuple(range(degree))
         self._levels = []
-        self._build(known_order)
-        self._order = self._chain_count()
+        self._build()
+        self._order = math.prod(len(lvl.tree) for lvl in self._levels)
 
     # -- construction -------------------------------------------------------
     # The chain works on image tuples: (a * b) is tuple(map(a.__getitem__, b)).
 
-    def _build(self, known_order):
+    def _build(self):
         for g in self.generators:
-            if known_order is not None and self._chain_count() == known_order:
-                return
             self._add_generator(g.images)
         # Complete the chain: level i is verified once every Schreier
         # generator of level i sifts to the identity through deeper levels.
         i = len(self._levels) - 1
         while i >= 0:
-            if known_order is not None and self._chain_count() == known_order:
-                return
             witness = self._first_schreier_residue(i)
             if witness is None:
                 i -= 1
@@ -370,16 +360,6 @@ class PermGroup:
                 residue, level_index = witness
                 self._place(residue, level_index)
                 i = level_index
-        if known_order is not None and self._chain_count() != known_order:
-            raise PermError(
-                f"computed order {self._chain_count()} != declared {known_order}"
-            )
-
-    def _chain_count(self):
-        n = 1
-        for lvl in self._levels:
-            n *= len(lvl.tree)
-        return n
 
     def _add_generator(self, g):
         residue, idx = self._sift(g)

@@ -24,7 +24,12 @@ from mcglift.forge import (
     standard_epi,
     sylow2_s3,
 )
-from mcglift.perm import PermGroup, Permutation, normalizer_is_self
+from mcglift.perm import (
+    PermGroup,
+    Permutation,
+    normalizer_is_self,
+    subgroup_witness,
+)
 from mcglift.quotients import (
     FiniteHom,
     borel_subgroup,
@@ -108,12 +113,21 @@ def test_criterion_02_cover_genus_formula():
               " 100 random pairs and (2,3)->4")
 
 
+def structural_sylow(group):
+    """`sylow2_s3`'s H as a SubgroupWitness of `group`, its certified order
+    confirmed by an unhinted chain."""
+    h = sylow2_s3(group)
+    sub = PermGroup(h.generators, degree=group.degree)
+    assert sub.order == h.order
+    return subgroup_witness(group, sub)
+
+
 def test_criterion_03_sylow_certification():
     cert = forge_certificate_s3(2, truncate_k=1)
     assert cert.G_order == 6 and cert.H_order == 2 and cert.degree == 3
     assert cert.check_a["pass"] is True
     unit = PermGroup(build_subdirect_image([standard_epi(2, target_s3())]))
-    w1 = sylow2_s3(unit)
+    w1 = structural_sylow(unit)
     assert w1.sub.order == 2 and w1.index == 3
     assert normalizer_is_self(w1) is True
 
@@ -123,7 +137,7 @@ def test_criterion_03_sylow_certification():
         gens.append(Permutation.from_cycles(6, [(lo, lo + 1, lo + 2)]))
     product = PermGroup(gens, degree=6)
     assert product.order == 36
-    w2 = sylow2_s3(product)
+    w2 = structural_sylow(product)
     assert w2.sub.order == 4 and w2.index == 9
     assert normalizer_is_self(w2) is True
     report(3, "unit pipeline 6/2/3 and full product 36/4/9, both"
@@ -142,8 +156,8 @@ def test_criterion_04_structural_equals_enumeration():
             continue
         if group.order > 20000 and tested % 10 != 0:
             continue  # keep the enumeration side affordable, but sample big ones
-        witness = sylow2_s3(group)
-        structural = normalizer_is_self_s3(witness)
+        witness = structural_sylow(group)
+        structural = normalizer_is_self_s3(group, witness.sub)
         enumerated = normalizer_is_self(witness)
         assert structural == enumerated, (k, group.order)
         tested += 1

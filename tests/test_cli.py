@@ -421,26 +421,56 @@ def test_forge_exits_3_when_table_and_permutation_routes_disagree(
     assert not (tmp_path / "c.json").exists()
 
 
-@pytest.mark.parametrize("rank, prime, message", [
-    ("two_rank", 2, "sign rank 4 disagrees with the 2-part 8"),
-    ("three_rank", 3, "order cross-check failed"),
-])
+@pytest.mark.parametrize("route", ["module_rank_s3", "structural_order_s3"])
+@pytest.mark.parametrize("rank, prime, ranks", [
+    ("two_rank", 2, "(3, 30)"),
+    ("three_rank", 3, "(4, 29)"),
+], ids=["two_rank", "three_rank"])
 def test_forge_exits_3_when_a_structural_rank_is_one_short(
-        rank, prime, message, monkeypatch, tmp_path, capsys):
-    # a structural order one rank short, its order scaled to match
-    real = forge.structural_order_s3
+        rank, prime, ranks, route, monkeypatch, tmp_path, capsys):
+    # one linear route one rank short, its order scaled to match: the two
+    # exact routes disagree, and neither result is kept
+    real = getattr(forge, route)
 
     def short(members):
-        structural = dict(real(members))
-        structural[rank] -= 1
-        structural["order"] //= prime
-        return structural
+        result = dict(real(members))
+        result[rank] -= 1
+        result["order"] //= prime
+        return result
 
-    monkeypatch.setattr(forge, "structural_order_s3", short)
+    monkeypatch.setattr(forge, route, short)
     out = tmp_path / "c.json"
     assert run(["forge", "--route", "s3", "--genus", "2",
                 "--out", str(out)]) == EXIT_BREACH
-    assert message in capsys.readouterr().err
+    module, structural = ((ranks, "(4, 30)") if route == "module_rank_s3"
+                          else ("(4, 30)", ranks))
+    assert (f"order cross-check failed: the module closure gives (r, m) ="
+            f" {module}, Reidemeister-Schreier gives {structural}"
+            ) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forge_exits_3_when_a_module_seed_is_dropped(
+        monkeypatch, tmp_path, capsys):
+    # the commutator [b_1, b_3] is a seed whose loss lowers m at genus 2
+    members = forge.orbit(forge.standard_epi(2, forge.target_s3()),
+                          standard_autgens(2)).members
+    assert forge.module_rank_s3(members)["three_rank"] == 30
+    real = forge._module_seeds
+
+    def dropped(sign_rows, basis):
+        seeds = real(sign_rows, basis)
+        seeds.remove((1, 3, -1, -3))
+        return seeds
+
+    monkeypatch.setattr(forge, "_module_seeds", dropped)
+    assert forge.module_rank_s3(members)["three_rank"] == 29
+    out = tmp_path / "c.json"
+    assert run(["forge", "--route", "s3", "--genus", "2",
+                "--out", str(out)]) == EXIT_BREACH
+    assert ("order cross-check failed: the module closure gives (r, m) ="
+            " (4, 29), Reidemeister-Schreier gives (4, 30)"
+            ) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from mcglift import forge
 from mcglift.autos import orbit, standard_autgens
 from mcglift.budgets import Budgets
 from mcglift.forge import (
+    _ROTATIONS,
     ForgeError,
     StructuralFormError,
     SubdirectError,
@@ -19,11 +20,12 @@ from mcglift.forge import (
     forge_certificate_hall,
     forge_certificate_s3,
     minimal_degree_search,
+    module_rank_s3,
     parse_certificate,
     standard_epi,
     structural_order_s3,
 )
-from mcglift.perm import PermGroup, Sylow2Stalled
+from mcglift.perm import PermGroup, Permutation, Sylow2Stalled
 from mcglift.quotients import (
     FiniteHom,
     target_a5,
@@ -109,8 +111,10 @@ def test_odd_basis_lies_in_the_image_and_is_even(s3_orbit_members):
         members = rng.sample(s3_orbit_members, k)
         structural = structural_order_s3(members)
         group = PermGroup(build_subdirect_image(members))  # no hints
-        assert len(structural["odd_basis"]) == structural["three_rank"]
-        for element in structural["odd_basis"]:
+        assert len(structural["odd_rows"]) == structural["three_rank"]
+        for row in structural["odd_rows"]:
+            assert len(row) == k
+            element = Permutation.from_blocks([_ROTATIONS[e] for e in row])
             assert element in group
             assert _block_sign_vector(element, k) == 0
 
@@ -118,6 +122,80 @@ def test_odd_basis_lies_in_the_image_and_is_even(s3_orbit_members):
 def test_structural_order_requires_s3():
     with pytest.raises(SubdirectError):
         structural_order_s3([standard_epi(2, target_a5())])
+    with pytest.raises(SubdirectError):
+        module_rank_s3([standard_epi(2, target_a5())])
+
+
+def linear_ranks(members):
+    """(r, m) from the module closure and from Reidemeister-Schreier."""
+    return [(route["two_rank"], route["three_rank"], route["order"])
+            for route in (module_rank_s3(members),
+                          structural_order_s3(members))]
+
+
+def test_module_closure_matches_reidemeister_schreier_genus2(
+        s3_orbit_members):
+    # 300 random sub-lists of the genus-2 orbit, and the whole orbit; up to
+    # k = 6 an unhinted chain gives the order a third time
+    rng = random.Random(2)
+    pairs = set()
+    for trial in range(300):
+        k = rng.randint(1, 6) if trial % 3 == 0 else rng.randint(1, 360)
+        members = rng.sample(s3_orbit_members, k)
+        module, structural = linear_ranks(members)
+        assert module == structural, (trial, k)
+        r, m, order = module
+        assert order == 2**r * 3**m
+        if k <= 6:
+            assert PermGroup(build_subdirect_image(members)).order == order
+        pairs.add((r, m))
+    assert linear_ranks(s3_orbit_members) == [(4, 30, FULL_S3_ORDER)] * 2
+    assert len(pairs) > 20
+
+
+@pytest.fixture(scope="module")
+def genus3_orbit_members():
+    return orbit(standard_epi(3, target_s3()), standard_autgens(3)).members
+
+
+def test_module_closure_matches_reidemeister_schreier_genus3(
+        genus3_orbit_members):
+    # 50 random sub-lists of 1-300 members of the 15120-member genus-3 orbit
+    assert len(genus3_orbit_members) == 15120
+    rng = random.Random(3)
+    pairs = set()
+    for _ in range(50):
+        members = rng.sample(genus3_orbit_members, rng.randint(1, 300))
+        module, structural = linear_ranks(members)
+        assert module == structural, len(members)
+        pairs.add(module[:2])
+    assert len(pairs) > 20
+
+
+def test_module_seeds_are_the_relators_of_the_sign_image(s3_orbit_members):
+    # genus 2, whole orbit: r = 4, so 4 squares, 6 commutators, and no other
+    # generator; k = 2 members give r = 3 and one word g w_g^-1
+    sign_rows, _, _ = forge._s3_signs(s3_orbit_members)
+    basis, _ = forge._independent_rows(sign_rows, 2)
+    assert basis == [0, 1, 2, 3]
+    seeds = forge._module_seeds(sign_rows, basis)
+    assert seeds[:4] == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert seeds[4:] == [(a, b, -a, -b) for a in range(1, 5)
+                         for b in range(a + 1, 5)]
+    rows = [0b01, 0b10, 0b11, 0b01]
+    assert forge._module_seeds(rows, [0, 1]) == [
+        (1, 1), (2, 2), (1, 2, -1, -2), (3, -2, -1), (4, -1)]
+
+
+def test_module_seed_that_is_a_transposition_raises(monkeypatch,
+                                                    s3_orbit_members):
+    # single generators posing as seeds: some factor sends one of them to a
+    # transposition, which the construction forbids
+    monkeypatch.setattr(forge, "_module_seeds",
+                        lambda rows, basis: [(1,), (2,), (3,), (4,)])
+    with pytest.raises(RuntimeError,
+                       match="module seed evaluates to a transposition"):
+        module_rank_s3(s3_orbit_members)
 
 
 def test_unit_pipeline_is_flagged_invalid():
@@ -257,8 +335,9 @@ def test_s3_point_cap_gives_partial(monkeypatch):
     def refuse(members):
         raise AssertionError("structural order ran past the point budget")
 
-    # the budget is checked before the structural order would run
+    # the budget is checked before either linear route would run
     monkeypatch.setattr(forge, "structural_order_s3", refuse)
+    monkeypatch.setattr(forge, "module_rank_s3", refuse)
     cert = forge_certificate_s3(2, budgets=Budgets(points=100))
     assert cert.status == "PARTIAL"
     assert cert.k == 360

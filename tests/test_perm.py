@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcglift import forge
 from mcglift.autos import standard_autgens
 from mcglift.forge import (
     _ROTATIONS,
+    BlockGroup,
     StructuralFormError,
     _independent_rows,
     build_subdirect_image,
@@ -28,6 +30,7 @@ from mcglift.perm import (
     PermError,
     PermGroup,
     Permutation,
+    Sylow2Stalled,
     mulclose,
     normalizer_is_self,
     subgroup_witness,
@@ -49,6 +52,16 @@ def s3_product_group(k):
         gens.append(Permutation.from_cycles(3 * k, [(lo, lo + 1)]))
         gens.append(Permutation.from_cycles(3 * k, [(lo, lo + 1, lo + 2)]))
     return PermGroup(gens, degree=3 * k)
+
+
+def structural_sylow(group, seed=0):
+    """`sylow2_s3`'s H as a SubgroupWitness of `group`: an unhinted chain of
+    H must reach the order the involution checks certified, and the witness
+    checks that every generator of H lies in G."""
+    h = sylow2_s3(group, seed=seed)
+    sub = PermGroup(h.generators, degree=group.degree)
+    assert sub.order == h.order
+    return subgroup_witness(group, sub)
 
 
 def test_composition_convention():
@@ -275,20 +288,16 @@ class ReferenceChain:
     """Deterministic Schreier-Sims on `Permutation` objects, with trees
     grown in place and each level's checks resumed where they stopped."""
 
-    def __init__(self, generators, degree, known_order=None):
+    def __init__(self, generators, degree):
         self.degree = degree
         self.levels = []
         generators = [g for g in generators if not g.is_identity()]
         for g in generators:
-            if known_order is not None and self.count() == known_order:
-                return
             residue, idx = self.sift(g)
             if not residue.is_identity():
                 self.place(residue, idx)
         i = len(self.levels) - 1
         while i >= 0:
-            if known_order is not None and self.count() == known_order:
-                return
             witness = self.first_schreier_residue(i)
             if witness is None:
                 i -= 1
@@ -352,10 +361,9 @@ def tree_edges(tree, images):
             for y, step in tree.items()]
 
 
-def assert_chain_matches_reference(gens, degree, candidate,
-                                   known_order=None):
-    group = PermGroup(gens, degree=degree, known_order=known_order)
-    ref = ReferenceChain(gens, degree, known_order=known_order)
+def assert_chain_matches_reference(gens, degree, candidate):
+    group = PermGroup(gens, degree=degree)
+    ref = ReferenceChain(gens, degree)
     assert [lvl.base for lvl in group._levels] == \
         [lvl.base for lvl in ref.levels]
     # each tree in the order it reached its points, edges as (generator
@@ -398,11 +406,10 @@ def small_generator_sets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_generator_sets(), st.booleans())
-def test_chain_matches_reference_on_small_groups(case, declare):
+@given(small_generator_sets())
+def test_chain_matches_reference_on_small_groups(case):
     degree, gens, candidate = case
-    known = ReferenceChain(gens, degree).count() if declare else None
-    assert_chain_matches_reference(gens, degree, candidate, known)
+    assert_chain_matches_reference(gens, degree, candidate)
 
 
 @st.composite
@@ -476,13 +483,10 @@ def assert_chain_is_a_bsgs(group, generators):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(small_generator_sets(), block_form_groups()), st.booleans())
-def test_completed_chain_is_a_bsgs(case, declare):
+@given(st.one_of(small_generator_sets(), block_form_groups()))
+def test_completed_chain_is_a_bsgs(case):
     degree, gens, _ = case
-    # a declared order that is right stops the build as soon as it is met
-    known = PermGroup(gens, degree=degree).order if declare else None
-    assert_chain_is_a_bsgs(
-        PermGroup(gens, degree=degree, known_order=known), gens)
+    assert_chain_is_a_bsgs(PermGroup(gens, degree=degree), gens)
 
 
 def test_completed_hall_chain_is_a_bsgs():
@@ -508,15 +512,6 @@ def test_trivial_group_needs_degree():
     triv = PermGroup([], degree=4)
     assert triv.order == 1
     assert Permutation.identity(4) in triv
-
-
-def test_known_order_early_exit_and_mismatch():
-    gens = [perm("(0 1 2 3 4)", 5), perm("(0 1 2)", 5)]
-    assert PermGroup(gens, known_order=60).order == 60
-    with pytest.raises(PermError):
-        PermGroup(gens, known_order=30)
-    with pytest.raises(PermError):
-        PermGroup(gens, known_order=120)
 
 
 def test_elements_bound():
@@ -578,7 +573,7 @@ def test_sylow2_s4():
 @pytest.mark.parametrize("k,order,index", [(1, 2, 3), (2, 4, 9), (3, 8, 27)])
 def test_sylow2_structural_s3_products(k, order, index):
     group = s3_product_group(k)
-    w = sylow2_s3(group)
+    w = structural_sylow(group)
     assert w.sub.order == order == two_part(group.order)
     assert w.index == index
     for g in w.sub.generators:
@@ -587,14 +582,14 @@ def test_sylow2_structural_s3_products(k, order, index):
 
 def test_sylow2_structural_matches_growth():
     group = s3_product_group(2)
-    ws = sylow2_s3(group)
+    ws = structural_sylow(group)
     wg = sylow2(group)
     assert ws.sub.order == wg.sub.order == 4
 
 
 def test_sylow2_seeds_agree_on_order():
     group = s3_product_group(2)
-    orders = {sylow2_s3(group, seed=s).sub.order for s in (0, 1, 2)}
+    orders = {structural_sylow(group, seed=s).sub.order for s in (0, 1, 2)}
     assert orders == {4}
 
 
@@ -615,7 +610,7 @@ def test_sylow2_structural_dependent_sign_vectors():
     group = PermGroup(gens, degree=12)
     assert group.order == 12
     for seed in range(24):
-        w = sylow2_s3(group, seed=seed)
+        w = structural_sylow(group, seed=seed)
         assert w.sub.order == 4 == two_part(group.order)
         assert normalizer_is_self(w) is True
 
@@ -687,10 +682,48 @@ def test_sylow2_structural_requires_block_form():
     assert issubclass(StructuralFormError, PermError)
 
 
+def test_sylow2_structural_reads_generators_and_order_only():
+    # a BlockGroup with the chain's order gives the same H as the chain
+    group = s3_product_group(3)
+    block = BlockGroup(group.generators, group.degree, group.order)
+    for seed in range(3):
+        assert sylow2_s3(block, seed=seed) == sylow2_s3(group, seed=seed)
+    assert sylow2_s3(group).order == 8
+    # a declared order whose 2-part is not the sign rank is a breach
+    short = BlockGroup(group.generators, group.degree, group.order // 2)
+    with pytest.raises(RuntimeError, match="sign rank 3 disagrees"):
+        sylow2_s3(short)
+
+
+def test_sylow2_structural_stalls_on_dependent_involution_signs(monkeypatch):
+    # a sign map that reads every involution as even: the generators below
+    # all have order 6, so r still comes out right, but the involutions'
+    # sign vectors are then dependent and the order 2^r is not certified
+    real = forge._block_sign_vector
+    monkeypatch.setattr(
+        forge, "_block_sign_vector",
+        lambda p, k: 0 if (p * p).is_identity() else real(p, k))
+    group = PermGroup([perm("(0 1)(3 4 5)", 6), perm("(0 1 2)(3 4)", 6)])
+    assert group.order == 36
+    with pytest.raises(Sylow2Stalled, match="dependent sign vectors"):
+        sylow2_s3(group)
+
+
+@pytest.mark.parametrize("rows, p", [
+    ([[0, 1]], 5),
+    ([0b11], 7),
+    ([[0, 3]], 3),
+    ([[2, -1]], 3),
+])
+def test_independent_rows_rejects_other_fields_and_entries(rows, p):
+    with pytest.raises(ValueError):
+        _independent_rows(rows, p)
+
+
 def test_sylow2_diagonal_s3():
     diag = PermGroup([perm("(0 1)(3 4)", 6), perm("(0 1 2)(3 4 5)", 6)])
     assert diag.order == 6
-    w = sylow2_s3(diag)
+    w = structural_sylow(diag)
     assert w.sub.order == 2
 
 
@@ -715,16 +748,16 @@ def random_block_element(rng, k):
 
 def test_normalizer_structural_agrees_with_enumeration():
     group = s3_product_group(2)
-    w = sylow2_s3(group)
+    w = structural_sylow(group)
     assert normalizer_is_self(w) is True
-    assert normalizer_is_self_s3(w) is True
+    assert normalizer_is_self_s3(w.ambient, w.sub) is True
     # block 0 projects onto C2 only, so G is not subdirect; the structural
     # argument does not need it to be
     partial = PermGroup([perm("(0 1)", 6), perm("(3 4)", 6),
                          perm("(3 4 5)", 6)])
     assert partial.order == 12
-    w = sylow2_s3(partial)
-    assert normalizer_is_self_s3(w) is True
+    w = structural_sylow(partial)
+    assert normalizer_is_self_s3(w.ambient, w.sub) is True
     assert normalizer_is_self(w) is True
 
     # random block-form subgroups of S3^k, with a 2-Sylow from either route:
@@ -735,10 +768,10 @@ def test_normalizer_structural_agrees_with_enumeration():
         k = rng.randint(1, 3)
         gens = [random_block_element(rng, k) for _ in range(rng.randint(1, 3))]
         group = PermGroup(gens, degree=3 * k)
-        route = rng.choice((sylow2_s3, sylow2))
+        route = rng.choice((structural_sylow, sylow2))
         w = route(group, seed=trial)
         try:
-            structural = normalizer_is_self_s3(w)
+            structural = normalizer_is_self_s3(w.ambient, w.sub)
         except StructuralFormError:
             continue
         assert structural == normalizer_is_self(w)
@@ -766,7 +799,7 @@ def test_sylow2_structural_random_block_groups():
         clashing += any(a * b != b * a for a in cubes for b in cubes)
         ident = Permutation.identity(3 * k)
         for seed in range(3):
-            w = sylow2_s3(group, seed=seed)
+            w = structural_sylow(group, seed=seed)
             assert w.sub.order == two_part(group.order)
             hgens = w.sub.generators
             for x in hgens:
@@ -778,26 +811,24 @@ def test_sylow2_structural_random_block_groups():
 
 def test_normalizer_diagonal_subdirect():
     diag = PermGroup([perm("(0 1)(3 4)", 6), perm("(0 1 2)(3 4 5)", 6)])
-    w = sylow2_s3(diag)
+    w = structural_sylow(diag)
     assert w.sub.order == 2
-    assert normalizer_is_self_s3(w) is True
+    assert normalizer_is_self_s3(w.ambient, w.sub) is True
     assert normalizer_is_self(w) is True
 
 
 def test_normalizer_structural_rejects_wrong_order():
     group = s3_product_group(2)
     small = PermGroup([perm("(0 1)", 6)], degree=6)
-    w = subgroup_witness(group, small)
     with pytest.raises(StructuralFormError):
-        normalizer_is_self_s3(w)
+        normalizer_is_self_s3(group, small)
 
 
 def test_normalizer_structural_rejects_a_group_not_in_block_form():
     # (0 3) joins the first two blocks
     group = PermGroup([perm("(0 3)", 6), perm("(0 1 2)", 6)])
-    w = subgroup_witness(group, PermGroup([perm("(0 3)", 6)]))
     with pytest.raises(StructuralFormError) as e:
-        normalizer_is_self_s3(w)
+        normalizer_is_self_s3(group, PermGroup([perm("(0 3)", 6)]))
     assert str(e.value) == ("structural normalizer check requested on a"
                             " group not in S3-block form")
 
@@ -817,7 +848,7 @@ def test_normalizer_structural_rejects_foreign_subgroup_generators(
     sub = SimpleNamespace(order=two_part(group.order),
                           generators=[perm(g, 6) for g in hgens])
     with pytest.raises(StructuralFormError) as e:
-        normalizer_is_self_s3(SimpleNamespace(ambient=group, sub=sub))
+        normalizer_is_self_s3(group, sub)
     assert str(e.value) == message
 
 
