@@ -22,8 +22,13 @@ m independent explicit elements of G, a lower bound, and rests on a
 generation theorem, an upper bound.  If their (r, m) differ, the run raises
 RuntimeError (exit 3) and neither is kept.  Only when |G| fits the
 enumeration budget is an unhinted chain built, as a third check of the
-order and for the enumeration branch of condition (a).  On the hall route
-|G| is a chain with no declared order, checked against |Q|^k.
+order and for the enumeration branch of condition (a).
+
+On the hall route |G| = |Q|^k by Hall's lemma, and |H| = |B|^k: members
+shown pairwise Aut(Q)-inequivalent by two routes, distinct canonical keys
+and distinct `order_fingerprints` (a collision falls back to a closure in
+Q x Q), give all of Q^k.  Their chains are built only in the enumeration
+branch of condition (a), where they must reach both orders.
 
 The S3 section below owns the block form, G inside S3 x ... x S3 acting on
 {0,1,2} + {3,4,5} + ...: the order, `sylow2_s3` and `normalizer_is_self_s3`
@@ -52,6 +57,7 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .autos import certify_characteristic, orbit, standard_autgens
 from .budgets import COLLECTION_CAP, DEFAULT
@@ -62,6 +68,7 @@ from .perm import (
     PermGroup,
     Permutation,
     Sylow2Stalled,
+    mulclose,
     normalizer_is_self,
     subgroup_witness,
     two_part,
@@ -793,18 +800,58 @@ def collect_inequivalent_members(seed_epi, gens, want):
     return list(rec.members[:want]), not rec.complete
 
 
+def order_fingerprints(members):
+    """Per member, the element orders of the images of the reduced words of
+    length 1 to 3, 456 of them at genus 2.  Automorphisms keep element
+    orders, so distinct fingerprints prove two members Aut(target)-
+    inequivalent.  Reads the index tables and the permutation orders of the
+    target's elements, never `aut_reps()`."""
+    letters = [x for i in range(1, len(members[0].idx) + 1) for x in (i, -i)]
+    words, level = [], [()]
+    for _ in range(3):
+        level = [w + (x,) for w in level for x in letters
+                 if not w or x != -w[-1]]
+        words += level
+    orders = [e.order() for e in members[0].target.elements]
+    return [tuple(map(orders.__getitem__, m.evaluate_indices(words)))
+            for m in members]
+
+
+def _check_hall_fingerprints(members, bound):
+    """Route 2 of the Hall hypothesis: members with equal fingerprints must
+    generate all of Q x Q, where an Aut(Q)-equivalent pair generates the
+    graph of an automorphism, of order |Q|.  An equivalent pair raises
+    RuntimeError, a pair closure past `bound` EnumerationBoundExceeded."""
+    by_print = {}
+    for i, fingerprint in enumerate(order_fingerprints(members)):
+        by_print.setdefault(fingerprint, []).append(i)
+    for same in by_print.values():
+        for i, j in combinations(same, 2):
+            pair = build_subdirect_image([members[i], members[j]])
+            if len(mulclose(pair, bound=bound)) != members[0].target.order**2:
+                raise RuntimeError(
+                    f"members {i} and {j} have distinct canonical keys"
+                    " but an equivalent pair image in Q x Q")
+
+
 def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
                            members=None, budgets=DEFAULT):
     """Run the hall-psl2 pipeline and emit a certificate.
 
     The collection is drawn from the orbit closure modulo Aut(target) unless
-    an explicit member list is supplied (used by negative controls).  A
-    truncated collection cannot be certified characteristic and the
-    certificate says so.
+    an explicit member list is supplied (used by negative controls); its
+    members must map onto PSL2(F_p), or ForgeError is raised.  A truncated
+    collection cannot be certified characteristic and the certificate says
+    so.
     """
-    run = _Run(f"hall-psl2({p})", genus, target_psl2(p), seed_epi, seed,
+    target = target_psl2(p)
+    run = _Run(f"hall-psl2({p})", genus, target, seed_epi, seed,
                prime=p, collection=collection,
                explicit_members=members is not None)
+    if members is not None:
+        members = list(members)
+        if any(m.target is not target for m in members):
+            raise ForgeError(f"hall members must map onto {target.name}")
     return run.certificate(
         lambda: _hall_steps(run, p, members, collection, budgets))
 
@@ -815,7 +862,7 @@ def _hall_steps(run, p, members, collection, budgets):
             members, truncated = collect_inequivalent_members(
                 run.seed_epi, run.gens, collection)
         else:
-            members, truncated = list(members), True
+            truncated = True
     run.k = k = len(members)
 
     passed = False
@@ -827,7 +874,8 @@ def _hall_steps(run, p, members, collection, budgets):
     run.characterize(
         passed, note="collection-truncated" if truncated else "closure-complete")
 
-    # the Hall hypothesis: no two members differ by a target automorphism
+    # the Hall hypothesis, route 1: no two members differ by a target
+    # automorphism
     first = {}
     for i, member in enumerate(members):
         j = first.setdefault(canonical_rep_mod_auts(member).key(), i)
@@ -837,31 +885,44 @@ def _hall_steps(run, p, members, collection, budgets):
 
     target = run.seed_epi.target
     with run.stage("group_s"):
-        G = PermGroup(run.subdirect_image(members, budgets))
-    full = target.order ** k
-    if G.order != full:
-        raise RuntimeError(
-            f"inequivalent simple factors gave |G| = {G.order}, not {full}"
-        )
+        # the point budget and the per-factor surjectivity come first
+        gens = run.subdirect_image(members, budgets)
+        try:
+            _check_hall_fingerprints(members, budgets.enum)
+        except EnumerationBoundExceeded as e:
+            raise _Stop("hall-hypothesis", e, status="PARTIAL") from e
+    # Hall's lemma: pairwise inequivalent epimorphisms onto a nonabelian
+    # simple group give the whole product
+    order = target.order ** k
 
     with run.stage("subgroup_s"):
         bw = borel_subgroup(p)
+    h_order = bw.sub.order ** k
+
+    def witness():
+        # G is small enough to enumerate: the chains of G and of the product
+        # H of the k Borel block copies check both orders
         fixed = tuple(range(target.degree))
+        G = PermGroup(gens)
         H = PermGroup([
             Permutation.from_blocks(
                 [bg.images if i == j else fixed for i in range(k)])
             for j in range(k) for bg in bw.sub.generators])
-        witness = subgroup_witness(G, H)
+        if (G.order, H.order) != (order, h_order):
+            raise RuntimeError(
+                f"the chains give |G| = {G.order}, |H| = {H.order}, not"
+                f" {order} and {h_order}")
+        return subgroup_witness(G, H)
 
     check_a = run.check_a(
-        G.order, lambda: witness,
+        order, witness,
         lambda: normalizer_is_self(bw, bound=budgets.enum), budgets)
 
     with run.stage("check_b_s"):
         pass_b, conjugator = _hall_check_b(p, bw)
 
     return dict(
-        G_order=G.order, H_order=H.order, degree=G.order // H.order,
+        G_order=order, H_order=h_order, degree=order // h_order,
         check_a=check_a,
         check_b={"pass": bool(pass_b), "method": "explicit",
                  "conjugator": conjugator},

@@ -474,6 +474,24 @@ def test_forge_exits_3_when_a_module_seed_is_dropped(
     assert not out.exists()
 
 
+def test_forge_exits_3_when_the_hall_routes_disagree(
+        monkeypatch, tmp_path, capsys):
+    # a conjugate pair passed off as a collection, with route 1 blind to
+    # the conjugation: route 2 finds the equivalence
+    target = forge.target_psl2(5)
+    seed = forge.standard_epi(2, target)
+    t = target.generators[0]
+    twin = FiniteHom(target, tuple(t * x * t.inverse() for x in seed.images))
+    monkeypatch.setattr(forge, "collect_inequivalent_members",
+                        lambda seed_epi, gens, want: ([seed, twin], True))
+    monkeypatch.setattr(forge, "canonical_rep_mod_auts", lambda hom: hom)
+    out = tmp_path / "c.json"
+    assert run(["forge", "--route", "hall", "--out", str(out)]) == EXIT_BREACH
+    assert ("members 0 and 1 have distinct canonical keys but an equivalent"
+            " pair image in Q x Q") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_passes_the_enumeration_budget(capsys):
     assert run(["search", "--genus", "2", "--route", "hall", "--budget", "2",
                 "--budget-enum", "100"]) == EXIT_OK

@@ -25,7 +25,7 @@ from mcglift.forge import (
     standard_epi,
     structural_order_s3,
 )
-from mcglift.perm import PermGroup, Permutation, Sylow2Stalled
+from mcglift.perm import PermGroup, Permutation, Sylow2Stalled, mulclose
 from mcglift.quotients import (
     FiniteHom,
     target_a5,
@@ -356,11 +356,22 @@ def test_hall_point_cap_gives_partial():
 
 
 def test_hall_non_surjective_member_stays_invalid():
-    seed = standard_epi(2, target_a5())
-    non_epi = FiniteHom(target_a5(), (target_a5().identity,) * 4)
+    target = target_psl2(5)
+    seed = standard_epi(2, target)
+    non_epi = FiniteHom(target, (target.identity,) * 4)
     cert = forge_certificate_hall(2, 5, members=[seed, non_epi])
     assert cert.status == "INVALID"
     assert cert.failing_stage == "subdirect-image: factor 1 is not surjective"
+
+
+@pytest.mark.parametrize("target", [target_a5, target_s3])
+def test_hall_rejects_members_onto_another_target(target):
+    # A5 is isomorphic to PSL2(5) but acts on 5 points, not 6; S3 is not
+    # simple.  Neither is the run's target, so the list is bad input.
+    members, _ = collect_inequivalent_members(
+        standard_epi(2, target()), standard_autgens(2), 2)
+    with pytest.raises(ForgeError, match=r"must map onto PSL2\(5\)"):
+        forge_certificate_hall(2, 5, members=members)
 
 
 def test_forge_input_validation():
@@ -424,6 +435,75 @@ def test_hall_rejects_equivalent_members():
     assert cert.status == "INVALID"
     assert cert.failing_stage.startswith("hall-hypothesis")
     assert cert.G_order == 0
+
+
+def test_hall_routes_disagree_raises(monkeypatch):
+    # route 1 made blind: every hom is its own canonical representative, so
+    # a conjugate pair gets distinct keys; the fingerprints collide and the
+    # pair closure in Q x Q finds the graph of an automorphism
+    target = target_psl2(5)
+    seed = standard_epi(2, target)
+    twin = conjugated(seed, target.generators[0])
+    monkeypatch.setattr(forge, "canonical_rep_mod_auts", lambda hom: hom)
+    with pytest.raises(RuntimeError, match="members 0 and 1 have distinct"
+                       " canonical keys but an equivalent pair image"):
+        forge_certificate_hall(2, 5, members=[seed, twin])
+
+
+def test_order_fingerprints_are_distinct_on_200_classes():
+    members, _ = collect_inequivalent_members(
+        standard_epi(2, target_psl2(5)), standard_autgens(2), 200)
+    fingerprints = forge.order_fingerprints(members)
+    assert len(fingerprints[0]) == 8 + 8 * 7 + 8 * 7 * 7 == 456
+    assert len(set(fingerprints)) == 200
+
+
+def test_colliding_fingerprints_fall_back_to_the_pair_closure(monkeypatch):
+    want = forge_certificate_hall(2, 5, collection=4).stable_dict()
+    closures = []
+
+    def counting(generators, **kwargs):
+        closures.append(len(generators))
+        return mulclose(generators, **kwargs)
+
+    monkeypatch.setattr(forge, "order_fingerprints",
+                        lambda members: [()] * len(members))
+    monkeypatch.setattr(forge, "mulclose", counting)
+    assert forge_certificate_hall(2, 5, collection=4).stable_dict() == want
+    assert len(closures) == 6  # every pair of the four members
+    # each closure lists |Q|^2 = 3600 elements, past an enum budget of 3599
+    cert = forge_certificate_hall(2, 5, collection=4,
+                                  budgets=Budgets(enum=3599))
+    assert cert.status == "PARTIAL"
+    assert cert.failing_stage.startswith("hall-hypothesis: closure exceeded")
+
+
+@pytest.fixture
+def built_groups(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(PermGroup(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(forge, "PermGroup", counting)
+    return built
+
+
+def test_hall_builds_no_chain_past_the_enum_budget(built_groups):
+    cert = forge_certificate_hall(2, 5, collection=12)
+    assert cert.G_order == 60**12 and cert.H_order == 10**12
+    assert cert.check_a == {"pass": True, "method": "structural"}
+    assert built_groups == []
+
+
+def test_hall_builds_both_chains_within_the_enum_budget(built_groups):
+    cert = forge_certificate_hall(2, 5, collection=2,
+                                  budgets=Budgets(enum=3600))
+    assert cert.check_a == {"pass": True, "method": "enumeration"}
+    assert [(g.degree, g.order) for g in built_groups] == [
+        (12, cert.G_order), (12, cert.H_order)]
+    assert (cert.G_order, cert.H_order) == (3600, 100)
 
 
 def test_collect_inequivalent_members():
