@@ -32,6 +32,7 @@ from .cosets import (
 )
 from .forge import (
     ForgeError,
+    decimal_str,
     forge_certificate_hall,
     forge_certificate_s3,
     minimal_degree_search,
@@ -222,17 +223,22 @@ def cmd_enumerate(args, budgets):
     return EXIT_OK
 
 
-FOREIGN_FORGE_FLAGS = {"s3": ("prime", "collection"),
+# the flags each forge route does not read; no check of the S3 route
+# enumerates, so it reads no enum budget
+FOREIGN_FORGE_FLAGS = {"s3": ("prime", "collection", "budget_enum"),
                        "hall": ("truncate_k",)}
 
 
-def cmd_forge(args, budgets):
-    foreign = [f"--{name.replace('_', '-')}"
-               for name in FOREIGN_FORGE_FLAGS[args.route]
+def _refuse_foreign_flags(args, names):
+    foreign = [f"--{name.replace('_', '-')}" for name in names
                if getattr(args, name) is not None]
     if foreign:
         raise UsageError(
             f"{', '.join(foreign)} does not apply to --route {args.route}")
+
+
+def cmd_forge(args, budgets):
+    _refuse_foreign_flags(args, FOREIGN_FORGE_FLAGS[args.route])
     if args.route == "s3":
         cert = forge_certificate_s3(
             args.genus, truncate_k=args.truncate_k, seed=args.seed,
@@ -244,12 +250,15 @@ def cmd_forge(args, budgets):
             seed=args.seed, budgets=budgets)
     out = args.out or f"certificate-{args.route}-g{args.genus}.json"
     _emit_json(cert.json_dict(), out)
-    print(f"{cert.status}: route={cert.route} k={cert.k} degree={cert.degree}"
-          f" genus_out={cert.genus_out} -> {out}")
+    print(f"{cert.status}: route={cert.route} k={cert.k}"
+          f" degree={decimal_str(cert.degree)}"
+          f" genus_out={decimal_str(cert.genus_out)} -> {out}")
     return EXIT_OK
 
 
 def cmd_search(args, budgets):
+    if args.route == "s3":
+        _refuse_foreign_flags(args, ("budget_enum",))
     routes = ("hall", "s3") if args.route == "all" else (args.route,)
     report = minimal_degree_search(
         args.genus, routes=routes, budget=args.budget, seed=args.seed,

@@ -14,21 +14,23 @@ epimorphisms onto PSL2(F_p) forces the product image to be the full product
 the product of Borel subgroups, self-normalizing factor-wise.
 
 On the S3 route |G| = 2^r * 3^m is certified by two independent exact
-linear routes over F2 and F3, and no stabilizer chain of G or H is built:
-`module_rank_s3` closes a few explicit elements of the odd part under the
-sign action, and `structural_order_s3` reduces the rotation exponents of the
-sign kernel's Schreier generators (Reidemeister-Schreier).  Each route gives
+linear routes over F2 and F3: `module_rank_s3` closes a few explicit
+elements of the odd part under the sign action, and `structural_order_s3`
+reduces the rotation exponents of the sign kernel's Schreier generators
+(Reidemeister-Schreier).  Each route gives
 m independent explicit elements of G, a lower bound, and rests on a
 generation theorem, an upper bound.  If their (r, m) differ, the run raises
-RuntimeError (exit 3) and neither is kept.  Only when |G| fits the
-enumeration budget is an unhinted chain built, as a third check of the
-order and for the enumeration branch of condition (a).
+RuntimeError (exit 3) and neither is kept.
 
 On the hall route |G| = |Q|^k by Hall's lemma, and |H| = |B|^k: members
 shown pairwise Aut(Q)-inequivalent by two routes, distinct canonical keys
 and distinct `order_fingerprints` (a collision falls back to a closure in
-Q x Q), give all of Q^k.  Their chains are built only in the enumeration
-branch of condition (a), where they must reach both orders.
+Q x Q), give all of Q^k.  Condition (a) is checked factor-wise, since
+N(B x ... x B) = N(B) x ... x N(B) in Q^k; only one factor's PSL2(F_p) is
+scanned.
+
+Neither route builds a stabilizer chain of G or H at any size: the forge
+builds no PermGroup beyond the one-factor Borel subgroup.
 
 The S3 section below owns the block form, G inside S3 x ... x S3 acting on
 {0,1,2} + {3,4,5} + ...: the order, `sylow2_s3` and `normalizer_is_self_s3`
@@ -43,11 +45,10 @@ Both routes share one private run record, `_Run`: it checks the genus and
 the seed epimorphism, and holds the generator set, seed material, k, the
 characteristic entry and the stage timings.  The shared rules live on it:
 `subdirect_image` applies the point budget (PARTIAL when it runs out, INVALID
-for a bad member list), `check_a` the size rule for condition (a)
-(enumeration while |G| fits the enum budget, else the route's structural
-check, PARTIAL when the enumeration needs more than the enum budget), and
-`certificate` the VALID rule and the one certificate build, for a finished
-run or one its steps stopped by raising `_Stop`.
+for a bad member list), `check_a` runs the route's structural check of
+condition (a) (PARTIAL when the hall route's factor scan needs more than the
+enum budget), and `certificate` the VALID rule and the one certificate
+build, for a finished run or one its steps stopped by raising `_Stop`.
 """
 
 from __future__ import annotations
@@ -65,12 +66,10 @@ from .cosets import CosetTable
 from .perm import (
     EnumerationBoundExceeded,
     PermError,
-    PermGroup,
     Permutation,
     Sylow2Stalled,
     mulclose,
     normalizer_is_self,
-    subgroup_witness,
     two_part,
 )
 from .quotients import (
@@ -348,10 +347,6 @@ def normalizer_is_self_s3(group, sub):
     return True
 
 
-# the rotation x -> x + e (mod 3) of {0, 1, 2}, as an image tuple, by e
-_ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
 def _s3_signs(members):
     """For S3-valued members: the sign rows of the product generators, row
     i a bitmask whose bit j is the sign of generator i's image in factor j,
@@ -494,6 +489,33 @@ def structural_order_s3(members):
 
 # -- certificates -------------------------------------------------------------
 
+# decimal digits per str() or int() call: Python 3.11 and later refuse an
+# int-string conversion past 4300 digits, and an order can be much longer
+_DIGITS = 4000
+_DIGITS_LIMIT = 10**_DIGITS
+
+
+def decimal_str(n):
+    """str(n) for a nonnegative int of any size, with no process-wide
+    setting changed: a number of more than _DIGITS digits is split at a
+    power of ten and each part written in turn."""
+    if n < _DIGITS_LIMIT:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits, as 3/10 < log10 2
+    high, low = divmod(n, 10**k)
+    return decimal_str(high) + decimal_str(low).zfill(k)
+
+
+def decimal_int(text):
+    """int(text), the inverse of decimal_str, for a decimal string of any
+    length; past _DIGITS characters it must be ASCII digits alone."""
+    if not isinstance(text, str) or len(text) <= _DIGITS:
+        return int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal string: {text[:20]}...")
+    k = len(text) // 2
+    return decimal_int(text[:-k]) * 10**k + decimal_int(text[-k:])
+
 
 @dataclass
 class CoverCertificate:
@@ -523,10 +545,10 @@ class CoverCertificate:
             "route": self.route,
             "genus_in": self.genus_in,
             "k": self.k,
-            "G_order": str(self.G_order),
-            "H_order": str(self.H_order),
-            "degree": str(self.degree),
-            "genus_out": str(self.genus_out),
+            "G_order": decimal_str(self.G_order),
+            "H_order": decimal_str(self.H_order),
+            "degree": decimal_str(self.degree),
+            "genus_out": decimal_str(self.genus_out),
             "checks": {
                 "a": self.check_a,
                 "b": self.check_b,
@@ -563,10 +585,10 @@ def parse_certificate(data):
             route=data["route"],
             genus_in=data["genus_in"],
             k=data["k"],
-            G_order=int(data["G_order"]),
-            H_order=int(data["H_order"]),
-            degree=int(data["degree"]),
-            genus_out=int(data["genus_out"]),
+            G_order=decimal_int(data["G_order"]),
+            H_order=decimal_int(data["H_order"]),
+            degree=decimal_int(data["degree"]),
+            genus_out=decimal_int(data["genus_out"]),
             check_a=data["checks"]["a"],
             check_b=data["checks"]["b"],
             characteristic=data["checks"]["characteristic"],
@@ -605,7 +627,8 @@ class _Stop(Exception):
 class _Run:
     """One forge run: the validated seed epimorphism, the automorphism
     generators, the seed material, k, the characteristic entry and the stage
-    timings, with the rules both routes share."""
+    timings, with the rules both routes share: the point budget, the one
+    structural check (a) at every size, and the certificate build."""
 
     def __init__(self, route, genus, target, seed_epi, seed, **material):
         self.start = time.time()
@@ -649,17 +672,12 @@ class _Run:
         except SubdirectError as e:
             raise _Stop("subdirect-image", e) from e
 
-    def check_a(self, order, witness, structural, budgets):
-        """The size rule for condition (a), N_G(H) = H, timed as
-        normalizer_s: while |G| = `order` fits `budgets.enum`, enumerate G
-        through the SubgroupWitness that `witness()` returns, else run the
-        route's `structural()` check.  An enumeration past `budgets.enum`,
-        in either branch, stops the run PARTIAL."""
+    def check_a(self, structural):
+        """Condition (a), N_G(H) = H, by the route's `structural()` check,
+        timed as normalizer_s.  An enumeration past the enum budget inside
+        it stops the run PARTIAL."""
         with self.stage("normalizer_s"):
             try:
-                if order <= budgets.enum:
-                    passed = normalizer_is_self(witness(), bound=budgets.enum)
-                    return {"pass": bool(passed), "method": "enumeration"}
                 return {"pass": bool(structural()), "method": "structural"}
             except EnumerationBoundExceeded as e:
                 raise _Stop("normalizer", e, status="PARTIAL") from e
@@ -738,18 +756,6 @@ def _s3_steps(run, truncate_k, seed, budgets):
                 f" {ranks[1]}")
         r, m = ranks[0]
         order = 2**r * 3**m
-        if order <= budgets.enum:
-            # G is small enough to enumerate: an unhinted chain checks the
-            # order a third time and must hold route 2's odd basis
-            G = PermGroup(gens)
-            if G.order != order:
-                raise RuntimeError(
-                    f"chain order {G.order} disagrees with the linear order"
-                    f" {order}")
-            for row in structural["odd_rows"]:
-                element = Permutation.from_blocks([_ROTATIONS[e] for e in row])
-                if element not in G:
-                    raise RuntimeError("an odd basis element is not in G")
 
     G_block = BlockGroup(gens, 3 * k, order)
     with run.stage("sylow_s"):
@@ -759,11 +765,7 @@ def _s3_steps(run, truncate_k, seed, budgets):
             raise _Stop("sylow2", e) from e
 
     try:
-        check_a = run.check_a(
-            order,
-            lambda: subgroup_witness(G, PermGroup(H.generators, degree=3 * k)),
-            lambda: normalizer_is_self_s3(G_block, H),
-            budgets)
+        check_a = run.check_a(lambda: normalizer_is_self_s3(G_block, H))
     except StructuralFormError as e:
         raise _Stop("normalizer", e) from e
 
@@ -886,7 +888,7 @@ def _hall_steps(run, p, members, collection, budgets):
     target = run.seed_epi.target
     with run.stage("group_s"):
         # the point budget and the per-factor surjectivity come first
-        gens = run.subdirect_image(members, budgets)
+        run.subdirect_image(members, budgets)
         try:
             _check_hall_fingerprints(members, budgets.enum)
         except EnumerationBoundExceeded as e:
@@ -899,24 +901,7 @@ def _hall_steps(run, p, members, collection, budgets):
         bw = borel_subgroup(p)
     h_order = bw.sub.order ** k
 
-    def witness():
-        # G is small enough to enumerate: the chains of G and of the product
-        # H of the k Borel block copies check both orders
-        fixed = tuple(range(target.degree))
-        G = PermGroup(gens)
-        H = PermGroup([
-            Permutation.from_blocks(
-                [bg.images if i == j else fixed for i in range(k)])
-            for j in range(k) for bg in bw.sub.generators])
-        if (G.order, H.order) != (order, h_order):
-            raise RuntimeError(
-                f"the chains give |G| = {G.order}, |H| = {H.order}, not"
-                f" {order} and {h_order}")
-        return subgroup_witness(G, H)
-
-    check_a = run.check_a(
-        order, witness,
-        lambda: normalizer_is_self(bw, bound=budgets.enum), budgets)
+    check_a = run.check_a(lambda: normalizer_is_self(bw, bound=budgets.enum))
 
     with run.stage("check_b_s"):
         pass_b, conjugator = _hall_check_b(p, bw)
@@ -978,7 +963,7 @@ def minimal_degree_search(genus, routes=("hall", "s3"), budget=0, seed=0,
             "route": cert.route,
             "params": params,
             "status": cert.status,
-            "degree": str(cert.degree),
+            "degree": decimal_str(cert.degree),
             "checks_pass": bool(cert.check_a["pass"] and cert.check_b["pass"]),
             "certificate": cert.stable_dict(),
         }
@@ -987,6 +972,6 @@ def minimal_degree_search(genus, routes=("hall", "s3"), budget=0, seed=0,
         slot = "best_valid" if cert.valid else "best_flagged"
         best = report[slot]
         if cert.degree > 1 and entry["checks_pass"] and (
-                best is None or cert.degree < int(best["degree"])):
+                best is None or cert.degree < decimal_int(best["degree"])):
             report[slot] = entry
     return report

@@ -228,6 +228,9 @@ def test_non_positive_budgets_are_usage_errors(flag, value, tmp_path, capsys):
     (["search", "--route", "s3", "--budget", "1"], "--budget-tuples"),
     (["alpha", "--cover", "homology2"], "--budget-tuples"),
     (["alpha", "--cover", "homology2"], "--budget-points"),
+    (["forge", "--route", "s3", "--truncate-k", "1"], "--budget-enum"),
+    (["forge", "--genus", "2"], "--budget-enum"),
+    (["search", "--route", "s3", "--budget", "1"], "--budget-enum"),
 ])
 def test_unread_budget_flags_are_usage_errors(argv, flag, tmp_path,
                                               monkeypatch, capsys):
@@ -383,6 +386,22 @@ def test_forge_unit_certificate(tmp_path, capsys):
     assert "timing" in data
 
 
+def test_hall_forge_writes_orders_past_4300_digits(tmp_path, capsys):
+    # |G| = 168^2000 has 4451 digits, past what str() and int() accept on
+    # Python 3.11+; the run, its status line and its file must not care
+    path = tmp_path / "big.json"
+    assert run(["forge", "--route", "hall", "--prime", "7", "--collection",
+                "2000", "--out", str(path)]) == EXIT_OK
+    cert = forge.parse_certificate(json.loads(path.read_text()))
+    assert (cert.k, cert.G_order, cert.H_order, cert.degree) == (
+        2000, 168**2000, 21**2000, 8**2000)
+    data = json.loads(path.read_text())
+    assert len(data["G_order"]) == 4451
+    assert capsys.readouterr().out == (
+        f"INVALID: route=hall-psl2(7) k=2000 degree={data['degree']}"
+        f" genus_out={data['genus_out']} -> {path}\n")
+
+
 def test_forge_is_deterministic_modulo_timing(tmp_path, capsys):
     paths = [tmp_path / "one.json", tmp_path / "two.json"]
     for p in paths:
@@ -474,6 +493,40 @@ def test_forge_exits_3_when_a_module_seed_is_dropped(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("truncate_k, r, m, short_m", [
+    (None, 4, 30, 27),
+    (7, 3, 5, 4),
+], ids=["genus2", "truncate7"])
+def test_forge_exits_3_when_schreier_words_are_dropped(
+        truncate_k, r, m, short_m, monkeypatch, tmp_path, capsys):
+    # route 2 loses the Schreier generators t_{xc}^-1 x t_c of the last
+    # letter x = b_2, as an off-by-one in the letter loop would.  No single
+    # word, nor any pair at genus 2, is missed: the 49 exponent rows have
+    # rank 30, each in the span of the others.  At truncate_k=7, |G| = 1944,
+    # an unhinted chain once checked the order a third time; the module
+    # closure alone now catches the loss.
+    real = forge.CosetTable
+
+    def dropped(hom):
+        table = real(hom)
+        return SimpleNamespace(words=tuple(
+            word for word, (_, x) in zip(table.words, table.pairs) if x != 4))
+
+    members = forge.orbit(forge.standard_epi(2, forge.target_s3()),
+                          standard_autgens(2)).members[:truncate_k]
+    assert forge.structural_order_s3(members)["three_rank"] == m
+    monkeypatch.setattr(forge, "CosetTable", dropped)
+    assert forge.structural_order_s3(members)["three_rank"] == short_m
+    out = tmp_path / "c.json"
+    truncate = [] if truncate_k is None else ["--truncate-k", str(truncate_k)]
+    assert run(["forge", "--route", "s3", "--genus", "2", *truncate,
+                "--out", str(out)]) == EXIT_BREACH
+    assert (f"order cross-check failed: the module closure gives (r, m) ="
+            f" ({r}, {m}), Reidemeister-Schreier gives ({r}, {short_m})"
+            ) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_forge_exits_3_when_the_hall_routes_disagree(
         monkeypatch, tmp_path, capsys):
     # a conjugate pair passed off as a collection, with route 1 blind to
@@ -498,7 +551,12 @@ def test_search_passes_the_enumeration_budget(capsys):
     report = json.loads(capsys.readouterr().out)
     methods = [job["certificate"]["checks"]["a"]["method"]
                for job in report["jobs"]]
-    assert methods == ["enumeration", "structural"]
+    assert methods == ["structural", "structural"]
+    # the factor scan of PSL2(5), of order 60, needs more than 59
+    assert run(["search", "--genus", "2", "--route", "hall", "--budget", "2",
+                "--budget-enum", "59"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [job["status"] for job in report["jobs"]] == ["PARTIAL"] * 2
 
 
 def test_search_s3_job_is_valid(capsys):

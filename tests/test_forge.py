@@ -10,13 +10,15 @@ from mcglift import forge
 from mcglift.autos import orbit, standard_autgens
 from mcglift.budgets import Budgets
 from mcglift.forge import (
-    _ROTATIONS,
+    CoverCertificate,
     ForgeError,
     StructuralFormError,
     SubdirectError,
     _block_sign_vector,
     build_subdirect_image,
     collect_inequivalent_members,
+    decimal_int,
+    decimal_str,
     forge_certificate_hall,
     forge_certificate_s3,
     minimal_degree_search,
@@ -25,7 +27,14 @@ from mcglift.forge import (
     standard_epi,
     structural_order_s3,
 )
-from mcglift.perm import PermGroup, Permutation, Sylow2Stalled, mulclose
+from mcglift.perm import (
+    PermGroup,
+    Permutation,
+    Sylow2Stalled,
+    mulclose,
+    normalizer_is_self,
+    subgroup_witness,
+)
 from mcglift.quotients import (
     FiniteHom,
     target_a5,
@@ -35,6 +44,8 @@ from mcglift.quotients import (
 
 FULL_S3_ORDER = 2**4 * 3**30
 FULL_S3_DEGREE = 3**30
+# the rotation x -> x + e (mod 3) of {0, 1, 2}, as an image tuple, by e
+ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +125,7 @@ def test_odd_basis_lies_in_the_image_and_is_even(s3_orbit_members):
         assert len(structural["odd_rows"]) == structural["three_rank"]
         for row in structural["odd_rows"]:
             assert len(row) == k
-            element = Permutation.from_blocks([_ROTATIONS[e] for e in row])
+            element = Permutation.from_blocks([ROTATIONS[e] for e in row])
             assert element in group
             assert _block_sign_vector(element, k) == 0
 
@@ -217,23 +228,6 @@ def test_truncated_pair_pipeline():
     assert cert.status == "INVALID"
 
 
-def test_s3_normalizer_method_follows_the_enum_budget(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the other normalizer route ran")
-
-    # at truncate_k=2, |G| = 36: the scan runs while |G| fits the budget
-    with monkeypatch.context() as m:
-        m.setattr(forge, "normalizer_is_self_s3", refuse)
-        cert = forge_certificate_s3(2, truncate_k=2, budgets=Budgets(enum=36))
-    assert cert.G_order == 36
-    assert cert.check_a == {"pass": True, "method": "enumeration"}
-    with monkeypatch.context() as m:
-        m.setattr(forge, "normalizer_is_self", refuse)
-        cert = forge_certificate_s3(2, truncate_k=2, budgets=Budgets(enum=35))
-    assert cert.G_order == 36
-    assert cert.check_a == {"pass": True, "method": "structural"}
-
-
 S3_STAGES = ("orbit_s", "characteristic_s", "group_s", "sylow_s")
 
 
@@ -331,6 +325,65 @@ def test_parse_certificate_rejects_a_dropped_field(path,
         parse_certificate(data)
 
 
+def huge_hall_certificate():
+    """A hall certificate at p = 7 with k = 2000, |G| = 168^2000: 4451
+    digits, past the 4300 that str() and int() accept on Python 3.11+."""
+    k = 2000
+    passed = {"pass": True, "method": "structural"}
+    return CoverCertificate(
+        route="hall-psl2(7)", genus_in=2, k=k, G_order=168**k,
+        H_order=21**k, degree=8**k, genus_out=8**k + 1, check_a=passed,
+        check_b=dict(passed), characteristic={"pass": False},
+        K_trivial=True, seed_material={"seed": 0}, status="INVALID",
+        order_structure={"factor_order": 168, "factors": k})
+
+
+def test_orders_past_4300_digits_round_trip():
+    cert = huge_hall_certificate()
+    data = cert.stable_dict()
+    text = data["G_order"]
+    assert len(text) == 4451 and text.isdigit()
+    # the digits, checked a part at a time within the conversion limit
+    assert int(text[-4000:]) == cert.G_order % 10**4000
+    assert int(text[:-4000]) == cert.G_order // 10**4000
+    assert parse_certificate(json.loads(json.dumps(data))) == cert
+
+
+@pytest.mark.parametrize("n", [0, 7, 10**4000 - 1, 10**4000, 2**13300 + 1],
+                         ids=["0", "7", "10^4000-1", "10^4000", "2^13300+1"])
+def test_decimal_str_writes_what_str_writes(n):
+    # existing certificates keep their bytes: below the limit it is str()
+    assert decimal_str(n) == str(n)
+    assert decimal_int(str(n)) == n
+
+
+@pytest.mark.parametrize("n", [
+    10**5000, 10**9000 - 1, 3**30000, 12345 * 10**6000,
+], ids=["10^5000", "10^9000-1", "3^30000", "12345*10^6000"])
+def test_decimal_helpers_invert_each_other_past_the_limit(n):
+    text = decimal_str(n)
+    assert text.isdigit() and text[0] != "0"
+    assert decimal_int(text) == n
+    assert decimal_int("000" + text) == n
+
+
+@pytest.mark.parametrize("bad", [
+    "1" * 4400 + " ", "-" + "1" * 4400, "1" * 2200 + "_" + "1" * 2200,
+], ids=["space", "sign", "underscore"])
+def test_decimal_int_rejects_a_long_non_decimal_string(bad):
+    with pytest.raises(ValueError):
+        decimal_int(bad)
+
+
+def test_search_ranks_degrees_past_4300_digits(monkeypatch):
+    monkeypatch.setattr(forge, "forge_certificate_hall",
+                        lambda *args, **kwargs: huge_hall_certificate())
+    report = minimal_degree_search(2, routes=("hall",), budget=2)
+    degrees = [job["degree"] for job in report["jobs"]]
+    assert degrees == [decimal_str(8**2000)] * 2
+    assert report["best_flagged"] is report["jobs"][0]
+
+
 def test_s3_point_cap_gives_partial(monkeypatch):
     def refuse(members):
         raise AssertionError("structural order ran past the point budget")
@@ -405,18 +458,6 @@ def test_hall_pair():
     assert cert.order_structure == {"factor_order": 60, "factors": 2}
 
 
-def test_hall_normalizer_method_follows_the_enum_budget():
-    # at collection=2, |G| = 60^2 = 3600: the scan runs while |G| fits
-    cert = forge_certificate_hall(2, 5, collection=2,
-                                  budgets=Budgets(enum=3600))
-    assert cert.G_order == 3600
-    assert cert.check_a == {"pass": True, "method": "enumeration"}
-    cert = forge_certificate_hall(2, 5, collection=2,
-                                  budgets=Budgets(enum=3599))
-    assert cert.G_order == 3600
-    assert cert.check_a == {"pass": True, "method": "structural"}
-
-
 def test_hall_normalizer_past_the_enum_budget_gives_partial():
     # |G| = 3600 takes the structural branch, whose per-factor scan of
     # PSL2(5), of order 60, needs more than the budget
@@ -480,30 +521,74 @@ def test_colliding_fingerprints_fall_back_to_the_pair_closure(monkeypatch):
 
 @pytest.fixture
 def built_groups(monkeypatch):
-    built = []
+    """The degree of every PermGroup built while the fixture is active."""
+    degrees = []
+    real = PermGroup.__init__
 
-    def counting(*args, **kwargs):
-        built.append(PermGroup(*args, **kwargs))
-        return built[-1]
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        degrees.append(self.degree)
 
-    monkeypatch.setattr(forge, "PermGroup", counting)
-    return built
-
-
-def test_hall_builds_no_chain_past_the_enum_budget(built_groups):
-    cert = forge_certificate_hall(2, 5, collection=12)
-    assert cert.G_order == 60**12 and cert.H_order == 10**12
-    assert cert.check_a == {"pass": True, "method": "structural"}
-    assert built_groups == []
+    monkeypatch.setattr(PermGroup, "__init__", counting)
+    return degrees
 
 
-def test_hall_builds_both_chains_within_the_enum_budget(built_groups):
-    cert = forge_certificate_hall(2, 5, collection=2,
-                                  budgets=Budgets(enum=3600))
-    assert cert.check_a == {"pass": True, "method": "enumeration"}
-    assert [(g.degree, g.order) for g in built_groups] == [
-        (12, cert.G_order), (12, cert.H_order)]
-    assert (cert.G_order, cert.H_order) == (3600, 100)
+def test_hall_builds_no_group_wider_than_a_factor(built_groups):
+    # at any size, |G| and |H| come from Hall's lemma and check (a) scans
+    # one 6-point factor: no chain of G or H on 6k points is built, also
+    # where |G| = 3600 fits the enum budget
+    for collection, budgets in ((12, Budgets()), (2, Budgets(enum=3600))):
+        cert = forge_certificate_hall(2, 5, collection=collection,
+                                      budgets=budgets)
+        assert (cert.G_order, cert.H_order) == (
+            60**collection, 10**collection)
+        assert cert.check_a == {"pass": True, "method": "structural"}
+    assert all(degree <= 6 for degree in built_groups)
+
+
+def s3_brute_force(members):
+    """G as an unhinted chain, and the forge's 2-Sylow H as a chain."""
+    gens = build_subdirect_image(members)
+    group = PermGroup(gens)
+    sub = forge.sylow2_s3(forge.BlockGroup(gens, group.degree, group.order))
+    return subgroup_witness(group, PermGroup(sub.generators,
+                                             degree=group.degree))
+
+
+def hall_brute_force(members, p):
+    """G as an unhinted chain, and the product of the k Borel block copies."""
+    k = len(members)
+    group = PermGroup(build_subdirect_image(members))
+    borel = forge.borel_subgroup(p).sub.generators
+    fixed = tuple(range(p + 1))
+    sub = PermGroup([
+        Permutation.from_blocks([b.images if i == j else fixed
+                                 for i in range(k)])
+        for j in range(k) for b in borel])
+    return subgroup_witness(group, sub)
+
+
+@pytest.mark.parametrize("p, size", [
+    (None, 1), (None, 2), (None, 5), (None, 7), (5, 1), (5, 2), (7, 1),
+], ids=["s3-1", "s3-2", "s3-5", "s3-7", "hall5-1", "hall5-2", "hall7-1"])
+def test_structural_check_a_matches_the_chains(p, size, s3_orbit_members):
+    # the brute-force comparison the forge no longer makes: on images small
+    # enough to list, unhinted chains of G and H reach the certificate's
+    # orders, and scanning G for N_G(H) agrees with the structural check (a);
+    # p is None on the S3 route, else the hall route's prime
+    if p is None:
+        cert = forge_certificate_s3(2, truncate_k=size)
+        witness = s3_brute_force(s3_orbit_members[:size])
+    else:
+        cert = forge_certificate_hall(2, p, collection=size)
+        members, _ = collect_inequivalent_members(
+            standard_epi(2, target_psl2(p)), standard_autgens(2), size)
+        witness = hall_brute_force(members, p)
+    assert cert.k == size
+    assert (witness.ambient.order, witness.sub.order) == (
+        cert.G_order, cert.H_order)
+    assert cert.check_a == {"pass": normalizer_is_self(witness),
+                            "method": "structural"}
 
 
 def test_collect_inequivalent_members():

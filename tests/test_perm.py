@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from mcglift import forge
 from mcglift.autos import standard_autgens
 from mcglift.forge import (
-    _ROTATIONS,
     BlockGroup,
     StructuralFormError,
     _independent_rows,
@@ -126,6 +125,10 @@ def test_from_blocks_matches_explicit_offsets(blocks):
     assert built.degree == n * len(blocks)
 
 
+# the rotation x -> x + e (mod 3) of {0, 1, 2}, as an image tuple, by e
+ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
 def rotation_product(exponents):
     """The element of A3^k acting on block j as x -> x + e_j (mod 3)."""
     images = []
@@ -137,7 +140,7 @@ def rotation_product(exponents):
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
 def test_from_blocks_matches_the_rotation_product(exponents):
     assert Permutation.from_blocks(
-        [_ROTATIONS[e] for e in exponents]) == rotation_product(exponents)
+        [ROTATIONS[e] for e in exponents]) == rotation_product(exponents)
 
 
 def embed_block(p, block, block_degree, total):
