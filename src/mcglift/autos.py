@@ -8,12 +8,16 @@ each generator.  Each generator carries an explicit inverse; compositions
 are verified modulo the surface relation, not just freely.
 
 Orbits of homomorphisms under precomposition are finite and computed by
-breadth-first closure, the package's one closure engine.  Precomposition
-walks the target's multiplication rows; on the start of every closure,
-`orbit` checks that result against permutation products first.  As it
-expands each member, `orbit` records the index of the member's image under
-every generator direction, and returns that action table with the sorted
-members.
+breadth-first closure, the package's one closure engine.  It runs on index
+tuples: each expanded member walks the distinct image words and relator
+images of every generator direction through the target's multiplication
+rows in one pass, images are keyed by their tuples (or their canonical
+keys modulo target automorphisms), and only a newly admitted member is
+wrapped as a `FiniteHom`.  `precompose` is the same evaluation for one
+direction.  On the start of every closure, `orbit` checks the table route
+against permutation products first.  As it expands each member, `orbit`
+records the index of the member's image under every generator direction,
+and returns that action table with the sorted members.
 Closure of a member set under every generator (and inverse) is exactly what
 makes the intersection of the member kernels invariant under those
 automorphisms; `certify_characteristic` reads the table, without
@@ -23,10 +27,11 @@ precomposing again, and records the induced index permutations as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .budgets import ORBIT_CAP
 from .perm import EnumerationBoundExceeded
-from .quotients import FiniteHom, RelatorViolation, canonical_rep_mod_auts
+from .quotients import FiniteHom, RelatorViolation, canonical_key
 from .words import (
     SurfacePresentation,
     conjugate_word,
@@ -235,17 +240,49 @@ def standard_autgens(genus):
     return gens
 
 
-def precompose(hom, auto):
-    """The homomorphism hom∘auto, by table lookups.  Its relator image is
-    hom(auto(relator)), read through the same rows as its generator images;
-    raises RelatorViolation for a broken auto."""
-    if 2 * auto.genus != len(hom.idx):
+def _program(genus, autos):
+    """What `_images_under` evaluates for `autos`, which must all have the
+    genus `genus` (AutError otherwise): the distinct words among each
+    one's 2g image words and its relator image, a getter that spreads
+    their values back out to the 2g image slots of each auto in turn, and
+    the place of each distinct relator image with the first auto that has
+    it."""
+    if any(auto.genus != genus for auto in autos):
         raise AutError("genus mismatch between hom and automorphism")
-    *idx, relator = hom.evaluate_indices(
-        auto.images + (auto.relator_image(),))
-    if relator != hom.target.identity_index:
-        raise RelatorViolation(
-            f"{auto.name or 'the automorphism'} breaks the surface relation")
+    where = {}  # word -> its place among the distinct words
+    slots = []
+    relators = {}
+    for auto in autos:
+        slots += [where.setdefault(w, len(where)) for w in auto.images]
+        place = where.setdefault(auto.relator_image(), len(where))
+        relators.setdefault(place, auto)
+    return tuple(where), itemgetter(*slots), relators
+
+
+def _images_under(hom, program):
+    """The index tuples of hom∘auto for each auto of `program` =
+    `_program(hom.genus, autos)`, in order, from one evaluation of its
+    words; raises RelatorViolation, naming the first such auto, when hom
+    does not kill an auto's relator image."""
+    words, spread, relators = program
+    values = hom.evaluate_indices(words)
+    e = hom.target.identity_index
+    for place, auto in relators.items():
+        if values[place] != e:
+            raise RelatorViolation(
+                f"{auto.name or 'the automorphism'} breaks the surface"
+                " relation")
+    values = spread(values)
+    n = len(hom.idx)
+    return [values[i:i + n] for i in range(0, len(values), n)]
+
+
+def precompose(hom, auto):
+    """The homomorphism hom∘auto, by table lookups: the one-direction case
+    of the evaluation `orbit` runs for every direction at once.  Its
+    relator image is hom(auto(relator)), read through the same rows as its
+    generator images; raises RelatorViolation for a broken auto."""
+    [idx] = _images_under(hom, _program(hom.genus, [auto]))
     return FiniteHom.from_indices(hom.target, idx)
 
 
@@ -276,6 +313,14 @@ def orbit(seed, gens=None, mod_target_auts=False, cap=ORBIT_CAP,
     generator and inverse, optionally reduced modulo target automorphisms,
     recording the action of every direction on the members.
 
+    The closure runs on index tuples.  Each expanded member evaluates the
+    image words and relator images of every direction in one pass, as
+    `precompose` does for one; an image is reduced to its
+    `canonical_key` when `mod_target_auts` is set, and only an image not
+    seen before is wrapped as a `FiniteHom`.  A generator of another genus
+    raises AutError before anything is evaluated, and a direction that
+    breaks the surface relation raises RelatorViolation.
+
     At most `cap` members are admitted.  With `stop_at`, the closure
     finishes the level in which the member count reaches it and stops
     there, flagged incomplete even if that level was the last.  Before
@@ -285,36 +330,41 @@ def orbit(seed, gens=None, mod_target_auts=False, cap=ORBIT_CAP,
     if gens is None:
         gens = standard_autgens(seed.genus)
     directions = [d for gen in gens for d in gen.directions()]
-    start = canonical_rep_mod_auts(seed) if mod_target_auts else seed
+    program = _program(seed.genus, [auto for _, auto in directions])
+    target = seed.target
+    if mod_target_auts:
+        start = FiniteHom.from_indices(target,
+                                       canonical_key(target, seed.idx))
+    else:
+        start = seed
     _check_tables_on(start, directions)
     found = [start]  # members in insertion order, which is expansion order
-    seen = {start.key(): 0}  # key -> insertion number
-    rows = {label: [] for label, _ in directions}
+    seen = {start.idx: 0}  # index tuple -> insertion number
+    rows = [[] for _ in directions]
     expanded = 0
     stopped = False
     while expanded < len(found) and not stopped:
         level = found[expanded:]
         expanded = len(found)
         for member in level:
-            for label, auto in directions:
-                image = precompose(member, auto)
+            images = _images_under(member, program)
+            for row, key in zip(rows, images):
                 if mod_target_auts:
-                    image = canonical_rep_mod_auts(image)
-                key = image.key()
+                    key = canonical_key(target, key)
                 j = seen.get(key)
                 if j is None:
                     if len(seen) >= cap:
                         raise EnumerationBoundExceeded(
                             f"orbit closure exceeded cap {cap}")
                     j = seen[key] = len(found)
-                    found.append(image)
+                    found.append(FiniteHom.from_indices(target, key))
                     stopped = stop_at is not None and len(found) >= stop_at
-                rows[label].append(j)
+                row.append(j)
     order = [i for _, i in sorted(seen.items())]
     rank = sorted(range(len(order)), key=order.__getitem__)  # i -> position
     action = {
         label: tuple(rank[row[i]] if i < expanded else None for i in order)
-        for label, row in rows.items()
+        for (label, _), row in zip(directions, rows)
     }
     return OrbitRecord(
         genus=seed.genus,

@@ -364,17 +364,36 @@ def _s3_signs(members):
     return sign_rows, odd, shift
 
 
-def _exponent_columns(members, words, odd, shift, what):
-    """Per member, the rotation exponents of the images of `words` as a
-    bytes column; `words` lie in the sign kernel, so an image that is a
-    transposition is a broken invariant and raises RuntimeError."""
+def _exponent_columns(values, odd, shift, what):
+    """Per member, the rotation exponents of `values`, its bytes of S3
+    element indices, as a bytes column; the values are images of words in
+    the sign kernel, so a transposition is a broken invariant and raises
+    RuntimeError."""
     columns = []
-    for member in members:
-        values = bytes(member.evaluate_indices(words))
-        if 1 in values.translate(odd):
+    for column in values:
+        if 1 in column.translate(odd):
             raise RuntimeError(f"{what} evaluates to a transposition")
-        columns.append(values.translate(shift))
+        columns.append(column.translate(shift))
     return columns
+
+
+def _schreier_values(members, table):
+    """Per member, the element indices of its images of the Schreier
+    generators `table.words`, as bytes.  The transversal words are
+    evaluated once per member; the generator t_{x.c}^-1 * x * t_c of
+    entry (c, x) is then h(t_{x.c})^-1 * h(x) * h(t_c), two row lookups
+    from the inverse of h(t_{x.c})."""
+    target = members[0].target
+    rows = [target.right(y) for y in range(target.order)]
+    inv = [target.inv(y) for y in range(target.order)]
+    entries = [(c, x - 1, table.steps[x][c][0]) for c, x in table.pairs]
+    for member in members:
+        t = member.evaluate_indices(table.schreier_reps)
+        t_rows = [rows[y] for y in t]
+        t_inv = [inv[y] for y in t]
+        gen_rows = [rows[y] for y in member.idx]
+        yield bytes(t_rows[c][gen_rows[x][t_inv[xc]]]
+                    for c, x, xc in entries)
 
 
 def _module_seeds(sign_rows, basis):
@@ -428,7 +447,9 @@ def module_rank_s3(members):
     sign_rows, odd, shift = _s3_signs(members)
     basis, _ = _independent_rows(sign_rows, 2)
     seeds = _module_seeds(sign_rows, basis)
-    columns = _exponent_columns(members, seeds, odd, shift, "module seed")
+    columns = _exponent_columns(
+        (bytes(m.evaluate_indices(seeds)) for m in members), odd, shift,
+        "module seed")
     classes = {}
     for member, column in zip(members, columns):
         sign_column = bytes(odd[member.idx[i]] for i in basis)
@@ -440,6 +461,22 @@ def module_rank_s3(members):
             "three_rank": three_rank}
 
 
+def _sign_kernel_table(sign_rows):
+    """(r, table): the F2-rank r of the sign rows and the coset table of
+    the sign kernel, the kernel of the sign quotient, a homomorphism onto
+    C2^r read through the pivot coordinates of an F2 basis of the sign
+    rows, where basis vector b swaps the points of block b."""
+    chosen, pivots = _independent_rows(sign_rows, 2)
+    sign_images = [
+        Permutation.from_blocks([(1, 0) if row >> pivot & 1 else (0, 1)
+                                 for pivot in pivots])
+        for row in sign_rows]
+    # the pivot coordinates of the chosen rows form an invertible matrix, so
+    # the hom is onto; were it not, the coset table would raise CosetError
+    r = len(chosen)
+    return r, CosetTable(FiniteHom(target_c2k(r), sign_images))
+
+
 def structural_order_s3(members):
     """|G| for the product image of S3-valued members, as 2^r * 3^m, by
     Reidemeister-Schreier.
@@ -448,7 +485,9 @@ def structural_order_s3(members):
     sign image).  The kernel of the sign map meets the product in a subgroup
     of the rotation part, which is elementary abelian of exponent 3; its
     dimension m is the F3-rank of the Schreier generators of the sign-kernel
-    subgroup of the surface group, evaluated factor-wise.  The Schreier
+    subgroup of the surface group, evaluated factor-wise: each member
+    evaluates the 2^r transversal words once and forms every generator
+    from them (`_schreier_values`).  The Schreier
     generators generate that subgroup (Schreier's lemma), so m is an upper
     bound, and their independent images are explicit elements of G, so it
     is a lower bound: |G| = 2^r * 3^m exactly.
@@ -461,22 +500,11 @@ def structural_order_s3(members):
     """
     members = list(members)
     sign_rows, odd, shift = _s3_signs(members)
-    chosen, pivots = _independent_rows(sign_rows, 2)
-    r = len(chosen)
-
-    # sign quotient as a homomorphism onto C2^r via the pivot coordinates:
-    # basis vector b of C2^r swaps the points of block b
-    c2r = target_c2k(r)
-    sign_images = [
-        Permutation.from_blocks([(1, 0) if row >> pivot & 1 else (0, 1)
-                                 for pivot in pivots])
-        for row in sign_rows]
-    # the pivot coordinates of the chosen rows form an invertible matrix, so
-    # the hom is onto; were it not, the coset table would raise CosetError
-    words = CosetTable(FiniteHom(c2r, sign_images)).words
+    r, table = _sign_kernel_table(sign_rows)
 
     # factor-wise rotation exponents of each Schreier generator word
-    columns = _exponent_columns(members, words, odd, shift, "sign-kernel word")
+    columns = _exponent_columns(_schreier_values(members, table), odd, shift,
+                                "sign-kernel word")
     exponent_rows = [bytes(row) for row in zip(*columns)]
     chosen, _ = _independent_rows(exponent_rows, 3)
     return {

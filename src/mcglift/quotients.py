@@ -11,10 +11,17 @@ element list, and a homomorphism is the tuple of its images' indices.
 Products, inverses and conjugates are then table lookups.  The tables are
 built one row or column at a time, for an element the first time it is
 used, and kept on the target; a target never builds a whole |Q|^2 or
-|Aut| x |Q| table up front.  `Permutation` stays the type at the edges
-(cycle strings, product groups, coset sets) and is the independent route:
-`FiniteHom.evaluate` multiplies permutations, and `autos.orbit` compares it
-with the table route on the seed of every closure.
+|Aut| x |Q| table up front.  A conjugation column composes image tuples and
+looks each conjugate up by its tuple.  `Permutation` stays the type at the
+edges (cycle strings, product groups, coset sets) and is the independent
+route: `FiniteHom.evaluate` multiplies permutations, and `autos.orbit`
+compares it with the table route on the seed of every closure.
+
+`canonical_key` reduces an index tuple modulo Aut(target) to the least of
+its images: per coordinate, the least column entry over the automorphisms
+that reached the previous minima.  The first coordinate's minimum and its
+automorphisms come from a per-element memo on the target, so a closure
+modulo Aut(target) scans whole columns only once per element.
 
 Enumeration splits off the last handle: the commutator map is tabulated once
 per target, so a genus-g count costs |Q|^(2g-2) prefix tuples plus lookups
@@ -58,9 +65,10 @@ class FiniteTarget:
     irreducible degree lists the counting oracle knows.
 
     `right(x)`, `inv(x)` and `conj_column(x)` answer products, inverses and
-    automorphism images by element index.  Each is built for one element on
-    its first use and memoized; neither the constructor nor `aut_reps`
-    builds any of them.
+    automorphism images by element index, and `least_conjugate(x)` the
+    least entry of x's column with the automorphisms that reach it.  Each
+    is built for one element on its first use and memoized; neither the
+    constructor nor `aut_reps` builds any of them.
     """
 
     def __init__(self, elements, generators, name, character_degrees=None,
@@ -79,7 +87,11 @@ class FiniteTarget:
         self._right = {}  # x -> row r -> index of elements[r] * elements[x]
         self._inv = {}  # x -> index of elements[x]^-1
         self._conj = {}  # x -> column t -> index of a x a^-1, a = aut_reps[t]
-        self._aut_pairs = None  # (t, t^-1) for t in aut_reps(), on first use
+        self._least = {}  # x -> (least entry of x's column, the t reaching it)
+        # per aut_reps()[t], the lookup of t's images and the image tuple of
+        # t^-1, with the element index by image tuple; built on first use
+        self._aut_pairs = None
+        self._by_images = None
 
     def aut_reps(self):
         """Permutations whose conjugation action realizes Aut(target)."""
@@ -113,11 +125,27 @@ class FiniteTarget:
         column = self._conj.get(x)
         if column is None:
             if self._aut_pairs is None:
-                self._aut_pairs = [(t, t.inverse()) for t in self.aut_reps()]
-            index, p = self.element_index, self.elements[x]
+                self._aut_pairs = [(t.images.__getitem__, t.inverse().images)
+                                   for t in self.aut_reps()]
+                self._by_images = {p.images: i
+                                   for i, p in enumerate(self.elements)}
+            index, p = self._by_images, self.elements[x].images.__getitem__
+            # (t x t^-1)(i) = t(x(t^-1(i))), composed on image tuples
             column = self._conj[x] = tuple(
-                index[t * p * ti] for t, ti in self._aut_pairs)
+                index[tuple(map(t, map(p, ti)))] for t, ti in self._aut_pairs)
         return column
+
+    def least_conjugate(self, x):
+        """(m, survivors): m is the least index in `conj_column(x)` and
+        survivors the tuple of the automorphism numbers t reaching it, the
+        first coordinate of every canonical key that starts with x."""
+        entry = self._least.get(x)
+        if entry is None:
+            column = self.conj_column(x)
+            m = min(column)
+            entry = self._least[x] = (
+                m, tuple(t for t, y in enumerate(column) if y == m))
+        return entry
 
     def __repr__(self):
         return f"FiniteTarget({self.name}, order={self.order})"
@@ -510,18 +538,30 @@ def mod2_homology_hom(genus):
     return FiniteHom(target, target.generators)
 
 
-def canonical_rep_mod_auts(hom):
-    """Lexicographically least image of the hom under the stored
-    automorphism realization; the representative of its Aut(target)-class.
+def canonical_key(target, idx):
+    """The lexicographically least image of the index tuple `idx` under
+    the stored automorphism realization: the key of its Aut(target)-class.
 
-    The least tuple is found coordinate by coordinate: each coordinate keeps
-    only the automorphisms that reach its least value."""
-    target = hom.target
-    survivors = range(len(target.aut_reps()))
-    for x in hom.idx:
-        column = target.conj_column(x)
-        best = min(column[t] for t in survivors)
+    The least tuple is found coordinate by coordinate, each coordinate
+    keeping only the automorphisms that reach its least value; the first
+    coordinate's minimum and survivors are read from the target's
+    per-element memo.  The key is the list of those minima."""
+    m, survivors = target.least_conjugate(idx[0])
+    key = [m]
+    conj_column = target.conj_column
+    for x in idx[1:]:
+        column = conj_column(x)
+        if len(survivors) == 1:
+            key.append(column[survivors[0]])
+            continue
+        best = min(map(column.__getitem__, survivors))
         survivors = [t for t in survivors if column[t] == best]
-    t = survivors[0]
-    return FiniteHom.from_indices(
-        target, tuple(target.conj_column(x)[t] for x in hom.idx))
+        key.append(best)
+    return tuple(key)
+
+
+def canonical_rep_mod_auts(hom):
+    """The representative of the hom's Aut(target)-class: the hom whose
+    images are `canonical_key(hom.target, hom.idx)`."""
+    return FiniteHom.from_indices(hom.target,
+                                  canonical_key(hom.target, hom.idx))

@@ -333,3 +333,112 @@ def test_table_reading_matches_the_reference_on_prefixes_and_deletions():
     for sub in subsets:
         assert (certify_characteristic(rec, sub)
                 == _two_pass_certificate(sub, gens)), len(sub)
+
+
+def _reference_orbit(seed, gens, mod_target_auts=False, stop_at=None):
+    """Reference closure: one `precompose` per member and direction, then
+    `canonical_rep_mod_auts` on every image, as separate calls."""
+    from mcglift.quotients import canonical_rep_mod_auts
+
+    directions = [d for gen in gens for d in gen.directions()]
+    start = canonical_rep_mod_auts(seed) if mod_target_auts else seed
+    found = [start]
+    seen = {start.key(): 0}
+    rows = {label: [] for label, _ in directions}
+    expanded = 0
+    stopped = False
+    while expanded < len(found) and not stopped:
+        level = found[expanded:]
+        expanded = len(found)
+        for member in level:
+            for label, auto in directions:
+                image = precompose(member, auto)
+                if mod_target_auts:
+                    image = canonical_rep_mod_auts(image)
+                j = seen.get(image.key())
+                if j is None:
+                    j = seen[image.key()] = len(found)
+                    found.append(image)
+                    stopped = stop_at is not None and len(found) >= stop_at
+                rows[label].append(j)
+    order = [i for _, i in sorted(seen.items())]
+    rank = sorted(range(len(order)), key=order.__getitem__)
+    action = {
+        label: tuple(rank[row[i]] if i < expanded else None for i in order)
+        for label, row in rows.items()
+    }
+    return [found[i].key() for i in order], action, not stopped
+
+
+def _psl2_5_epi():
+    from mcglift.forge import standard_epi
+    from mcglift.quotients import target_psl2
+
+    return standard_epi(2, target_psl2(5))
+
+
+@pytest.mark.parametrize("seed, genus, mod, stop_at, k", [
+    (s3_standard_epi(), 2, False, None, 360),
+    (s3_standard_epi(), 2, True, None, 60),
+    (c2_functional_hom(3, 1), 3, False, None, 63),
+    (_psl2_5_epi(), 2, True, 12, None),
+    (_psl2_5_epi(), 2, True, None, 1440),
+], ids=["s3-g2", "s3-g2-mod", "c2-g3", "psl2-5-stop12", "psl2-5-full"])
+def test_orbit_matches_the_reference_closure(seed, genus, mod, stop_at, k):
+    gens = standard_autgens(genus)
+    rec = orbit(seed, gens, mod_target_auts=mod, stop_at=stop_at)
+    keys, action, complete = _reference_orbit(seed, gens, mod, stop_at)
+    assert [m.key() for m in rec.members] == keys
+    assert rec.action == action
+    assert rec.complete is complete is (stop_at is None)
+    if k is not None:
+        assert rec.k == k
+
+
+def test_orbit_wraps_only_admitted_members(monkeypatch):
+    # one FiniteHom per new member; the closure itself keeps index tuples
+    calls = []
+    real = FiniteHom.from_indices.__func__
+
+    def counted(cls, target, idx):
+        calls.append(idx)
+        return real(cls, target, idx)
+
+    monkeypatch.setattr(FiniteHom, "from_indices", classmethod(counted))
+    rec = orbit(s3_standard_epi(), standard_autgens(2))
+    assert rec.k == 360
+    assert len(calls) <= rec.k
+
+
+@pytest.mark.parametrize("extra", [None, "last"])
+def test_orbit_rejects_generators_of_another_genus_before_evaluating(
+        extra, monkeypatch):
+    # a genus-3 letter read against genus-2 rows would index the wrong row
+    # from the end of the row list instead of failing
+    def refuse(*args):
+        raise AssertionError("evaluated a word before the genus check")
+
+    seed = s3_standard_epi()
+    gens = standard_autgens(3)
+    if extra:
+        gens = standard_autgens(2) + gens[-1:]
+    monkeypatch.setattr(FiniteHom, "evaluate", refuse)
+    monkeypatch.setattr(FiniteHom, "evaluate_indices", refuse)
+    with pytest.raises(AutError, match="genus mismatch"):
+        orbit(seed, gens)
+
+
+def test_orbit_raises_on_a_direction_that_breaks_the_relation():
+    from mcglift.autos import AutGen
+    from mcglift.quotients import RelatorViolation
+
+    # a_1 -> a_1^2: the standard S3 epimorphism sends [a_1^2, b_1][a_2, b_2]
+    # to a 3-cycle, so the start member already sees the breach
+    square = SurfaceAuto(2, [(1, 1), (2,), (3,), (4,)], name="square-a1")
+    h = s3_standard_epi()
+    message = "square-a1 breaks the surface relation"
+    with pytest.raises(RelatorViolation, match=message):
+        precompose(h, square)
+    gens = standard_autgens(2) + [AutGen("square-a1", square, square)]
+    with pytest.raises(RelatorViolation, match=message):
+        orbit(h, gens)

@@ -418,10 +418,13 @@ def test_forge_is_deterministic_modulo_timing(tmp_path, capsys):
 
 
 def test_forge_invariant_breach_exits_3(monkeypatch, tmp_path, capsys):
-    # single generators posing as sign-kernel words: a surjection onto S3
-    # sends one of them to a transposition, which the construction forbids
-    monkeypatch.setattr(forge, "CosetTable", lambda hom:
-                        SimpleNamespace(words=((1,), (2,), (3,), (4,))))
+    # single generators posing as sign-kernel words, as the Schreier
+    # generators of a one-coset table: a surjection onto S3 sends one of
+    # them to a transposition, which the construction forbids
+    monkeypatch.setattr(forge, "CosetTable", lambda hom: SimpleNamespace(
+        words=((1,), (2,), (3,), (4,)), schreier_reps=((),),
+        pairs=((0, 1), (0, 2), (0, 3), (0, 4)),
+        steps={x: ((0, 0),) for x in (1, 2, 3, 4)}))
     assert run(["forge", "--genus", "2", "--route", "s3", "--truncate-k",
                 "1", "--out", str(tmp_path / "c.json")]) == EXIT_BREACH
     err = capsys.readouterr().err
@@ -509,8 +512,11 @@ def test_forge_exits_3_when_schreier_words_are_dropped(
 
     def dropped(hom):
         table = real(hom)
-        return SimpleNamespace(words=tuple(
-            word for word, (_, x) in zip(table.words, table.pairs) if x != 4))
+        kept = [i for i, (_, x) in enumerate(table.pairs) if x != 4]
+        return SimpleNamespace(
+            pairs=tuple(table.pairs[i] for i in kept),
+            words=tuple(table.words[i] for i in kept),
+            steps=table.steps, schreier_reps=table.schreier_reps)
 
     members = forge.orbit(forge.standard_epi(2, forge.target_s3()),
                           standard_autgens(2)).members[:truncate_k]

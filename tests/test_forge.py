@@ -183,6 +183,38 @@ def test_module_closure_matches_reidemeister_schreier_genus3(
     assert len(pairs) > 20
 
 
+def schreier_values_check(members):
+    """Route 2's transversal evaluation of the Schreier generators against
+    each generator word walked letter by letter; returns the table."""
+    sign_rows, odd, shift = forge._s3_signs(members)
+    _, table = forge._sign_kernel_table(sign_rows)
+    by_transversal = list(forge._schreier_values(members, table))
+    by_word = [bytes(m.evaluate_indices(table.words)) for m in members]
+    assert by_transversal == by_word
+    assert (forge._exponent_columns(by_transversal, odd, shift, "")
+            == forge._exponent_columns(by_word, odd, shift, ""))
+    return table
+
+
+def test_transversal_schreier_values_match_the_words_genus2(
+        s3_orbit_members):
+    table = schreier_values_check(s3_orbit_members)
+    assert (table.d, table.count) == (16, 49)
+    rng = random.Random(4)
+    for _ in range(20):
+        schreier_values_check(rng.sample(s3_orbit_members, rng.randint(1, 40)))
+
+
+def test_transversal_schreier_values_match_the_words_genus3(
+        genus3_orbit_members):
+    rng = random.Random(5)
+    table = schreier_values_check(rng.sample(genus3_orbit_members, 600))
+    assert (table.d, table.count) == (64, 321)
+    for _ in range(10):
+        schreier_values_check(
+            rng.sample(genus3_orbit_members, rng.randint(1, 200)))
+
+
 def test_module_seeds_are_the_relators_of_the_sign_image(s3_orbit_members):
     # genus 2, whole orbit: r = 4, so 4 squares, 6 commutators, and no other
     # generator; k = 2 members give r = 3 and one word g w_g^-1

@@ -3,7 +3,8 @@
 Right-multiplication rows, inverse indices and conjugation columns are read
 back as permutations and compared with products composed here from image
 tuples, (p * q)(x) = p(q(x)).  Index-route evaluation and canonical
-representatives are compared with the permutation route.
+representatives are compared with the permutation route, and canonical keys
+with the least tuple over every stored automorphism.
 """
 
 import random
@@ -18,6 +19,7 @@ from mcglift.quotients import (
     FiniteHom,
     QuotientError,
     RelatorViolation,
+    canonical_key,
     canonical_rep_mod_auts,
     enumerate_homs,
     target_a5,
@@ -147,6 +149,35 @@ def test_canonical_rep_matches_the_permutation_version(target):
         assert rep.images == canonical_rep_by_permutations(hom).images
 
 
+def least_tuple_over_every_automorphism(target, idx):
+    """Brute force: the least of the images of `idx` under every stored
+    automorphism, one whole tuple per automorphism."""
+    return min(tuple(target.conj_column(x)[t] for x in idx)
+               for t in range(len(target.aut_reps())))
+
+
+def test_canonical_key_is_the_least_tuple_on_psl2_7_homs():
+    target = target_psl2(7)
+    for hom in random_homs(target, random.Random(11), 25):
+        key = canonical_key(target, hom.idx)
+        assert key == least_tuple_over_every_automorphism(target, hom.idx)
+        assert canonical_rep_mod_auts(hom).idx == key
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 659), min_size=4, max_size=4))
+def test_canonical_key_is_the_least_tuple_on_psl2_11(idx):
+    # the key is defined on any index tuple, homomorphism or not
+    target = target_psl2(11)
+    idx = tuple(idx)
+    assert (canonical_key(target, idx)
+            == least_tuple_over_every_automorphism(target, idx))
+    m, survivors = target.least_conjugate(idx[0])
+    column = target.conj_column(idx[0])
+    assert m == min(column)
+    assert survivors == tuple(t for t in range(len(column)) if column[t] == m)
+
+
 def test_sorting_by_indices_is_sorting_by_image_tuples():
     homs = enumerate_homs(2, target_s3()) + HOMS[10:]
     random.Random(7).shuffle(homs)
@@ -179,9 +210,13 @@ def test_aut_reps_build_no_row_or_column():
     target.aut_reps()
     assert target._right == {} and target._inv == {}
     assert target._conj == {} and target._aut_pairs is None
+    assert target._least == {} and target._by_images is None
     target.right(3)
     target.conj_column(4)
     assert list(target._right) == [3] and list(target._conj) == [4]
+    assert target._least == {}
+    target.least_conjugate(5)
+    assert list(target._least) == [5] and list(target._conj) == [4, 5]
 
 
 def test_orbit_raises_when_the_tables_disagree_with_permutations():
