@@ -7,15 +7,7 @@ subgroups of PSL2 over prime fields), and realizes the induced homomorphism
 on the cover subgroup through Reidemeister-Schreier rewriting.
 """
 
-from .perm import (
-    Permutation,
-    PermGroup,
-    SubgroupWitness,
-    mulclose,
-    normalizer_is_self,
-    subgroup_witness,
-    sylow2,
-)
+from .perm import Permutation, mulclose
 from .words import (
     SurfacePresentation,
     cover_genus,
@@ -68,6 +60,7 @@ from .forge import (
     forge_certificate_s3,
     minimal_degree_search,
     module_rank_s3,
+    normalizer_is_self_borel,
     normalizer_is_self_s3,
     structural_order_s3,
     sylow2_s3,

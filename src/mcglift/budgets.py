@@ -6,8 +6,9 @@ the three limits a run can set:
 
     tuples  homomorphism tuples `enumerate_homs` may examine;
     points  points of the product permutation group a forge may build;
-    enum    group elements an enumeration (normalizer scan, Sylow growth,
-            closure) may list.
+    enum    group elements an enumeration (the hall route's scan of one
+            factor and its pair closures in Q x Q, the alpha suites) may
+            list.
 
 The entry points take a `Budgets`; the lower layers take plain integers and
 default to `DEFAULT`.  The two orbit-closure caps are sizing limits that no

@@ -26,20 +26,22 @@ On the hall route |G| = |Q|^k by Hall's lemma, and |H| = |B|^k: members
 shown pairwise Aut(Q)-inequivalent by two routes, distinct canonical keys
 and distinct `order_fingerprints` (a collision falls back to a closure in
 Q x Q), give all of Q^k.  Condition (a) is checked factor-wise, since
-N(B x ... x B) = N(B) x ... x N(B) in Q^k; only one factor's PSL2(F_p) is
-scanned.
+N(B x ... x B) = N(B) x ... x N(B) in Q^k, by two routes on one factor:
+`normalizer_is_self_borel` shows B is the stabilizer of the one point it
+fixes, and scans PSL2(F_p) for a normalizing element outside B.
 
-Neither route builds a stabilizer chain of G or H at any size: the forge
-builds no PermGroup beyond the one-factor Borel subgroup.
+Neither route builds a stabilizer chain at any size: the one-factor Borel
+subgroup is a set of p(p-1)/2 elements, and G and H are held as generators
+with orders certified by other means.
 
 The S3 section below owns the block form, G inside S3 x ... x S3 acting on
 {0,1,2} + {3,4,5} + ...: the order, `sylow2_s3` and `normalizer_is_self_s3`
 are structural there, and read G as its generators and the routes' order
-(a `BlockGroup`).  Tests check the last two against `perm.sylow2` and
-`perm.normalizer_is_self`.  `sylow2_s3` builds H blockwise: the cubes of a
-sign basis of generators are involutions, and conjugating each by 3-cycles
-of G aligns it with the earlier ones on every block they share; r commuting
-involutions with independent signs certify |H| = 2^r.
+(a `BlockGroup`).  Tests check the last two against a reference
+Schreier-Sims chain kept with the tests.  `sylow2_s3` builds H blockwise:
+the cubes of a sign basis of generators are involutions, and conjugating
+each by 3-cycles of G aligns it with the earlier ones on every block they
+share; r commuting involutions with independent signs certify |H| = 2^r.
 
 Both routes share one private run record, `_Run`: it checks the genus and
 the seed epimorphism, and holds the generator set, seed material, k, the
@@ -69,7 +71,6 @@ from .perm import (
     Permutation,
     Sylow2Stalled,
     mulclose,
-    normalizer_is_self,
     two_part,
 )
 from .quotients import (
@@ -112,7 +113,7 @@ def build_subdirect_image(members, point_cap=DEFAULT.points):
     deg = target.degree
     if k * deg > point_cap:
         raise EnumerationBoundExceeded(
-            f"{k * deg} points exceed the chain budget {point_cap}"
+            f"{k * deg} points exceed the point budget {point_cap}"
         )
     elements = target.elements
     return tuple(
@@ -138,7 +139,7 @@ class BlockGroup(namedtuple("BlockGroup", "generators degree order")):
 def s3_block_count(group):
     """Number k of 3-point blocks if the group lies in S3 x ... x S3 acting on
     {0,1,2} + {3,4,5} + ..., else None.  Only the generators and degree of
-    `group` are read, so it may be a PermGroup or a BlockGroup."""
+    `group` are read, so any record that has them will do."""
     if group.degree % 3:
         return None
     blocks = tuple(x // 3 for x in range(group.degree))
@@ -230,9 +231,9 @@ def _independent_rows(rows, p):
 def sylow2_s3(group, seed=0):
     """A 2-Sylow H of G <= S3^k, as a BlockGroup of order 2^r, where 2^r is
     the 2-part of |G|; no chain of G or H is built.  `group` is a
-    BlockGroup or a PermGroup: only its generators, degree and order are
-    read, so on the forge it is the product generators with the order of
-    the linear routes.
+    BlockGroup or any record with generators, degree and order, the only
+    fields read; on the forge it is the product generators with the order
+    of the linear routes.
 
     The sign map s: G -> F2^k has image V of order 2^r, and its kernel is
     the odd abelian part.  Only the sign vectors of the generators are
@@ -294,8 +295,9 @@ def sylow2_s3(group, seed=0):
 
 def normalizer_is_self_s3(group, sub):
     """Certify N_G(H) = H for H a 2-Sylow of a group G <= S3^k.  Each of
-    `group` and `sub` is a BlockGroup or a PermGroup: only generators,
-    degree and order are read, so |G| may come from the linear routes.
+    `group` and `sub` is a BlockGroup or any record with generators,
+    degree and order, the only fields read, so |G| may come from the
+    linear routes.
 
     Checks: G's generators preserve the 3-blocks; |H| equals the 2-part of
     |G|; every H generator restricts on each block to the identity or to
@@ -889,20 +891,12 @@ def forge_certificate_hall(genus, p, seed_epi=None, collection=2, seed=0,
 def _hall_steps(run, p, members, collection, budgets):
     with run.stage("collection_s"):
         if members is None:
-            members, truncated = collect_inequivalent_members(
+            members, _ = collect_inequivalent_members(
                 run.seed_epi, run.gens, collection)
-        else:
-            truncated = True
     run.k = k = len(members)
-
-    passed = False
-    if not truncated:
-        # the quota flags every closure it stops, so an unflagged collection
-        # is a whole closure of one member; rebuild its record to certify it
-        rec = orbit(run.seed_epi, run.gens, mod_target_auts=True)
-        passed = certify_characteristic(rec, members)["pass"]
-    run.characterize(
-        passed, note="collection-truncated" if truncated else "closure-complete")
+    # neither an explicit list nor a collection is a whole closure: the
+    # quota flags every closure it stops
+    run.characterize(False, note="collection-truncated")
 
     # the Hall hypothesis, route 1: no two members differ by a target
     # automorphism
@@ -926,13 +920,14 @@ def _hall_steps(run, p, members, collection, budgets):
     order = target.order ** k
 
     with run.stage("subgroup_s"):
-        bw = borel_subgroup(p)
-    h_order = bw.sub.order ** k
+        borel = borel_subgroup(p)
+    h_order = len(borel.elements) ** k
 
-    check_a = run.check_a(lambda: normalizer_is_self(bw, bound=budgets.enum))
+    check_a = run.check_a(
+        lambda: normalizer_is_self_borel(p, borel, bound=budgets.enum))
 
     with run.stage("check_b_s"):
-        pass_b, conjugator = _hall_check_b(p, bw)
+        pass_b, conjugator = _hall_check_b(p, borel)
 
     return dict(
         G_order=order, H_order=h_order, degree=order // h_order,
@@ -942,7 +937,56 @@ def _hall_steps(run, p, members, collection, budgets):
         order_structure={"factor_order": target.order, "factors": k})
 
 
-def _hall_check_b(p, bw):
+def _borel_is_point_stabilizer(target, borel):
+    """Route 1 of the hall check (a): True when B's generators fix exactly
+    one point, infinity, and exactly |B| elements of Q fix it.  B then lies
+    in Stab_Q(infinity) with the same order, so B = Stab_Q(infinity).  An
+    element normalizing B permutes the points B fixes, here only infinity,
+    so it fixes infinity and lies in B.  Reads Q's element list but
+    multiplies nothing.  False only says that B was not shown to be a
+    point stabilizer, which every Borel subgroup is."""
+    fixed = [x for x in range(target.degree)
+             if all(g.images[x] == x for g in borel.generators)]
+    if len(fixed) != 1:
+        return False
+    (infinity,) = fixed
+    stabilizer = sum(e.images[infinity] == infinity for e in target.elements)
+    return stabilizer == len(borel.elements)
+
+
+def _borel_normalizer_scan(target, borel, bound):
+    """Route 2 of the hall check (a): True when no element of Q outside B
+    conjugates both of B's generators into B.  Scans Q's element list, with
+    B held as a set; more than `bound` elements raise
+    EnumerationBoundExceeded."""
+    if target.order > bound:
+        raise EnumerationBoundExceeded(
+            f"group order {target.order} exceeds enumeration bound {bound}")
+    inside = borel.elements
+    for x in target.elements:
+        if x not in inside:
+            xi = x.inverse()
+            if all(x * g * xi in inside for g in borel.generators):
+                return False
+    return True
+
+
+def normalizer_is_self_borel(p, borel, bound=DEFAULT.enum):
+    """Condition (a) for one PSL2(F_p) factor, N_Q(B) = B, by two
+    chain-free routes: B is the stabilizer of the one point it fixes, and
+    a scan of Q finds no normalizing element outside B.  If they disagree
+    the run raises RuntimeError (exit 3) and neither answer is kept."""
+    target = target_psl2(p)
+    stabilizer = _borel_is_point_stabilizer(target, borel)
+    scan = _borel_normalizer_scan(target, borel, bound)
+    if stabilizer != scan:
+        raise RuntimeError(
+            f"check (a) cross-check failed at p = {p}: the point stabilizer"
+            f" route gives {stabilizer}, the normalizer scan gives {scan}")
+    return scan
+
+
+def _hall_check_b(p, borel):
     """Per-factor content of condition (b) on the hall route: the non-inner
     automorphism class maps the Borel subgroup to a conjugate of itself.
     Searches for an explicit conjugator; returns (ok, conjugator string)."""
@@ -956,10 +1000,10 @@ def _hall_check_b(p, bw):
             break
     if non_inner is None:
         return False, ""
-    moved = [non_inner * g * non_inner.inverse() for g in bw.sub.generators]
+    moved = [non_inner * g * non_inner.inverse() for g in borel.generators]
     for x in target.elements:
         xi = x.inverse()
-        if all(x * mg * xi in bw.sub for mg in moved):
+        if all(x * mg * xi in borel.elements for mg in moved):
             return True, x.cycle_string()
     return False, ""
 

@@ -35,17 +35,12 @@ whose elements are listed anyway, so no stabilizer chain is needed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .budgets import DEFAULT
-from .perm import (
-    EnumerationBoundExceeded,
-    PermGroup,
-    Permutation,
-    mulclose,
-    subgroup_witness,
-)
+from .perm import EnumerationBoundExceeded, Permutation, mulclose
 from .words import surface_relator
 
 
@@ -510,23 +505,29 @@ def count_homs_oracle(genus, target):
     return int(value)
 
 
+class BorelSubgroup(namedtuple("BorelSubgroup", "generators elements")):
+    """The Borel subgroup B of one PSL2(F_p) factor: its two generators and
+    its element set, a frozenset of permutations of the p+1 points."""
+
+    __slots__ = ()
+
+
 def borel_subgroup(p):
-    """The upper-triangular (point-stabilizer) subgroup of PSL2(F_p), as a
-    SubgroupWitness with exact index p+1 and order p(p-1)/2."""
-    target = target_psl2(p)
+    """The upper-triangular subgroup of PSL2(F_p), generated by a translation
+    and a scaling, both fixing the point at infinity (index p).  Its
+    elements come from a closure, whose size must be p(p-1)/2, so B has
+    index p+1."""
+    target_psl2(p)  # rejects a p that is not a prime >= 5
     translation = psl2_matrix_perm((1, 1, 0, 1), p)
     u = _primitive_root(p)
     scaling = psl2_matrix_perm((u, 0, 0, pow(u, -1, p)), p)
-    ambient = PermGroup(list(target.generators), degree=p + 1)
-    sub = PermGroup([translation, scaling], degree=p + 1)
+    elements = frozenset(mulclose([translation, scaling], degree=p + 1))
     expected = p * (p - 1) // 2
-    if sub.order != expected:
+    if len(elements) != expected:
         raise QuotientError(
-            f"Borel subgroup order {sub.order}, expected {expected}"
+            f"Borel subgroup order {len(elements)}, expected {expected}"
         )
-    witness = subgroup_witness(ambient, sub)
-    assert witness.index == p + 1
-    return witness
+    return BorelSubgroup((translation, scaling), elements)
 
 
 def mod2_homology_hom(genus):

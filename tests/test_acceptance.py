@@ -24,15 +24,9 @@ from mcglift.forge import (
     standard_epi,
     sylow2_s3,
 )
-from mcglift.perm import (
-    PermGroup,
-    Permutation,
-    normalizer_is_self,
-    subgroup_witness,
-)
+from mcglift.perm import Permutation
 from mcglift.quotients import (
     FiniteHom,
-    borel_subgroup,
     count_homs_oracle,
     enumerate_epis,
     enumerate_homs,
@@ -48,6 +42,12 @@ from mcglift.words import (
     free_reduce,
     inverse_word,
     surface_relator,
+)
+from oracle import (
+    PermGroup,
+    borel_witness,
+    normalizer_is_self,
+    subgroup_witness,
 )
 
 
@@ -197,7 +197,7 @@ def test_criterion_06_hall_route():
     assert diagonal.order == 60  # negative control: equivalent pair
     borel_results = {}
     for p in (5, 7, 11, 13):
-        w = borel_subgroup(p)
+        w = borel_witness(p)
         borel_results[p] = normalizer_is_self(w)
     assert all(borel_results.values()), borel_results
     report(6, "inequivalent A5 pair gives |G|=3600, equivalent pair 60;"

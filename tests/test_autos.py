@@ -13,9 +13,10 @@ from mcglift.autos import (
     precompose,
     standard_autgens,
 )
-from mcglift.perm import EnumerationBoundExceeded, PermGroup, Permutation
+from mcglift.perm import EnumerationBoundExceeded, Permutation
 from mcglift.quotients import FiniteHom, target_c2, target_s3
 from mcglift.words import SurfacePresentation, surface_relator
+from oracle import PermGroup
 
 
 def c2_functional_hom(genus, mask):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -493,6 +494,27 @@ def test_forge_exits_3_when_a_module_seed_is_dropped(
     assert ("order cross-check failed: the module closure gives (r, m) ="
             " (4, 29), Reidemeister-Schreier gives (4, 30)"
             ) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route, stabilizer, scan", [
+    ("_borel_is_point_stabilizer", False, True),
+    ("_borel_normalizer_scan", True, False),
+])
+def test_hall_forge_exits_3_when_a_check_a_route_is_blinded(
+        route, stabilizer, scan, monkeypatch, tmp_path, capsys):
+    # either route of the hall check (a) made blind, so it never certifies
+    # N(B) = B: the other still does, and the run breaches instead of
+    # picking one answer
+    monkeypatch.setattr(forge, route, lambda *args: False)
+    message = (f"check (a) cross-check failed at p = 5: the point stabilizer"
+               f" route gives {stabilizer}, the normalizer scan gives {scan}")
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        forge.forge_certificate_hall(2, 5, collection=1)
+    out = tmp_path / "c.json"
+    assert run(["forge", "--route", "hall", "--collection", "2",
+                "--out", str(out)]) == EXIT_BREACH
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import mcglift
 from mcglift import forge
 from mcglift.autos import orbit, standard_autgens
 from mcglift.budgets import Budgets
@@ -27,19 +28,20 @@ from mcglift.forge import (
     standard_epi,
     structural_order_s3,
 )
-from mcglift.perm import (
-    PermGroup,
-    Permutation,
-    Sylow2Stalled,
-    mulclose,
-    normalizer_is_self,
-    subgroup_witness,
-)
+from mcglift.perm import Permutation, Sylow2Stalled, mulclose
 from mcglift.quotients import (
+    BorelSubgroup,
     FiniteHom,
+    borel_subgroup,
     target_a5,
     target_psl2,
     target_s3,
+)
+from oracle import (
+    PermGroup,
+    borel_witness,
+    normalizer_is_self,
+    subgroup_witness,
 )
 
 FULL_S3_ORDER = 2**4 * 3**30
@@ -551,31 +553,50 @@ def test_colliding_fingerprints_fall_back_to_the_pair_closure(monkeypatch):
     assert cert.failing_stage.startswith("hall-hypothesis: closure exceeded")
 
 
-@pytest.fixture
-def built_groups(monkeypatch):
-    """The degree of every PermGroup built while the fixture is active."""
-    degrees = []
-    real = PermGroup.__init__
-
-    def counting(self, *args, **kwargs):
-        real(self, *args, **kwargs)
-        degrees.append(self.degree)
-
-    monkeypatch.setattr(PermGroup, "__init__", counting)
-    return degrees
+# the stabilizer chain and the checks built on it, kept only in oracle
+CHAIN_NAMES = ("_Level", "PermGroup", "SubgroupWitness", "subgroup_witness",
+               "sylow2", "normalizer_is_self", "MembershipError")
 
 
-def test_hall_builds_no_group_wider_than_a_factor(built_groups):
-    # at any size, |G| and |H| come from Hall's lemma and check (a) scans
-    # one 6-point factor: no chain of G or H on 6k points is built, also
-    # where |G| = 3600 fits the enum budget
+def test_hall_forge_runs_with_no_stabilizer_chain_in_the_package():
+    # at any size, |G| and |H| come from Hall's lemma and check (a) reads
+    # one factor's Borel subgroup as a set, also where |G| = 3600 fits the
+    # enum budget; the package has no chain to build
+    for module in (mcglift, mcglift.perm, mcglift.quotients, forge):
+        assert [name for name in CHAIN_NAMES if hasattr(module, name)] == []
     for collection, budgets in ((12, Budgets()), (2, Budgets(enum=3600))):
         cert = forge_certificate_hall(2, 5, collection=collection,
                                       budgets=budgets)
         assert (cert.G_order, cert.H_order) == (
             60**collection, 10**collection)
         assert cert.check_a == {"pass": True, "method": "structural"}
-    assert all(degree <= 6 for degree in built_groups)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_hall_check_a_routes_agree_with_the_chain_scan(p):
+    target, borel = target_psl2(p), borel_subgroup(p)
+    assert forge._borel_is_point_stabilizer(target, borel) is True
+    assert forge._borel_normalizer_scan(target, borel, 10**6) is True
+    assert forge.normalizer_is_self_borel(p, borel) is True
+    assert normalizer_is_self(borel_witness(p)) is True
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_hall_check_a_routes_reject_the_translations(p):
+    # the translations alone fix infinity but are a proper subgroup of its
+    # stabilizer, and the scalings normalize them: both routes say no, and
+    # so does the chain scan
+    target = target_psl2(p)
+    translation = borel_subgroup(p).generators[0]
+    unipotent = BorelSubgroup((translation,),
+                              frozenset(mulclose([translation])))
+    assert len(unipotent.elements) == p
+    assert forge._borel_is_point_stabilizer(target, unipotent) is False
+    assert forge._borel_normalizer_scan(target, unipotent, 10**6) is False
+    assert forge.normalizer_is_self_borel(p, unipotent) is False
+    witness = subgroup_witness(PermGroup(list(target.generators)),
+                               PermGroup([translation]))
+    assert normalizer_is_self(witness) is False
 
 
 def s3_brute_force(members):
@@ -591,7 +612,7 @@ def hall_brute_force(members, p):
     """G as an unhinted chain, and the product of the k Borel block copies."""
     k = len(members)
     group = PermGroup(build_subdirect_image(members))
-    borel = forge.borel_subgroup(p).sub.generators
+    borel = forge.borel_subgroup(p).generators
     fixed = tuple(range(p + 1))
     sub = PermGroup([
         Permutation.from_blocks([b.images if i == j else fixed

@@ -1,6 +1,7 @@
-"""Permutation groups: orders against brute-force closure, the stabilizer
-chain against a reference copy of its algorithm, Sylow 2-subgroups, and the
-self-normalizing check."""
+"""Permutations and closures, the structural Sylow 2-subgroup and
+self-normalizing checks of `forge`, and the reference stabilizer chain of
+`oracle` they are compared against: its orders against brute-force closure,
+its chain against a second copy of its algorithm."""
 
 import itertools
 import math
@@ -27,16 +28,13 @@ from mcglift.forge import (
 from mcglift.perm import (
     EnumerationBoundExceeded,
     PermError,
-    PermGroup,
     Permutation,
     Sylow2Stalled,
     mulclose,
-    normalizer_is_self,
-    subgroup_witness,
-    sylow2,
     two_part,
 )
 from mcglift.quotients import target_c2k, target_psl2
+from oracle import PermGroup, normalizer_is_self, subgroup_witness, sylow2
 
 
 def perm(text, degree):
@@ -493,7 +491,9 @@ def test_completed_chain_is_a_bsgs(case):
 
 
 def test_completed_hall_chain_is_a_bsgs():
-    # the 12-factor image of the hall route at p = 5: 72 points, 36 levels
+    # the 12-factor image of the hall route at p = 5: 72 points, 36 levels;
+    # an unhinted chain reaches |Q|^k = 60^12, the order the forge takes
+    # from Hall's lemma
     members, _ = collect_inequivalent_members(
         standard_epi(2, target_psl2(5)), standard_autgens(2), 12)
     gens = build_subdirect_image(members)

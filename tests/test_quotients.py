@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcglift.perm import EnumerationBoundExceeded, PermGroup, Permutation
+from mcglift.perm import EnumerationBoundExceeded, Permutation
 from mcglift.quotients import (
     FiniteHom,
     QuotientError,
@@ -27,6 +27,7 @@ from mcglift.quotients import (
     target_trivial,
 )
 from mcglift.words import surface_relator
+from oracle import PermGroup, borel_witness
 
 
 def test_target_orders():
@@ -169,13 +170,20 @@ def test_oracle_needs_character_degrees():
     (5, 10, 6), (7, 21, 8), (11, 55, 12), (13, 78, 14),
 ])
 def test_borel_subgroups(p, order, index):
-    w = borel_subgroup(p)
-    assert w.sub.order == p * (p - 1) // 2 == order
-    assert w.index == p + 1 == index
-    assert w.ambient.order == target_psl2(p).order
+    borel = borel_subgroup(p)
+    assert len(borel.elements) == p * (p - 1) // 2 == order
+    assert target_psl2(p).order // order == p + 1 == index
+    assert borel.elements <= set(target_psl2(p).elements)
     # the subgroup fixes the point at infinity (index p): triangular action
-    for g in w.sub.generators:
+    assert len(borel.generators) == 2
+    for g in borel.generators:
+        assert g in borel.elements
         assert g.images[p] == p
+    # the reference chain of the factor reaches the same order and index
+    w = borel_witness(p)
+    assert (w.sub.order, w.index) == (order, index)
+    assert w.ambient.order == target_psl2(p).order
+    assert set(w.sub.elements()) == borel.elements
 
 
 def test_mod2_homology_hom():
@@ -217,7 +225,7 @@ def test_is_surjective_matches_the_chain_order():
     a5 = target_a5()
     a4 = [p for p in a5.elements if p(4) == 4]
     psl7 = target_psl2(7)
-    borel = borel_subgroup(7).sub.elements()
+    borel = borel_witness(7).sub.elements()
     cases = (random_homs(a5, list(a5.elements), rng, 30)
              + random_homs(a5, a4, rng, 15)
              + random_homs(psl7, list(psl7.elements), rng, 15)
@@ -254,7 +262,7 @@ def test_surjectivity_depends_only_on_the_image_set(target):
 
 _PSL5 = target_psl2(5)
 _PSL5_HOMS = (random_homs(_PSL5, list(_PSL5.elements), random.Random(5), 20)
-              + random_homs(_PSL5, borel_subgroup(5).sub.elements(),
+              + random_homs(_PSL5, borel_witness(5).sub.elements(),
                             random.Random(6), 20))
 
 
