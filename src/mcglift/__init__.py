@@ -23,7 +23,10 @@ from .quotients import (
     count_homs_oracle,
     enumerate_epis,
     enumerate_homs,
+    epi_tuples,
     epis_among,
+    generates,
+    hom_tuples,
     mod2_homology_hom,
     target_a5,
     target_c2,

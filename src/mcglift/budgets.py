@@ -4,7 +4,8 @@ Certifying a cover is exponential work, and a budget is what turns work that
 would not finish into exit 2 or a PARTIAL certificate.  A `Budgets` carries
 the three limits a run can set:
 
-    tuples  homomorphism tuples `enumerate_homs` may examine;
+    tuples  homomorphism tuples the enumeration engine `hom_tuples` may
+            examine;
     points  points of the product permutation group a forge may build;
     enum    group elements an enumeration (the hall route's scan of one
             factor and its pair closures in Q x Q, the alpha suites) may

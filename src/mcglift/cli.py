@@ -41,9 +41,9 @@ from .perm import EnumerationBoundExceeded, PermError
 from .quotients import (
     QuotientError,
     count_homs_oracle,
-    enumerate_homs,
-    epis_among,
+    epi_tuples,
     get_target,
+    hom_tuples,
 )
 from .words import SurfacePresentation, WordError, inverse_word
 
@@ -169,9 +169,14 @@ def _emit_json(payload, path):
     return text
 
 
+# rows of an `enumerate --out` listing joined into one write
+LISTING_ROWS_PER_WRITE = 4096
+
+
 def write_listing(path, genus, target, hom_count, epis):
-    """Write the `enumerate --out` listing of the epimorphisms `epis` onto
-    `target`, one row of generator images in cycle notation per epimorphism.
+    """Write the `enumerate --out` listing of the epimorphisms onto
+    `target`, given as the index tuples `epis` of their generator images:
+    one row of images in cycle notation per epimorphism.
 
     The bytes are exactly `json.dumps(listing, sort_keys=True, indent=2)`
     and a newline, for the listing with the keys `epi_images`, `epis`,
@@ -181,8 +186,10 @@ def write_listing(path, genus, target, hom_count, epis):
     which made it most of the time of a genus-3 S3 listing and most of the
     memory of the 241920-row PSL2(5) one.  Here each target element is
     encoded once, each row is joined from those lines by index, and the
-    rows are streamed to the file."""
+    rows are streamed to the file `LISTING_ROWS_PER_WRITE` at a time: one
+    write per row made the writes half the time of a genus-3 S3 listing."""
     lines = ["      " + json.dumps(p.cycle_string()) for p in target.elements]
+    line = lines.__getitem__
     scalars = json.dumps(
         {"epis": len(epis), "genus": genus, "homs": hom_count,
          "target": target.name},
@@ -192,8 +199,10 @@ def write_listing(path, genus, target, hom_count, epis):
         # sorted, epi_images comes first; the scalars' own braces close it
         yield '{\n  "epi_images": ['
         sep = "\n    [\n"
-        for h in epis:
-            yield sep + ",\n".join([lines[i] for i in h.idx]) + "\n    ]"
+        for start in range(0, len(epis), LISTING_ROWS_PER_WRITE):
+            batch = epis[start:start + LISTING_ROWS_PER_WRITE]
+            yield sep + "\n    ],\n    [\n".join(
+                [",\n".join(map(line, idx)) for idx in batch]) + "\n    ]"
             sep = ",\n    [\n"
         yield "\n  ]," if epis else "],"
         yield scalars[1:] + "\n"
@@ -205,8 +214,8 @@ def cmd_enumerate(args, budgets):
     if args.prime is not None and args.target != "psl2":
         raise UsageError(f"--prime does not apply to --target {args.target}")
     target = get_target(args.target, prime=args.prime)
-    homs = enumerate_homs(args.genus, target, budget=budgets.tuples)
-    epis = epis_among(homs)
+    homs = hom_tuples(args.genus, target, budget=budgets.tuples)
+    epis = epi_tuples(target, homs)
     try:
         oracle = count_homs_oracle(args.genus, target)
     except QuotientError:

@@ -23,14 +23,20 @@ that reached the previous minima.  The first coordinate's minimum and its
 automorphisms come from a per-element memo on the target, so a closure
 modulo Aut(target) scans whole columns only once per element.
 
-Enumeration splits off the last handle: the commutator map is tabulated once
-per target, so a genus-g count costs |Q|^(2g-2) prefix tuples plus lookups
-instead of |Q|^(2g) full tuples.  The independent check is the character
-count |Hom| = |Q|^(2g-1) * sum over irreducible degrees d of d^(2-2g).
+Enumeration works on index tuples too.  `hom_tuples` descends over the
+first g-1 handles and appends the last one from a per-product table of
+tails: the pairs (x, y) whose commutator brings the product of the prefix
+back to the identity.  A genus-g count then costs |Q|^(2g-2) prefix tuples
+plus one tuple per homomorphism, instead of |Q|^(2g) full tuples.  The
+independent check is the character count
+|Hom| = |Q|^(2g-1) * sum over irreducible degrees d of d^(2-2g).
 
 A homomorphism is surjective when the closure of its generator images under
-multiplication is the whole target.  The closure lies inside the target,
-whose elements are listed anyway, so no stabilizer chain is needed.
+multiplication is the whole target: `generates` on the index tuple.  The
+closure lies inside the target, whose elements are listed anyway, so no
+stabilizer chain is needed.  `epi_tuples` runs one closure per distinct image
+set.  `enumerate_homs`, `epis_among` and `enumerate_epis` wrap the same
+tuples in `FiniteHom`s; the `enumerate` command reads the tuples alone.
 """
 
 from __future__ import annotations
@@ -380,28 +386,8 @@ class FiniteHom:
         return self._rows
 
     def is_surjective(self):
-        """Whether the closure of the images inside the target is all of
-        it.  The closure stops once it holds more than half the target: a
-        subgroup that large is the whole group, by Lagrange."""
-        target = self.target
-        rows = [target.right(x) for x in set(self.idx)]
-        seen = bytearray(target.order)
-        seen[target.identity_index] = 1
-        frontier = [target.identity_index]
-        count = 1
-        while 2 * count <= target.order:
-            if not frontier:
-                return False
-            nxt = []
-            for r in frontier:
-                for row in rows:
-                    y = row[r]
-                    if not seen[y]:
-                        seen[y] = 1
-                        nxt.append(y)
-            count += len(nxt)
-            frontier = nxt
-        return True
+        """Whether the images generate the target: `generates`."""
+        return generates(self.target, self.idx)
 
     def key(self):
         return self.idx
@@ -421,14 +407,18 @@ class FiniteHom:
         return f"FiniteHom({self.target.name}; {imgs})"
 
 
-def enumerate_homs(genus, target, budget=DEFAULT.tuples):
-    """All homomorphisms from the genus-g surface group to the target,
-    ordered lexicographically by element indices.
+def hom_tuples(genus, target, budget=DEFAULT.tuples):
+    """All homomorphisms from the genus-g surface group to the target, each
+    as the tuple of its generator images' element indices, in lexicographic
+    order.
 
-    Enumeration reads every product, so it builds every right-multiplication
-    row of the target: the whole |Q|^2 table, kept on the target like any
-    row.  This is deliberate: `is_surjective` on the listed homs, and any
-    evaluation after it, read the same rows."""
+    The descent runs over the first g-1 handles.  The last handle is read
+    from `tails[p]`, the pairs (x, y) in index order whose commutator is
+    the inverse of the prefix product p, so each homomorphism costs one
+    `prefix + tail`.  Enumeration reads every product, so it builds every
+    right-multiplication row of the target: the whole |Q|^2 table, kept on
+    the target like any row.  This is deliberate: `generates` on the listed
+    tuples, and any evaluation after it, read the same rows."""
     if genus < 2:
         raise QuotientError(f"genus must be >= 2, got {genus}")
     if target.order ** (2 * genus) > budget:
@@ -439,20 +429,21 @@ def enumerate_homs(genus, target, budget=DEFAULT.tuples):
     rows = [target.right(y) for y in range(n)]
     inv_rows = [rows[inv(y)] for y in range(n)]
     # every ordered pair (x, y) with its commutator x y x^-1 y^-1, in index
-    # order, and the pairs grouped by commutator
+    # order, and the tails that close each product
     pairs = []
-    by_comm = {}
+    tails = [[] for _ in range(n)]
     for x in range(n):
         for y in range(n):
             c = inv_rows[y][inv_rows[x][rows[y][x]]]
-            by_comm.setdefault(c, []).append((x, y))
             pairs.append((x, y, c))
+            tails[inv(c)].append((x, y))
     homs = []
 
     def descend(depth, prefix, product):
-        if depth == genus - 1:
-            for x, y in by_comm.get(inv(product), ()):
-                homs.append(FiniteHom.from_indices(target, prefix + (x, y)))
+        if depth == genus - 2:
+            for x, y, c in pairs:
+                head = prefix + (x, y)
+                homs.extend([head + tail for tail in tails[rows[c][product]]])
             return
         for x, y, c in pairs:
             descend(depth + 1, prefix + (x, y), rows[c][product])
@@ -461,29 +452,72 @@ def enumerate_homs(genus, target, budget=DEFAULT.tuples):
     return homs
 
 
-def epis_among(homs):
-    """The surjective homomorphisms among `homs`, in their order.
+def generates(target, images):
+    """Whether the elements indexed by `images` generate the target: the
+    closure of the identity under right multiplication by them is all of
+    it.  The closure stops once it holds more than half the target: a
+    subgroup that large is the whole group, by Lagrange."""
+    rows = [target.right(x) for x in set(images)]
+    seen = bytearray(target.order)
+    seen[target.identity_index] = 1
+    frontier = [target.identity_index]
+    count = 1
+    while 2 * count <= target.order:
+        if not frontier:
+            return False
+        nxt = []
+        for r in frontier:
+            for row in rows:
+                y = row[r]
+                if not seen[y]:
+                    seen[y] = 1
+                    nxt.append(y)
+        count += len(nxt)
+        frontier = nxt
+    return True
 
-    Surjectivity depends only on the target and the set of images, so there
-    is one `is_surjective` closure per distinct pair: 63 for the 16038
-    genus-3 S3 homomorphisms, 55990 for the 286140 genus-2 A5 ones."""
-    by_target = {}  # target -> image set -> whether it generates the target
+
+def epi_tuples(target, tuples):
+    """The index tuples among `tuples` whose images generate the target,
+    in their order.
+
+    Surjectivity depends only on the set of images, so there is one
+    `generates` closure per distinct set: 63 for the 16038 genus-3 S3
+    homomorphisms, 55990 for the 286140 genus-2 A5 ones."""
+    onto = {}  # image set -> whether it generates the target
     epis = []
-    for h in homs:
-        onto = by_target.get(h.target)
-        if onto is None:
-            onto = by_target[h.target] = {}
-        images = frozenset(h.idx)
+    for idx in tuples:
+        images = frozenset(idx)
         answer = onto.get(images)
         if answer is None:
-            answer = onto[images] = h.is_surjective()
+            answer = onto[images] = generates(target, images)
         if answer:
-            epis.append(h)
+            epis.append(idx)
     return epis
 
 
+def enumerate_homs(genus, target, budget=DEFAULT.tuples):
+    """The homomorphisms of `hom_tuples`, in its order, as `FiniteHom`s."""
+    return [FiniteHom.from_indices(target, idx)
+            for idx in hom_tuples(genus, target, budget)]
+
+
+def epis_among(homs):
+    """The surjective homomorphisms among `homs`, in their order:
+    `epi_tuples` over the index tuples of each target's homs."""
+    by_target = {}
+    for h in homs:
+        by_target.setdefault(h.target, []).append(h.idx)
+    onto = {target: set(epi_tuples(target, tuples))
+            for target, tuples in by_target.items()}
+    return [h for h in homs if h.idx in onto[h.target]]
+
+
 def enumerate_epis(genus, target, budget=DEFAULT.tuples):
-    return epis_among(enumerate_homs(genus, target, budget))
+    """The surjective homomorphisms of `hom_tuples`, in its order, as
+    `FiniteHom`s."""
+    return [FiniteHom.from_indices(target, idx)
+            for idx in epi_tuples(target, hom_tuples(genus, target, budget))]
 
 
 def count_homs_oracle(genus, target):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcglift.autos import standard_autgens
-from mcglift import forge
+from mcglift import cli, forge, quotients
 from mcglift.budgets import Budgets
 from mcglift.cli import (
     EXIT_BREACH,
@@ -107,8 +107,27 @@ def test_genus3_s3_listing_bytes_match_json_dumps(tmp_path, capsys):
     assert path.read_bytes() == listing_bytes(3, s3, len(homs), epis)
 
 
+def test_enumerate_builds_no_finitehom(tmp_path, monkeypatch, capsys):
+    calls = []
+    from_indices, init = FiniteHom.from_indices.__func__, FiniteHom.__init__
+    monkeypatch.setattr(FiniteHom, "from_indices", classmethod(
+        lambda cls, *args: calls.append(args) or from_indices(cls, *args)))
+    monkeypatch.setattr(FiniteHom, "__init__", lambda self, *args: (
+        calls.append(args) or init(self, *args)))
+    path = tmp_path / "listing.json"
+    assert run(["enumerate", "--target", "s3", "--genus", "3",
+                "--out", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "homs: 16038, epis: 15120, oracle: 16038\n")
+    assert calls == []
+    # the counters see the wrapping entry points
+    assert len(enumerate_homs(2, get_target("c2"))) == len(calls) == 16
+    FiniteHom(get_target("c2"), (get_target("c2").identity,) * 4)
+    assert len(calls) == 17
+
+
 def test_empty_listing_bytes_match_json_dumps(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(FiniteHom, "is_surjective", lambda self: False)
+    monkeypatch.setattr(quotients, "generates", lambda target, images: False)
     path = tmp_path / "listing.json"
     assert run(["enumerate", "--genus", "2", "--target", "c2",
                 "--out", str(path)]) == EXIT_OK
@@ -130,9 +149,24 @@ def test_write_listing_bytes_match_json_dumps(picks, tmp_path_factory):
     rows = [_S3_GENUS2_HOMS[i] for i in sorted(picks)]
     s3 = get_target("s3")
     path = tmp_path_factory.mktemp("listing") / "listing.json"
-    write_listing(str(path), 2, s3, len(_S3_GENUS2_HOMS), rows)
+    write_listing(str(path), 2, s3, len(_S3_GENUS2_HOMS),
+                  [h.idx for h in rows])
     assert path.read_bytes() == listing_bytes(
         2, s3, len(_S3_GENUS2_HOMS), rows)
+
+
+@pytest.mark.parametrize("rows_per_write", [1, 7, 360])
+def test_listing_bytes_do_not_depend_on_the_rows_per_write(
+        rows_per_write, tmp_path, monkeypatch):
+    s3 = get_target("s3")
+    epis = [h for h in _S3_GENUS2_HOMS if h.is_surjective()]
+    monkeypatch.setattr(cli, "LISTING_ROWS_PER_WRITE", rows_per_write)
+    path = tmp_path / "listing.json"
+    write_listing(str(path), 2, s3, len(_S3_GENUS2_HOMS),
+                  [h.idx for h in epis])
+    assert len(epis) == 360
+    assert path.read_bytes() == listing_bytes(
+        2, s3, len(_S3_GENUS2_HOMS), epis)
 
 
 @pytest.mark.parametrize("argv", [

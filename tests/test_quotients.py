@@ -1,11 +1,13 @@
 """Finite targets, homomorphism enumeration, and the counting oracle."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcglift import quotients
 from mcglift.perm import EnumerationBoundExceeded, Permutation
 from mcglift.quotients import (
     FiniteHom,
@@ -16,8 +18,10 @@ from mcglift.quotients import (
     count_homs_oracle,
     enumerate_epis,
     enumerate_homs,
+    epi_tuples,
     epis_among,
     get_target,
+    hom_tuples,
     mod2_homology_hom,
     target_a5,
     target_c2,
@@ -144,6 +148,8 @@ def test_hom_counts_match_oracle_more_targets():
     assert count_homs_oracle(2, target_c2k(2)) == 256
     assert len(enumerate_homs(3, target_s3())) == count_homs_oracle(
         3, target_s3()) == 16038
+    assert len(hom_tuples(2, target_a5())) == count_homs_oracle(
+        2, target_a5()) == 286140
 
 
 def test_hom_enumeration_is_lexicographic_and_deterministic():
@@ -159,6 +165,65 @@ def test_enumeration_budget():
         enumerate_homs(2, target_a5(), budget=1000)
     with pytest.raises(QuotientError):
         enumerate_homs(1, target_c2())
+
+
+def brute_force_hom_tuples(genus, target):
+    """Every 2g-tuple of element indices, in `itertools.product` order, whose
+    surface relator evaluates to the identity, letter by letter through the
+    target's right-multiplication rows."""
+    n, e = target.order, target.identity_index
+    rows = [target.right(x) for x in range(n)]
+    inv_rows = [rows[target.inv(x)] for x in range(n)]
+    relator = [(abs(letter) - 1, letter > 0)
+               for letter in surface_relator(genus)]
+
+    def relator_image(idx):
+        r = e
+        for i, positive in relator:
+            r = (rows if positive else inv_rows)[idx[i]][r]
+        return r
+
+    return [idx for idx in itertools.product(range(n), repeat=2 * genus)
+            if relator_image(idx) == e]
+
+
+@pytest.mark.parametrize("target, genus", [
+    (target_c2(), 2), (target_c2(), 3), (target_c2k(2), 2),
+    (target_c2k(2), 3), (target_s3(), 2), (target_s3(), 3),
+], ids=lambda v: getattr(v, "name", v))
+def test_hom_tuples_is_the_brute_force_list(target, genus):
+    # the same tuples in the same order: 46656 candidates for S3 at genus 3
+    tuples = hom_tuples(genus, target)
+    assert tuples == brute_force_hom_tuples(genus, target)
+    assert [h.idx for h in enumerate_homs(genus, target)] == tuples
+
+
+@pytest.mark.parametrize("genus, epis", [(2, 360), (3, 15120), (4, 556920)])
+def test_s3_epi_count_is_halls_eulerian_function(genus, epis):
+    # route 2: Moebius inversion over the subgroup lattice of S3, from the
+    # character count of Hom into S3 and |A|^(2g) homs into an abelian A
+    # (the order-3 subgroup and the three order-2 ones); the hom count is
+    # checked against the character count on the way
+    s3 = target_s3()
+    homs = hom_tuples(genus, s3)
+    hom_s3 = count_homs_oracle(genus, s3)
+    assert len(homs) == hom_s3
+    eulerian = hom_s3 - 3 ** (2 * genus) - 3 * 2 ** (2 * genus) + 3
+    assert len(epi_tuples(s3, homs)) == eulerian == epis
+
+
+def test_epi_tuples_runs_one_closure_per_image_set(monkeypatch):
+    s3 = target_s3()
+    homs = hom_tuples(3, s3)
+    calls = []
+    generates = quotients.generates
+    monkeypatch.setattr(quotients, "generates",
+                        lambda target, images: calls.append(images)
+                        or generates(target, images))
+    epis = epi_tuples(s3, homs)
+    assert len(calls) == len(set(calls)) == len(set(map(frozenset, homs)))
+    assert len(calls) == 63
+    assert epis == [idx for idx in homs if generates(s3, idx)]
 
 
 def test_oracle_needs_character_degrees():
