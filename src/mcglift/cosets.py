@@ -17,16 +17,22 @@ from one evaluation of the action per signed letter and coset:
 
 For a subgroup invariant under an automorphism φ, restriction pushes the
 transversal through φ once (Holt–Eick–O'Brien, Handbook of Computational
-Group Theory, 2005): walking φ(t_c) through the step table for each coset
-c, as its tree parent's walk followed by the image of one letter, gives
-the coset σ(c) = φ(t_c)·H and the reduced generator word met on the way.
+Group Theory, 2005): for each coset c it walks φ(t_c) through the step
+table, as its tree parent's walk followed by the image of one letter, and
+keeps the coset reached and the reduced generator word met on the way.
 The Schreier generator t_{x·c}^-1 · x · t_c then maps to the walk of
 φ(t_c), continued by the image of x, followed by the inverse of the walk
-of φ(t_{x·c}), so each automorphism costs one image-letter walk per table
-entry and no image word is built.  Expansion of a rewritten word
-telescopes back to the original word reduced, so round-trip identities
-hold freely; equalities involving genuinely different words go through
-the Dehn word-problem engine.
+of φ(t_{x·c}), and no image word is built.  The generator images mostly
+share a head H and a tail T, φ(x) = H·m_x·T for all of them or all but
+one (conjugation by u has H = u and T = u^-1), so the walks are shifted
+by T: an opening T·φ(t_c) per coset, the middle m_x per table entry, and
+a closing φ(t_{x·c})^-1·H per landing coset.  H and T are walked once
+per coset, as T·H, instead of once per table entry; for conjugation T·H
+cancels, and each table entry walks a single letter.
+
+Expansion of a rewritten word telescopes back to the original word
+reduced, so round-trip identities hold freely; equalities involving
+genuinely different words go through the Dehn word-problem engine.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autos import (
+    AutError,
     certify_characteristic,
     inner_auto,
     orbit,
@@ -42,6 +49,7 @@ from .autos import (
 from .quotients import FiniteHom, mod2_homology_hom, target_c2
 from .words import (
     SurfacePresentation,
+    conjugate_word,
     format_word,
     free_reduce,
     inverse_word,
@@ -195,6 +203,16 @@ def _walk(rows, c, out):
     return c
 
 
+def _join(out, word):
+    """Push the reduced word onto the reduced stack `out`: cancel at the
+    junction, then extend with the rest, which stays reduced."""
+    k = 0
+    while k < len(word) and out and out[-1] == -word[k]:
+        out.pop()
+        k += 1
+    out.extend(word[k:])
+
+
 def rewrite(table, word):
     """Express a subgroup element as a word over the Schreier generators.
 
@@ -226,23 +244,26 @@ def expand(rs_word, table):
 @dataclass(frozen=True)
 class AutImage:
     """The restriction of an automorphism to the subgroup, recorded as one
-    Schreier-generator word per Schreier generator."""
+    reduced Schreier-generator word per Schreier generator."""
 
     table: CosetTable
     values: tuple
 
     def compose(self, other):
         """self after other, as maps on the subgroup: each value of other
-        with its letters replaced by their images under self."""
+        with its letters replaced by their images under self.  Values are
+        reduced words, so each image is joined on at its junction."""
+        if other.table is not self.table:
+            raise CosetError("composition of restrictions to different tables")
         images = self.values
         inverses = [inverse_word(v) for v in images]
         values = []
         for v in other.values:
             out = []
             for letter in v:
-                out.extend(images[letter - 1] if letter > 0
-                           else inverses[-letter - 1])
-            values.append(free_reduce(out))
+                _join(out, images[letter - 1] if letter > 0
+                      else inverses[-letter - 1])
+            values.append(tuple(out))
         return AutImage(table=self.table, values=tuple(values))
 
     def is_identity_on_generators(self, presentation=None):
@@ -266,53 +287,142 @@ class AutImage:
         return {labels[i]: fmt(v) for i, v in enumerate(self.values)}
 
 
+def _common_length(words):
+    """The length of the longest head that all the words share: the head
+    shared by the lexicographically least and greatest of them."""
+    first, last = min(words), max(words)
+    for n, (a, b) in enumerate(zip(first, last)):
+        if a != b:
+            return n
+    return min(len(first), len(last))
+
+
+def _shared_segments(words):
+    """Split the words as H·m·T: the longest head H and tail T shared by
+    all of them, or by all but one.  Returns (H, T, skip), skip being the
+    index of the word left out, or None; the tail is cut short where it
+    would overlap the head in the shortest word."""
+    best, segments = 0, ((), (), None)
+    for skip in (None, *range(len(words))):
+        kept = [w for i, w in enumerate(words) if i != skip]
+        head = _common_length(kept)
+        tail = min(_common_length([w[::-1] for w in kept]),
+                   min(map(len, kept)) - head)
+        if head + tail > best:
+            w = kept[0]
+            best, segments = head + tail, (w[:head], w[len(w) - tail:], skip)
+    return segments
+
+
 def alpha_apply(table, auto):
     """Restrict the automorphism to the subgroup: push each Schreier
     generator's image under it back over the Schreier generators.
 
-    The image of each signed letter is read once into step rows, right to
-    left.  A transversal pass then walks φ(t_c) for each coset c in
-    breadth-first order, as its parent's walk followed by the image of
-    one letter, recording the coset σ(c) it ends on and its reduced
-    emitted stack P_c.  The Schreier generator of pair (c, x) is
-    t_{x·c}^-1 · x · t_c, so its restriction continues P_c by the image
-    of x from σ(c) and then retraces P_{x·c} backwards.  That last step
-    returns to coset 0 exactly when the image of x ends on σ(x·c);
-    otherwise the image of the generator leaves the subgroup, which
-    falsifies the claim that the subgroup is invariant under the
-    automorphism."""
+    The image of the Schreier generator of pair (c, x) is
+    φ(t_{x·c})^-1 · φ(x) · φ(t_c).  With H and T the longest head and
+    tail that all the generator images, or all but one, share, so that
+    φ(x) = H·m_x·T, it is walked through the step table from coset 0 in
+    three parts:
+
+    - the opening T·φ(t_c), once per coset c: a transversal pass walks T
+      from coset 0, then each coset's opening as its tree parent's
+      opening followed by T·φ(letter)·T^-1 = T·H·m_letter, and records
+      the coset o_c it ends on and its reduced emitted stack O_c;
+    - the middle m_x, once per table entry, from o_c on top of O_c;
+    - the closing φ(t_{x·c})^-1·H, once per landing coset x·c: the walk
+      of T·H (kept for each coset it starts from) that ends on o_{x·c},
+      followed by O_{x·c} retraced.
+
+    An automorphism thus walks |T| letters once, |T·H| reduced per coset
+    and |m_x| per table entry, where a walk of the whole image per table
+    entry and per transversal step would walk H and T every time; for
+    conjugation T·H cancels and each m_x is one letter.  A letter whose
+    image is left out of H and T walks T·φ(x)·T^-1 whole, from the
+    opening of c to the retraced opening of x·c, and so does a tree edge
+    entered by an inverse letter in the transversal pass.  A walk lands
+    where its closing starts exactly when φ(x) carries the coset of
+    φ(t_c) to that of φ(t_{x·c}); otherwise the image of the generator
+    leaves the subgroup, which falsifies the claim that the subgroup is
+    invariant under the automorphism, and the first such generator in
+    table order is named."""
+    if auto.genus != table.genus:
+        raise AutError("genus mismatch between table and automorphism")
     steps = table.steps
-    image_rows = {
-        letter: tuple(steps[y] for y in reversed(auto.apply_letter(letter)))
-        for letter in steps
-    }
     reps = table.schreier_reps
-    sigma = [0] * table.d
-    stacks = [[]]
-    for c in range(1, table.d):
+    d = table.d
+
+    def rows(word):
+        return [steps[y] for y in reversed(word)]
+
+    head, tail, skip = _shared_segments(auto.images)
+    middles = {x + 1: rows(w[len(head):len(w) - len(tail)])
+               for x, w in enumerate(auto.images) if x != skip}
+    # the letters walked whole: any left out, and those entering the tree
+    entering = {rep[0] for rep in reps[1:]}
+    wholes = {letter: rows(conjugate_word(auto.apply_letter(letter), tail))
+              for letter in entering.union(range(1, 2 * table.genus + 1))
+              if letter not in middles}
+
+    # the walk of T·H from each coset: where it ends, and what it emits;
+    # starts[o] is the coset from which it ends on o
+    bridge = rows(free_reduce(tail + head))
+    bridges = []
+    for e in range(d):
+        out = []
+        bridges.append((_walk(bridge, e, out), out))
+    starts = [0] * d
+    for e, (end, _) in enumerate(bridges):
+        starts[end] = e
+
+    # the openings, by the transversal pass
+    out = []
+    openings = [(_walk(rows(tail), 0, out), out)]
+    for c in range(1, d):
         letter = reps[c][0]
-        parent = steps[-letter][c][0]
-        out = list(stacks[parent])
-        sigma[c] = _walk(image_rows[letter], sigma[parent], out)
-        stacks.append(out)
-    values = []
-    for i, (c, x) in enumerate(table.pairs):
-        out = list(stacks[c])
-        up = steps[x][c][0]
-        if _walk(image_rows[x], sigma[c], out) != sigma[up]:
-            w = table.words[i]
-            raise CharacteristicViolation(
-                f"automorphism {auto.name} moves the subgroup: image of "
-                f"{format_word(w)} reaches coset "
-                f"{table.apply_word(auto.apply_word(w))}"
-            )
-        for e in reversed(stacks[up]):
-            if out and out[-1] == e:
-                out.pop()
-            else:
-                out.append(-e)
-        out.reverse()
-        values.append(tuple(out))
+        o, out = openings[steps[-letter][c][0]]
+        out = list(out)
+        if letter in middles:
+            o, emitted = bridges[_walk(middles[letter], o, out)]
+            _join(out, emitted)
+        else:
+            o = _walk(wholes[letter], o, out)
+        openings.append((o, out))
+    reached = [o for o, _ in openings]
+
+    # the closings, and where a middle must land to start one
+    retraces = [[-e for e in reversed(out)] for _, out in openings]
+    landings = [starts[o] for o in reached]
+    closings = []
+    for up, retrace in enumerate(retraces):
+        out = list(bridges[landings[up]][1])
+        _join(out, retrace)
+        closings.append(out)
+
+    # the table entries, letter by letter
+    values = [None] * table.count
+    escapes = []
+    for x in range(1, 2 * table.genus + 1):
+        if x in middles:
+            walk, goals, ends = middles[x], landings, closings
+        else:
+            walk, goals, ends = wholes[x], reached, retraces
+        for c, (up, number) in enumerate(steps[x]):
+            if number:
+                o, out = openings[c]
+                out = list(out)
+                if _walk(walk, o, out) != goals[up]:
+                    escapes.append(number)
+                    continue
+                _join(out, ends[up])
+                out.reverse()
+                values[number - 1] = tuple(out)
+    if escapes:
+        w = table.words[min(escapes) - 1]
+        raise CharacteristicViolation(
+            f"automorphism {auto.name} moves the subgroup: image of "
+            f"{format_word(w)} reaches coset "
+            f"{table.apply_word(auto.apply_word(w))}"
+        )
     return AutImage(table=table, values=tuple(values))
 
 
@@ -326,7 +436,10 @@ def inner_compatibility_holds(table, u, presentation=None):
     ru = rewrite(table, u)
     ru_inverse = inverse_word(ru)
     for j, v in enumerate(image.values):
-        direct = free_reduce(ru + (j + 1,) + ru_inverse)
+        # a reduced ru cancels against y_j only if it ends in y_j^±1
+        direct = ru + (j + 1,) + ru_inverse
+        if ru and abs(ru[-1]) == j + 1:
+            direct = free_reduce(direct)
         if v != direct and not presentation.words_equal(
                 expand(v, table), expand(direct, table)):
             return False

@@ -42,7 +42,6 @@ tuples in `FiniteHom`s; the `enumerate` command reads the tuples alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .budgets import DEFAULT
@@ -528,15 +527,18 @@ def count_homs_oracle(genus, target):
         raise QuotientError(
             f"target {target.name} has no stored character-degree list"
         )
-    total = Fraction(0)
+    # each term |Q|^(2g-1) / d^(2g-2) = |Q| * (|Q| / d)^(2g-2) is an
+    # integer, since a character degree divides the group order
+    total = 0
     for d in target.character_degrees:
-        total += Fraction(1, d ** (2 * genus - 2))
-    value = Fraction(target.order ** (2 * genus - 1)) * total
-    if value.denominator != 1:
-        raise QuotientError(
-            f"character sum for {target.name} is not integral: {value}"
-        )
-    return int(value)
+        ratio, rest = divmod(target.order, d)
+        if rest:
+            raise QuotientError(
+                f"character sum for {target.name} is not integral: degree"
+                f" {d} does not divide the order {target.order}"
+            )
+        total += target.order * ratio ** (2 * genus - 2)
+    return total
 
 
 class BorelSubgroup(namedtuple("BorelSubgroup", "generators elements")):

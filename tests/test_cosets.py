@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcglift.autos import identity_auto, inner_auto, standard_autgens
+from mcglift.autos import (
+    AutError,
+    SurfaceAuto,
+    identity_auto,
+    inner_auto,
+    standard_autgens,
+)
 from mcglift.cosets import (
     CharacteristicViolation,
     CosetError,
@@ -142,6 +148,24 @@ def test_alpha_image_serialization(homology_table):
     assert len(d) == 49
     inv = alpha_apply(homology_table, inner_auto(2, (1,)))
     assert all(isinstance(v, str) and v for v in inv.as_dict().values())
+
+
+def test_alpha_apply_rejects_a_table_of_another_genus(homology_table):
+    with pytest.raises(AutError, match="genus mismatch"):
+        alpha_apply(homology_table, identity_auto(3))
+    with pytest.raises(AutError, match="genus mismatch"):
+        alpha_apply(CosetTable(mod2_homology_hom(3)), identity_auto(2))
+
+
+def test_compose_rejects_restrictions_to_another_table(homology_table):
+    other = CosetTable(c2_functional_hom(2, 1))
+    mine = alpha_apply(homology_table, identity_auto(2))
+    theirs = alpha_apply(other, identity_auto(2))
+    with pytest.raises(CosetError, match="different tables"):
+        mine.compose(theirs)
+    with pytest.raises(CosetError, match="different tables"):
+        theirs.compose(mine)
+    assert mine.compose(mine).values == mine.values
 
 
 def test_characteristic_violation_on_a_single_functional_kernel():
@@ -436,6 +460,132 @@ def test_s3_kernel_violations_name_the_reached_coset():
     moved = sum(assert_violation_names_first_escape(table, auto)
                 for auto in genus2_directions)
     assert 0 < moved < len(genus2_directions)
+
+
+# -- restriction by shared head and tail segments -----------------------------
+
+
+def s3_kernel_table():
+    """The first genus-2 kernel onto S3 whose spanning tree enters a coset
+    by an inverse letter, which a homology cover's tree never does."""
+    for hom in enumerate_homs(2, target_s3()):
+        if hom.is_surjective():
+            table = CosetTable(hom)
+            if any(rep[0] < 0 for rep in table.schreier_reps[1:]):
+                return table
+    raise AssertionError("no S3 kernel table with an inverse tree edge")
+
+
+@pytest.fixture(scope="module", params=["homology3", "s3"])
+def segment_table(request):
+    if request.param == "homology3":
+        return CosetTable(mod2_homology_hom(3))
+    table = s3_kernel_table()
+    assert table.d == 6
+    assert any(rep[0] < 0 for rep in table.schreier_reps[1:])
+    return table
+
+
+def signed_letters(genus):
+    return [letter for x in range(1, 2 * genus + 1) for letter in (x, -x)]
+
+
+def padded_auto(phi, letter, at):
+    """phi with letter·letter^-1 inserted into every image word, at
+    position `at` taken modulo the word length: unreduced image words."""
+    images = []
+    for w in phi.images:
+        k = at % (len(w) + 1)
+        images.append(w[:k] + (letter, -letter) + w[k:])
+    return SurfaceAuto(phi.genus, images, name=phi.name + "+pad")
+
+
+def test_alpha_apply_conjugations_ending_in_each_letter(segment_table):
+    # conjugation by u maps the letter u ends in (up to sign) to a shorter
+    # image than the rest: the image left out of the shared head and tail
+    genus = segment_table.genus
+    rng = random.Random(37)
+    for last in signed_letters(genus):
+        for length in (0, 1, 5):
+            u = [rng.choice(signed_letters(genus)) for _ in range(length)]
+            u = list(free_reduce(u))
+            while u and u[-1] == -last:
+                u[-1] = rng.choice(signed_letters(genus))
+                u = list(free_reduce(u))
+            phi = inner_auto(genus, tuple(u) + (last,))
+            assert phi.images[abs(last) - 1] == inner_auto(
+                genus, tuple(u)).images[abs(last) - 1]
+            assert alpha_apply(segment_table, phi).values == (
+                rewritten_images(segment_table, phi))
+
+
+@st.composite
+def shared_segment_autos(draw, genus):
+    """A conjugation, a conjugation composed with a standard generator
+    direction on either side, or either of these with unreduced image
+    words."""
+    letters = signed_letters(genus)
+    u = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8))
+    phi = inner_auto(genus, tuple(u))
+    kind = draw(st.sampled_from(("inner", "inn*psi", "psi*inn")))
+    if kind != "inner":
+        psi = draw(st.sampled_from(
+            [auto for g in standard_autgens(genus)
+             for _, auto in g.directions()]))
+        phi = phi.compose(psi) if kind == "inn*psi" else psi.compose(phi)
+    if draw(st.booleans()):
+        phi = padded_auto(phi, draw(st.sampled_from(letters)),
+                          draw(st.integers(0, 99)))
+    return phi
+
+
+@GENUS3_SETTINGS
+@given(data=st.data())
+def test_alpha_apply_shared_segments_match_rewriting(segment_table, data):
+    # the S3 kernel is not invariant under every standard generator, so
+    # there a composite may raise instead, naming the first escape
+    phi = data.draw(shared_segment_autos(segment_table.genus))
+    moved = assert_violation_names_first_escape(segment_table, phi)
+    assert not moved or segment_table.d == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(mask=st.integers(1, 63), auto=st.sampled_from(genus3_directions),
+       u=st.lists(genus3_letters, min_size=1, max_size=5),
+       inner_first=st.booleans())
+def test_factored_violation_names_the_first_escape(mask, auto, u,
+                                                   inner_first):
+    # conjugation fixes every kernel of an order-2 quotient, so the
+    # composite moves the kernel exactly when its standard factor does,
+    # and restriction must name the same first escaping generator as the
+    # reference walk of each image word
+    phi = inner_auto(3, tuple(u))
+    phi = phi.compose(auto) if inner_first else auto.compose(phi)
+    table = CosetTable(c2_functional_hom(3, mask))
+    composed = 0
+    for j, column in enumerate(auto.mod2_matrix()):
+        composed |= (bin(mask & column).count("1") & 1) << j
+    assert assert_violation_names_first_escape(table, phi) == (
+        composed != mask)
+
+
+def test_violation_names_the_first_escape_in_table_order():
+    # restriction meets the table entries letter by letter; the message
+    # must still name the first escaping entry in (coset, letter) order,
+    # which on these S3 kernels is sometimes not the escaping entry with
+    # the least letter
+    s3 = target_s3()
+    epis = [h for h in enumerate_homs(2, s3) if h.is_surjective()][:20]
+    out_of_letter_order = 0
+    for hom in epis:
+        table = CosetTable(hom)
+        for auto in genus2_directions:
+            if assert_violation_names_first_escape(table, auto):
+                escaping = [pair for pair, w in zip(table.pairs, table.words)
+                            if not table.contains(auto.apply_word(w))]
+                first_letter = min(x for _, x in escaping)
+                out_of_letter_order += escaping[0][1] != first_letter
+    assert out_of_letter_order > 0
 
 
 # -- the table against a reference construction -----------------------------

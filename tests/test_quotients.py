@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from mcglift import quotients
 from mcglift.perm import EnumerationBoundExceeded, Permutation
 from mcglift.quotients import (
     FiniteHom,
+    FiniteTarget,
     QuotientError,
     RelatorViolation,
     borel_subgroup,
@@ -229,6 +231,27 @@ def test_epi_tuples_runs_one_closure_per_image_set(monkeypatch):
 def test_oracle_needs_character_degrees():
     with pytest.raises(QuotientError):
         count_homs_oracle(2, target_psl2(5))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 7])
+@pytest.mark.parametrize("target", [target_s3(), target_a5(), target_c2k(3)],
+                         ids=["s3", "a5", "c2k3"])
+def test_oracle_is_the_character_sum(genus, target):
+    # the integer terms against the rational sum they replace
+    total = sum(Fraction(1, d ** (2 * genus - 2))
+                for d in target.character_degrees)
+    expected = Fraction(target.order ** (2 * genus - 1)) * total
+    assert expected.denominator == 1
+    assert count_homs_oracle(genus, target) == expected.numerator
+
+
+def test_oracle_rejects_a_degree_that_does_not_divide_the_order():
+    s3 = target_s3()
+    bogus = FiniteTarget(s3.elements, s3.generators, "S3?",
+                         character_degrees=(1, 1, 4))
+    with pytest.raises(QuotientError, match="degree 4 does not divide"
+                       " the order 6"):
+        count_homs_oracle(2, bogus)
 
 
 @pytest.mark.parametrize("p,order,index", [
