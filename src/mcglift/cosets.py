@@ -17,18 +17,17 @@ from one evaluation of the action per signed letter and coset:
 
 For a subgroup invariant under an automorphism φ, restriction pushes the
 transversal through φ once (Holt–Eick–O'Brien, Handbook of Computational
-Group Theory, 2005): for each coset c it walks φ(t_c) through the step
-table, as its tree parent's walk followed by the image of one letter, and
-keeps the coset reached and the reduced generator word met on the way.
-The Schreier generator t_{x·c}^-1 · x · t_c then maps to the walk of
-φ(t_c), continued by the image of x, followed by the inverse of the walk
-of φ(t_{x·c}), and no image word is built.  The generator images mostly
-share a head H and a tail T, φ(x) = H·m_x·T for all of them or all but
-one (conjugation by u has H = u and T = u^-1), so the walks are shifted
-by T: an opening T·φ(t_c) per coset, the middle m_x per table entry, and
-a closing φ(t_{x·c})^-1·H per landing coset.  H and T are walked once
-per coset, as T·H, instead of once per table entry; for conjugation T·H
-cancels, and each table entry walks a single letter.
+Group Theory, 2005).  The Schreier generator t_{x·c}^-1 · x · t_c maps to
+the walk of φ(t_c), continued by the image of x, followed by the inverse
+of the walk of φ(t_{x·c}), and no image word is built.  The generator
+images mostly share a head H and a tail T, φ(x) = H·m_x·T for all of
+them or all but one (conjugation by u has H = u and T = u^-1), so the
+walks are shifted by T into word-order pieces: an opening T·φ(t_c) per
+coset, walked as its tree parent's opening and one letter's image, a
+middle m_x per coset and letter, and a closing φ(t_{x·c})^-1·H per
+landing coset.  A table entry's value is closing + middle + opening,
+reduced again only where a junction cancels.  Composition reads images
+from one signed table per restriction.
 
 Expansion of a rewritten word telescopes back to the original word
 reduced, so round-trip identities hold freely; equalities involving
@@ -38,6 +37,7 @@ genuinely different words go through the Dehn word-problem engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .autos import (
     AutError,
@@ -170,6 +170,11 @@ class CosetTable:
     def count(self):
         return len(self.pairs)
 
+    @cached_property
+    def signed_words(self):
+        """Each Schreier generator and its inverse under its signed letter."""
+        return _Signed(self.words)
+
     def labels(self):
         return tuple(f"y{i + 1}" for i in range(len(self.pairs)))
 
@@ -190,9 +195,11 @@ class CosetTable:
         return f"CosetTable(genus={self.genus}, d={self.d})"
 
 
-def _walk(rows, c, out):
-    """Read the step rows in order from coset c, pushing the emitted
-    letters onto the free-reduction stack `out`; returns the final coset."""
+def _walk(rows, c):
+    """Read the step rows in order from coset c, freely reducing the
+    emitted letters as they come; returns the final coset and the reduced
+    emitted word in word order (the reverse of reading order)."""
+    out = []
     for row in rows:
         c, e = row[c]
         if e:
@@ -200,17 +207,28 @@ def _walk(rows, c, out):
                 out.pop()
             else:
                 out.append(e)
-    return c
+    out.reverse()
+    return c, tuple(out)
 
 
-def _join(out, word):
-    """Push the reduced word onto the reduced stack `out`: cancel at the
-    junction, then extend with the rest, which stays reduced."""
-    k = 0
-    while k < len(word) and out and out[-1] == -word[k]:
-        out.pop()
+def _walks(rows, d):
+    """`_walk` of the step rows from each of the d cosets, in order; no row
+    or a single row is read off directly."""
+    if len(rows) > 1:
+        return [_walk(rows, c) for c in range(d)]
+    row = rows[0] if rows else [(c, 0) for c in range(d)]
+    return [(c, (e,) if e else ()) for c, e in row]
+
+
+def _joined(left, right):
+    """The reduced word left·right of two reduced words: cancel at the
+    junction, and only there."""
+    if not left or not right or left[-1] != -right[0]:
+        return left + right
+    k, n = 1, min(len(left), len(right))
+    while k < n and left[-1 - k] == -right[k]:
         k += 1
-    out.extend(word[k:])
+    return left[:len(left) - k] + right[k:]
 
 
 def rewrite(table, word):
@@ -220,25 +238,34 @@ def rewrite(table, word):
     non-tree generator met at each step and freely reducing as it goes;
     raises CosetEscape when the input is not in the subgroup.
     """
-    out = []
-    c = _walk([table.steps[letter] for letter in reversed(word)], 0, out)
+    c, out = _walk([table.steps[letter] for letter in reversed(word)], 0)
     if c != 0:
         raise CosetEscape(
             f"word {format_word(word)} lands on coset {c}, not the subgroup",
             c,
         )
-    out.reverse()
-    return tuple(out)
+    return out
+
+
+class _Signed(dict):
+    """Words under signed letters: words[i] under i+1, its inverse under
+    -(i+1).  A dict, where a tuple would wrap a negative index: a letter
+    outside ±1..±len(words) raises CosetError, not a wrong word."""
+
+    def __init__(self, words):
+        super().__init__(zip(range(1, len(words) + 1), words))
+        self.update(zip(range(-1, -len(words) - 1, -1),
+                        map(inverse_word, words)))
+
+    def __missing__(self, letter):
+        raise CosetError(f"letter {letter} is outside the {len(self) // 2}"
+                         " Schreier generators")
 
 
 def expand(rs_word, table):
     """Push a Schreier-generator word back down to a surface-group word."""
-    out = []
-    for letter in rs_word:
-        w = table.words[letter - 1] if letter > 0 else inverse_word(
-            table.words[-letter - 1])
-        out.extend(w)
-    return free_reduce(out)
+    words = table.signed_words
+    return free_reduce([x for letter in rs_word for x in words[letter]])
 
 
 @dataclass(frozen=True)
@@ -249,20 +276,36 @@ class AutImage:
     table: CosetTable
     values: tuple
 
+    @cached_property
+    def signed(self):
+        """The image of each signed letter, built once per restriction."""
+        return _Signed(self.values)
+
     def compose(self, other):
         """self after other, as maps on the subgroup: each value of other
-        with its letters replaced by their images under self.  Values are
-        reduced words, so each image is joined on at its junction."""
+        with its letters replaced by their images, read from self's signed
+        table.  Values are reduced words, so each image is joined on at its
+        junction, and a one-letter value is its image as it is."""
         if other.table is not self.table:
             raise CosetError("composition of restrictions to different tables")
-        images = self.values
-        inverses = [inverse_word(v) for v in images]
+        images = self.signed
         values = []
         for v in other.values:
+            if len(v) == 1:
+                values.append(images[v[0]])
+                continue
             out = []
             for letter in v:
-                _join(out, images[letter - 1] if letter > 0
-                      else inverses[-letter - 1])
+                w = images[letter]
+                if out and w and out[-1] == -w[0]:
+                    out.pop()
+                    k = 1
+                    while out and k < len(w) and out[-1] == -w[k]:
+                        out.pop()
+                        k += 1
+                    out.extend(w[k:])
+                else:
+                    out.extend(w)
             values.append(tuple(out))
         return AutImage(table=self.table, values=tuple(values))
 
@@ -322,29 +365,27 @@ def alpha_apply(table, auto):
     φ(t_{x·c})^-1 · φ(x) · φ(t_c).  With H and T the longest head and
     tail that all the generator images, or all but one, share, so that
     φ(x) = H·m_x·T, it is walked through the step table from coset 0 in
-    three parts:
+    three pieces, each a coset reached and a reduced word in word order:
 
     - the opening T·φ(t_c), once per coset c: a transversal pass walks T
       from coset 0, then each coset's opening as its tree parent's
-      opening followed by T·φ(letter)·T^-1 = T·H·m_letter, and records
-      the coset o_c it ends on and its reduced emitted stack O_c;
-    - the middle m_x, once per table entry, from o_c on top of O_c;
+      opening followed by T·φ(letter)·T^-1 = T·H·m_letter, ending on o_c;
+    - the middle m_x, walked from every coset once per x, read from o_c;
     - the closing φ(t_{x·c})^-1·H, once per landing coset x·c: the walk
       of T·H (kept for each coset it starts from) that ends on o_{x·c},
-      followed by O_{x·c} retraced.
+      followed by the opening of x·c retraced; for conjugation T·H is
+      empty and each closing is its retrace.
 
-    An automorphism thus walks |T| letters once, |T·H| reduced per coset
-    and |m_x| per table entry, where a walk of the whole image per table
-    entry and per transversal step would walk H and T every time; for
-    conjugation T·H cancels and each m_x is one letter.  A letter whose
-    image is left out of H and T walks T·φ(x)·T^-1 whole, from the
-    opening of c to the retraced opening of x·c, and so does a tree edge
-    entered by an inverse letter in the transversal pass.  A walk lands
-    where its closing starts exactly when φ(x) carries the coset of
-    φ(t_c) to that of φ(t_{x·c}); otherwise the image of the generator
-    leaves the subgroup, which falsifies the claim that the subgroup is
-    invariant under the automorphism, and the first such generator in
-    table order is named."""
+    The entry's value is closing + middle + opening, joined again only
+    where a junction cancels, so H and T are walked once per coset, not
+    once per table entry.  A letter whose image is left out of H and T
+    walks T·φ(x)·T^-1 whole, from the opening of c to the retraced
+    opening of x·c, and so does a tree edge entered by an inverse letter
+    in the transversal pass.  A walk lands where its closing starts
+    exactly when φ(x) carries the coset of φ(t_c) to that of φ(t_{x·c});
+    otherwise the image of the generator leaves the subgroup, which
+    falsifies the claim that the subgroup is invariant under the
+    automorphism, and the first such generator in table order is named."""
     if auto.genus != table.genus:
         raise AutError("genus mismatch between table and automorphism")
     steps = table.steps
@@ -355,7 +396,8 @@ def alpha_apply(table, auto):
         return [steps[y] for y in reversed(word)]
 
     head, tail, skip = _shared_segments(auto.images)
-    middles = {x + 1: rows(w[len(head):len(w) - len(tail)])
+    # each middle walked from every coset
+    middles = {x + 1: _walks(rows(w[len(head):len(w) - len(tail)]), d)
                for x, w in enumerate(auto.images) if x != skip}
     # the letters walked whole: any left out, and those entering the tree
     entering = {rep[0] for rep in reps[1:]}
@@ -363,59 +405,62 @@ def alpha_apply(table, auto):
               for letter in entering.union(range(1, 2 * table.genus + 1))
               if letter not in middles}
 
-    # the walk of T·H from each coset: where it ends, and what it emits;
-    # starts[o] is the coset from which it ends on o
-    bridge = rows(free_reduce(tail + head))
-    bridges = []
-    for e in range(d):
-        out = []
-        bridges.append((_walk(bridge, e, out), out))
+    # the walk of T·H from each coset, none for conjugation; starts[o] is
+    # the coset from which it ends on o
+    bridges = _walks(rows(free_reduce(tail + head)), d)
     starts = [0] * d
     for e, (end, _) in enumerate(bridges):
         starts[end] = e
 
     # the openings, by the transversal pass
-    out = []
-    openings = [(_walk(rows(tail), 0, out), out)]
+    openings = [_walk(rows(tail), 0)]
     for c in range(1, d):
         letter = reps[c][0]
-        o, out = openings[steps[-letter][c][0]]
-        out = list(out)
+        o, word = openings[steps[-letter][c][0]]
         if letter in middles:
-            o, emitted = bridges[_walk(middles[letter], o, out)]
-            _join(out, emitted)
+            o, middle = middles[letter][o]
+            o, piece = bridges[o]
+            piece = _joined(piece, middle)
         else:
-            o = _walk(wholes[letter], o, out)
-        openings.append((o, out))
+            o, piece = _walk(wholes[letter], o)
+        openings.append((o, _joined(piece, word)))
     reached = [o for o, _ in openings]
+    openings = [word for _, word in openings]
 
-    # the closings, and where a middle must land to start one
-    retraces = [[-e for e in reversed(out)] for _, out in openings]
+    # the retraces and closings, and where a middle must land to start one
+    retraces = [tuple([-e for e in reversed(word)]) for word in openings]
     landings = [starts[o] for o in reached]
-    closings = []
-    for up, retrace in enumerate(retraces):
-        out = list(bridges[landings[up]][1])
-        _join(out, retrace)
-        closings.append(out)
+    closings = [_joined(retrace, bridges[landing][1])
+                for retrace, landing in zip(retraces, landings)]
+    # the letters that cancel at a junction: firsts[c], the first letter of
+    # opening c, cancels the last of retrace c, and lasts[c] the last of
+    # closing c; 0 stands for an empty word, so two empty words meeting is
+    # a false alarm that only costs a join
+    firsts = [word[0] if word else 0 for word in openings]
+    lasts = [-word[-1] if word else 0 for word in closings]
 
-    # the table entries, letter by letter
+    # the table entries, letter by letter: closing + middle + opening,
+    # joined again only where a junction cancels
     values = [None] * table.count
     escapes = []
     for x in range(1, 2 * table.genus + 1):
         if x in middles:
-            walk, goals, ends = middles[x], landings, closings
+            walks, goals, ends, cancel = middles[x], landings, closings, lasts
         else:
-            walk, goals, ends = wholes[x], reached, retraces
+            walks, goals, ends, cancel = (_walks(wholes[x], d), reached,
+                                          retraces, firsts)
         for c, (up, number) in enumerate(steps[x]):
             if number:
-                o, out = openings[c]
-                out = list(out)
-                if _walk(walk, o, out) != goals[up]:
+                o, middle = walks[reached[c]]
+                if o != goals[up]:
                     escapes.append(number)
                     continue
-                _join(out, ends[up])
-                out.reverse()
-                values[number - 1] = tuple(out)
+                left, right = ends[up], openings[c]
+                if (middle[0] == cancel[up] or middle[-1] == -firsts[c]
+                        if middle else cancel[up] == firsts[c]):
+                    values[number - 1] = _joined(_joined(left, middle), right)
+                else:
+                    values[number - 1] = left + middle + right
     if escapes:
         w = table.words[min(escapes) - 1]
         raise CharacteristicViolation(
@@ -467,8 +512,9 @@ def verify_injectivity_mechanism(image, auto, presentation=None, bound=4096):
     table = image.table
     if presentation is None:
         presentation = SurfacePresentation(table.genus)
+    words = table.signed_words
     for v in image.values:
-        if sum(len(table.words[abs(x) - 1]) for x in v) > bound:
+        if sum(len(words[x]) for x in v) > bound:
             raise CosetError(
                 f"restriction image exceeds expansion bound {bound}")
     fixes_sub = image.is_identity_on_generators(presentation)

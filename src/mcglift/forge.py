@@ -70,7 +70,6 @@ from .perm import (
     PermError,
     Permutation,
     Sylow2Stalled,
-    mulclose,
     two_part,
 )
 from .quotients import (
@@ -849,18 +848,44 @@ def order_fingerprints(members):
             for m in members]
 
 
+def pair_closure_order(target, first, second, bound):
+    """The order of the subgroup of Q x Q generated by the index pairs
+    (first[i], second[i]): the closure of the identity under right
+    multiplication by them, through the target's rows.  It stops past half
+    of Q x Q, a subgroup that large being all of it; an order past `bound`
+    raises EnumerationBoundExceeded."""
+    n, e = target.order, target.identity_index
+    gens = [(target.right(a), target.right(b))
+            for a, b in set(zip(first, second))]
+    seen, frontier = {e * n + e}, [(e, e)]
+    while frontier and len(seen) <= min(bound, n * n // 2):
+        nxt = []
+        for a, b in frontier:
+            for right_a, right_b in gens:
+                x, y = right_a[a], right_b[b]
+                if x * n + y not in seen:
+                    seen.add(x * n + y)
+                    nxt.append((x, y))
+        frontier = nxt
+    order = n * n if 2 * len(seen) > n * n else len(seen)
+    if order > bound:
+        raise EnumerationBoundExceeded(f"closure exceeded bound {bound}")
+    return order
+
+
 def _check_hall_fingerprints(members, bound):
     """Route 2 of the Hall hypothesis: members with equal fingerprints must
     generate all of Q x Q, where an Aut(Q)-equivalent pair generates the
     graph of an automorphism, of order |Q|.  An equivalent pair raises
     RuntimeError, a pair closure past `bound` EnumerationBoundExceeded."""
+    target = members[0].target
     by_print = {}
     for i, fingerprint in enumerate(order_fingerprints(members)):
         by_print.setdefault(fingerprint, []).append(i)
     for same in by_print.values():
         for i, j in combinations(same, 2):
-            pair = build_subdirect_image([members[i], members[j]])
-            if len(mulclose(pair, bound=bound)) != members[0].target.order**2:
+            if pair_closure_order(target, members[i].idx, members[j].idx,
+                                  bound) != target.order**2:
                 raise RuntimeError(
                     f"members {i} and {j} have distinct canonical keys"
                     " but an equivalent pair image in Q x Q")

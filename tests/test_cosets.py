@@ -15,6 +15,7 @@ from mcglift.autos import (
     standard_autgens,
 )
 from mcglift.cosets import (
+    AutImage,
     CharacteristicViolation,
     CosetError,
     CosetEscape,
@@ -586,6 +587,96 @@ def test_violation_names_the_first_escape_in_table_order():
                 first_letter = min(x for _, x in escaping)
                 out_of_letter_order += escaping[0][1] != first_letter
     assert out_of_letter_order > 0
+
+
+# -- composition of restrictions ----------------------------------------------
+
+
+def substituted(image, other):
+    """The reference composite of restrictions, image after other: each
+    letter of each value of other replaced by its image word, the words
+    concatenated, then freely reduced."""
+    values = image.values
+    return tuple(
+        free_reduce([x for letter in v
+                     for x in (values[letter - 1] if letter > 0
+                               else inverse_word(values[-letter - 1]))])
+        for v in other.values)
+
+
+@st.composite
+def invertible_composites(draw, genus):
+    """A composite of standard generator directions and conjugations,
+    with its inverse: the composite of the inverse factors, reversed."""
+    directions = [pair for g in standard_autgens(genus)
+                  for pair in ((g.forward, g.backward),
+                               (g.backward, g.forward))]
+    conjugations = st.lists(
+        st.sampled_from(signed_letters(genus)), min_size=1, max_size=5).map(
+            lambda u: (inner_auto(genus, tuple(u)),
+                       inner_auto(genus, inverse_word(u))))
+    factors = draw(st.lists(
+        st.one_of(st.sampled_from(directions), conjugations),
+        min_size=1, max_size=3))
+    phi, inverse = factors[0]
+    for f, g in factors[1:]:
+        phi, inverse = phi.compose(f), g.compose(inverse)
+    return phi, inverse
+
+
+@pytest.fixture(scope="module", params=[2, 3])
+def composition_table(request):
+    return CosetTable(mod2_homology_hom(request.param))
+
+
+@GENUS3_SETTINGS
+@given(data=st.data())
+def test_compose_is_the_substitution(composition_table, data):
+    table = composition_table
+    phi, phi_inverse = data.draw(invertible_composites(table.genus))
+    psi, _ = data.draw(invertible_composites(table.genus))
+    a, a_inverse, b = (alpha_apply(table, f) for f in (phi, phi_inverse, psi))
+    assert a.compose(b).values == substituted(a, b)
+    assert b.compose(a).values == substituted(b, a)
+    # phi after phi^-1 and back: the images cancel at their junctions down
+    # to one letter each
+    identity = tuple((j + 1,) for j in range(table.count))
+    assert a.compose(a_inverse).values == substituted(a, a_inverse) == identity
+    assert a_inverse.compose(a).values == substituted(a_inverse, a) == identity
+
+
+def out_of_range_letters(count):
+    # a tuple indexed by the signed letter would wrap 0 and every letter
+    # from count+1 to 2*count, of either sign, onto another generator
+    return (0, count + 1, -count - 1, 2 * count, -2 * count, 2 * count + 1)
+
+
+def test_expand_rejects_letters_outside_the_generators(homology_table):
+    n = homology_table.count
+    assert expand((n, -n), homology_table) == ()
+    for letter in out_of_range_letters(n):
+        message = f"letter {letter} is outside the {n} Schreier generators"
+        for word in ((letter,), (1, letter, -1)):
+            with pytest.raises(CosetError, match=message):
+                expand(word, homology_table)
+        # the injectivity check's expansion bound reads the same table
+        with pytest.raises(CosetError, match=message):
+            verify_injectivity_mechanism(
+                AutImage(homology_table, ((letter,),)), identity_auto(2))
+
+
+def test_compose_rejects_letters_outside_the_generators(homology_table):
+    image = alpha_apply(homology_table, standard_autgens(2)[0].forward)
+    n = homology_table.count
+    assert image.compose(AutImage(homology_table, ((n,), (-n,)))).values == (
+        image.values[-1], inverse_word(image.values[-1]))
+    for letter in out_of_range_letters(n):
+        message = f"letter {letter} is outside the {n} Schreier generators"
+        # a one-letter value, and a value joined letter by letter
+        for value in ((letter,), (1, letter)):
+            other = AutImage(homology_table, (value,) + image.values[1:])
+            with pytest.raises(CosetError, match=message):
+                image.compose(other)
 
 
 # -- the table against a reference construction -----------------------------

@@ -28,7 +28,12 @@ from mcglift.forge import (
     standard_epi,
     structural_order_s3,
 )
-from mcglift.perm import Permutation, Sylow2Stalled, mulclose
+from mcglift.perm import (
+    EnumerationBoundExceeded,
+    Permutation,
+    Sylow2Stalled,
+    mulclose,
+)
 from mcglift.quotients import (
     BorelSubgroup,
     FiniteHom,
@@ -536,21 +541,51 @@ def test_order_fingerprints_are_distinct_on_200_classes():
 def test_colliding_fingerprints_fall_back_to_the_pair_closure(monkeypatch):
     want = forge_certificate_hall(2, 5, collection=4).stable_dict()
     closures = []
+    pair_closure_order = forge.pair_closure_order
 
-    def counting(generators, **kwargs):
-        closures.append(len(generators))
-        return mulclose(generators, **kwargs)
+    def counting(target, first, second, bound):
+        closures.append((first, second))
+        return pair_closure_order(target, first, second, bound)
 
     monkeypatch.setattr(forge, "order_fingerprints",
                         lambda members: [()] * len(members))
-    monkeypatch.setattr(forge, "mulclose", counting)
+    monkeypatch.setattr(forge, "pair_closure_order", counting)
     assert forge_certificate_hall(2, 5, collection=4).stable_dict() == want
     assert len(closures) == 6  # every pair of the four members
-    # each closure lists |Q|^2 = 3600 elements, past an enum budget of 3599
+    # each closure has |Q|^2 = 3600 elements, past an enum budget of 3599
     cert = forge_certificate_hall(2, 5, collection=4,
                                   budgets=Budgets(enum=3599))
     assert cert.status == "PARTIAL"
     assert cert.failing_stage.startswith("hall-hypothesis: closure exceeded")
+
+
+def test_pair_closure_order_is_the_permutation_closure():
+    # index pairs of PSL2(5) against mulclose of the same pairs as
+    # permutations on two blocks: subgroups of every size up to Q x Q, the
+    # whole of it found from past half, and the bound met exactly
+    target = target_psl2(5)
+    elements = target.elements
+    rng = random.Random(11)
+    seed = standard_epi(2, target)
+    pairs = [(seed.idx, seed.idx),
+             (seed.idx, conjugated(seed, target.generators[0]).idx)]
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        pairs.append(tuple(
+            tuple(rng.randrange(target.order) for _ in range(n))
+            for _ in range(2)))
+    sizes = set()
+    for first, second in pairs:
+        generators = [Permutation.from_blocks([elements[a].images,
+                                               elements[b].images])
+                      for a, b in zip(first, second)]
+        size = len(mulclose(generators))
+        assert forge.pair_closure_order(target, first, second, size) == size
+        with pytest.raises(EnumerationBoundExceeded,
+                           match=f"^closure exceeded bound {size - 1}$"):
+            forge.pair_closure_order(target, first, second, size - 1)
+        sizes.add(size)
+    assert {60, 3600} <= sizes and len(sizes) > 4
 
 
 # the stabilizer chain and the checks built on it, kept only in oracle
