@@ -359,6 +359,10 @@ def cmd_alpha(args, budgets):
             for g2 in gens:
                 left = alpha_apply(table, g1.forward.compose(g2.forward))
                 right = images[g1.name].compose(images[g2.name])
+                # the whole tuples first; the word problem only where they
+                # differ
+                if left.values == right.values:
+                    continue
                 for lv, rv in zip(left.values, right.values):
                     if lv != rv and not pres.words_equal(
                             expand(lv, table), expand(rv, table)):

@@ -26,8 +26,15 @@ walks are shifted by T into word-order pieces: an opening T·φ(t_c) per
 coset, walked as its tree parent's opening and one letter's image, a
 middle m_x per coset and letter, and a closing φ(t_{x·c})^-1·H per
 landing coset.  A table entry's value is closing + middle + opening,
-reduced again only where a junction cancels.  Composition reads images
-from one signed table per restriction.
+reduced again only where a junction cancels.
+
+The restriction keeps those pieces, so composition ψ∘φ maps each of φ's
+openings once through ψ's signed table of images, takes each retrace as
+the inverse of its mapped opening and each closing as a mapped retrace
+joined to the mapped walk of T·H, and maps each entry's middle, most of
+them a single letter and so one lookup.  The three images are joined at
+their two junctions.  A restriction without pieces, such as a composite,
+is composed value by value.
 
 Expansion of a rewritten word telescopes back to the original word
 reduced, so round-trip identities hold freely; equalities involving
@@ -36,7 +43,7 @@ genuinely different words go through the Dehn word-problem engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .autos import (
@@ -175,6 +182,23 @@ class CosetTable:
         """Each Schreier generator and its inverse under its signed letter."""
         return _Signed(self.words)
 
+    @cached_property
+    def _short_walks(self):
+        """`walks` of the empty word and of each one-letter word, read off
+        the step rows once per table."""
+        short = {(): tuple((c, ()) for c in range(self.d))}
+        for letter, row in self.steps.items():
+            short[letter,] = tuple((c, (e,) if e else ()) for c, e in row)
+        return short
+
+    def walks(self, word):
+        """`_walk` of the reduced word from each of the d cosets, in order;
+        the empty word and a single letter come from a memo on the table."""
+        if len(word) < 2:
+            return self._short_walks[word]
+        rows = [self.steps[y] for y in reversed(word)]
+        return [_walk(rows, c) for c in range(self.d)]
+
     def labels(self):
         return tuple(f"y{i + 1}" for i in range(len(self.pairs)))
 
@@ -209,15 +233,6 @@ def _walk(rows, c):
                 out.append(e)
     out.reverse()
     return c, tuple(out)
-
-
-def _walks(rows, d):
-    """`_walk` of the step rows from each of the d cosets, in order; no row
-    or a single row is read off directly."""
-    if len(rows) > 1:
-        return [_walk(rows, c) for c in range(d)]
-    row = rows[0] if rows else [(c, 0) for c in range(d)]
-    return [(c, (e,) if e else ()) for c, e in row]
 
 
 def _joined(left, right):
@@ -271,43 +286,67 @@ def expand(rs_word, table):
 @dataclass(frozen=True)
 class AutImage:
     """The restriction of an automorphism to the subgroup, recorded as one
-    reduced Schreier-generator word per Schreier generator."""
+    reduced Schreier-generator word per Schreier generator.
+
+    A restriction made by `alpha_apply` also keeps the pieces its values
+    were joined from, outside equality, hashing and repr: per coset its
+    opening and the link that turns the retraced opening into a closing,
+    and per Schreier generator of pair (c, x) its middle and the index of
+    its closing, or of its retrace past the first d, so that the value is
+    that word + middle + opening c, freely reduced.  `compose` maps each
+    of these once, not every value letter by letter."""
 
     table: CosetTable
     values: tuple
+    _pieces: tuple = field(default=None, compare=False, repr=False)
 
     @cached_property
     def signed(self):
         """The image of each signed letter, built once per restriction."""
         return _Signed(self.values)
 
+    def _image(self, word):
+        """The reduced image of a reduced word, letter by letter from the
+        signed table: each image is joined on at its junction, and a
+        one-letter word is its image as it is."""
+        images = self.signed
+        if len(word) == 1:
+            return images[word[0]]
+        out = []
+        for letter in word:
+            w = images[letter]
+            if out and w and out[-1] == -w[0]:
+                out.pop()
+                k = 1
+                while out and k < len(w) and out[-1] == -w[k]:
+                    out.pop()
+                    k += 1
+                out.extend(w[k:])
+            else:
+                out.extend(w)
+        return tuple(out)
+
     def compose(self, other):
-        """self after other, as maps on the subgroup: each value of other
-        with its letters replaced by their images, read from self's signed
-        table.  Values are reduced words, so each image is joined on at its
-        junction, and a one-letter value is its image as it is."""
+        """self after other, as maps on the subgroup.  When other keeps its
+        pieces, each piece word and each middle is mapped once (a
+        one-letter middle is one lookup in self's signed table) and the
+        three images are joined at their two junctions; otherwise each
+        value of other is mapped whole.  Free reduction is unique, so both
+        give the same reduced words."""
         if other.table is not self.table:
             raise CosetError("composition of restrictions to different tables")
-        images = self.signed
-        values = []
-        for v in other.values:
-            if len(v) == 1:
-                values.append(images[v[0]])
-                continue
-            out = []
-            for letter in v:
-                w = images[letter]
-                if out and w and out[-1] == -w[0]:
-                    out.pop()
-                    k = 1
-                    while out and k < len(w) and out[-1] == -w[k]:
-                        out.pop()
-                        k += 1
-                    out.extend(w[k:])
-                else:
-                    out.extend(w)
-            values.append(tuple(out))
-        return AutImage(table=self.table, values=tuple(values))
+        if other._pieces is None:
+            return AutImage(self.table, tuple(map(self._image, other.values)))
+        openings, links, ends, middles = other._pieces
+        images, image = self.signed, self._image
+        rights = list(map(image, openings))
+        retraces = list(map(inverse_word, rights))
+        lefts = list(map(_joined, retraces, map(image, links))) + retraces
+        return AutImage(self.table, tuple(
+            _joined(_joined(lefts[end], images[middle[0]]
+                            if len(middle) == 1 else image(middle)),
+                    rights[c])
+            for (c, _), end, middle in zip(self.table.pairs, ends, middles)))
 
     def is_identity_on_generators(self, presentation=None):
         table = self.table
@@ -378,7 +417,8 @@ def alpha_apply(table, auto):
 
     The entry's value is closing + middle + opening, joined again only
     where a junction cancels, so H and T are walked once per coset, not
-    once per table entry.  A letter whose image is left out of H and T
+    once per table entry; the returned restriction keeps these pieces for
+    `AutImage.compose`.  A letter whose image is left out of H and T
     walks T·φ(x)·T^-1 whole, from the opening of c to the retraced
     opening of x·c, and so does a tree edge entered by an inverse letter
     in the transversal pass.  A walk lands where its closing starts
@@ -397,17 +437,17 @@ def alpha_apply(table, auto):
 
     head, tail, skip = _shared_segments(auto.images)
     # each middle walked from every coset
-    middles = {x + 1: _walks(rows(w[len(head):len(w) - len(tail)]), d)
+    middles = {x + 1: table.walks(w[len(head):len(w) - len(tail)])
                for x, w in enumerate(auto.images) if x != skip}
     # the letters walked whole: any left out, and those entering the tree
     entering = {rep[0] for rep in reps[1:]}
-    wholes = {letter: rows(conjugate_word(auto.apply_letter(letter), tail))
+    wholes = {letter: conjugate_word(auto.apply_letter(letter), tail)
               for letter in entering.union(range(1, 2 * table.genus + 1))
               if letter not in middles}
 
     # the walk of T·H from each coset, none for conjugation; starts[o] is
     # the coset from which it ends on o
-    bridges = _walks(rows(free_reduce(tail + head)), d)
+    bridges = table.walks(free_reduce(tail + head))
     starts = [0] * d
     for e, (end, _) in enumerate(bridges):
         starts[end] = e
@@ -422,16 +462,18 @@ def alpha_apply(table, auto):
             o, piece = bridges[o]
             piece = _joined(piece, middle)
         else:
-            o, piece = _walk(wholes[letter], o)
+            o, piece = _walk(rows(wholes[letter]), o)
         openings.append((o, _joined(piece, word)))
     reached = [o for o, _ in openings]
     openings = [word for _, word in openings]
 
-    # the retraces and closings, and where a middle must land to start one
+    # the retraces and closings, and where a middle must land to start one:
+    # closing c is retrace c joined to links[c], the walk of T·H ending on
+    # o_c
     retraces = [tuple([-e for e in reversed(word)]) for word in openings]
     landings = [starts[o] for o in reached]
-    closings = [_joined(retrace, bridges[landing][1])
-                for retrace, landing in zip(retraces, landings)]
+    links = [bridges[landing][1] for landing in landings]
+    closings = list(map(_joined, retraces, links))
     # the letters that cancel at a junction: firsts[c], the first letter of
     # opening c, cancels the last of retrace c, and lasts[c] the last of
     # closing c; 0 stands for an empty word, so two empty words meeting is
@@ -440,21 +482,29 @@ def alpha_apply(table, auto):
     lasts = [-word[-1] if word else 0 for word in closings]
 
     # the table entries, letter by letter: closing + middle + opening,
-    # joined again only where a junction cancels
+    # joined again only where a junction cancels; for compose, each entry
+    # keeps its middle and its closing or retrace, as an index into
+    # closings + retraces
     values = [None] * table.count
+    kept_middles = [None] * table.count
+    kept_ends = [0] * table.count
     escapes = []
     for x in range(1, 2 * table.genus + 1):
         if x in middles:
-            walks, goals, ends, cancel = middles[x], landings, closings, lasts
+            walks, goals, ends, cancel, offset = (middles[x], landings,
+                                                  closings, lasts, 0)
         else:
-            walks, goals, ends, cancel = (_walks(wholes[x], d), reached,
-                                          retraces, firsts)
+            walks, goals, ends, cancel, offset = (table.walks(wholes[x]),
+                                                  reached, retraces, firsts,
+                                                  d)
         for c, (up, number) in enumerate(steps[x]):
             if number:
                 o, middle = walks[reached[c]]
                 if o != goals[up]:
                     escapes.append(number)
                     continue
+                kept_middles[number - 1] = middle
+                kept_ends[number - 1] = offset + up
                 left, right = ends[up], openings[c]
                 if (middle[0] == cancel[up] or middle[-1] == -firsts[c]
                         if middle else cancel[up] == firsts[c]):
@@ -468,7 +518,8 @@ def alpha_apply(table, auto):
             f"{format_word(w)} reaches coset "
             f"{table.apply_word(auto.apply_word(w))}"
         )
-    return AutImage(table=table, values=tuple(values))
+    return AutImage(table, tuple(values), (
+        tuple(openings), tuple(links), tuple(kept_ends), tuple(kept_middles)))
 
 
 def inner_compatibility_holds(table, u, presentation=None):
@@ -480,15 +531,17 @@ def inner_compatibility_holds(table, u, presentation=None):
     image = alpha_apply(table, conj)
     ru = rewrite(table, u)
     ru_inverse = inverse_word(ru)
-    for j, v in enumerate(image.values):
+    direct = [ru + (j,) + ru_inverse for j in range(1, table.count + 1)]
+    if ru:
         # a reduced ru cancels against y_j only if it ends in y_j^±1
-        direct = ru + (j + 1,) + ru_inverse
-        if ru and abs(ru[-1]) == j + 1:
-            direct = free_reduce(direct)
-        if v != direct and not presentation.words_equal(
-                expand(v, table), expand(direct, table)):
-            return False
-    return True
+        j = abs(ru[-1]) - 1
+        direct[j] = free_reduce(direct[j])
+    direct = tuple(direct)
+    # the whole tuples first; the word problem only where they differ
+    return image.values == direct or all(
+        v == w or presentation.words_equal(expand(v, table),
+                                           expand(w, table))
+        for v, w in zip(image.values, direct))
 
 
 def verify_finite_index_containment(table, presentation=None):

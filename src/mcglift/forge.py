@@ -833,10 +833,12 @@ def collect_inequivalent_members(seed_epi, gens, want):
 
 def order_fingerprints(members):
     """Per member, the element orders of the images of the reduced words of
-    length 1 to 3, 456 of them at genus 2.  Automorphisms keep element
-    orders, so distinct fingerprints prove two members Aut(target)-
-    inequivalent.  Reads the index tables and the permutation orders of the
-    target's elements, never `aut_reps()`."""
+    length 1 to 3, 456 of them at genus 2, as one byte each: every element
+    order of PSL2(p) is at most p, and p(p²-1)/2 elements fit the closure
+    bound only for p < 256.  Automorphisms keep element orders, so
+    distinct fingerprints prove two members Aut(target)-inequivalent.
+    Reads the index tables and the permutation orders of the target's
+    elements, never `aut_reps()`."""
     letters = [x for i in range(1, len(members[0].idx) + 1) for x in (i, -i)]
     words, level = [], [()]
     for _ in range(3):
@@ -844,7 +846,7 @@ def order_fingerprints(members):
                  if not w or x != -w[-1]]
         words += level
     orders = [e.order() for e in members[0].target.elements]
-    return [tuple(map(orders.__getitem__, m.evaluate_indices(words)))
+    return [bytes(map(orders.__getitem__, m.evaluate_indices(words)))
             for m in members]
 
 

@@ -269,8 +269,25 @@ def target_psl2(p):
         return sorted(reps)
 
     return FiniteTarget(
-        elems, [s, t], f"PSL2({p})", aut_rep_builder=pgl_reps,
+        elems, [s, t], f"PSL2({p})",
+        character_degrees=psl2_character_degrees(p),
+        aut_rep_builder=pgl_reps,
     )
+
+
+def psl2_character_degrees(p):
+    """The irreducible character degrees of PSL2(p), p an odd prime, in
+    ascending order: 1 and the Steinberg degree p, the principal series
+    p+1 and the discrete series p-1, and two characters of degree (p+1)/2
+    for p = 1 mod 4, or (p-1)/2 for p = 3 mod 4."""
+    if p % 4 == 1:
+        parts = ((p + 1, (p - 5) // 4), (p - 1, (p - 1) // 4),
+                 ((p + 1) // 2, 2))
+    else:
+        parts = ((p + 1, (p - 3) // 4), (p - 1, (p - 3) // 4),
+                 ((p - 1) // 2, 2))
+    return tuple(sorted(
+        [1, p] + [degree for degree, times in parts for _ in range(times)]))
 
 
 def get_target(tag, prime=None):

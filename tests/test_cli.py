@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, and determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcglift.autos import standard_autgens
-from mcglift import cli, forge, quotients
+from mcglift import cli, cosets, forge, quotients
 from mcglift.budgets import Budgets
 from mcglift.cli import (
     EXIT_BREACH,
@@ -394,6 +395,13 @@ def test_prime_with_psl2_is_accepted(capsys):
     assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
+def test_psl2_enumerate_checks_the_oracle(capsys):
+    # the count from the stored PSL2(5) degrees, against the enumeration
+    assert run(["enumerate", "--target", "psl2", "--prime", "5"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "homs: 286140, epis: 241920, oracle: 286140\n")
+
+
 def test_hall_flag_defaults(tmp_path, capsys):
     path = tmp_path / "hall.json"
     assert run(["forge", "--route", "hall", "--out", str(path)]) == EXIT_OK
@@ -678,6 +686,79 @@ def test_alpha_dump_without_hom_law_has_every_image(tmp_path, capsys):
     data = json.loads(path.read_text())
     assert set(data["suites"]) == {"containment"}
     assert set(data["images"]) == {g.name for g in standard_autgens(2)}
+
+
+def with_one_extra_letter(image):
+    """The restriction with its first value times y1: another group
+    element, so a suite comparing it must count it as a mismatch."""
+    return cosets.AutImage(
+        image.table, (image.values[0] + (1,),) + image.values[1:])
+
+
+def test_alpha_hom_law_counts_one_altered_composite(monkeypatch, capsys):
+    # the first composite of the suite gets one wrong value; the whole-tuple
+    # comparison must fall back and the word problem count it once
+    compose = cosets.AutImage.compose
+    calls = []
+
+    def altered(self, other):
+        calls.append(other)
+        image = compose(self, other)
+        return with_one_extra_letter(image) if len(calls) == 1 else image
+
+    monkeypatch.setattr(cosets.AutImage, "compose", altered)
+    assert run(["alpha", "--cover", "homology2",
+                "--check", "hom-law"]) == EXIT_BREACH
+    out, err = capsys.readouterr()
+    assert "hom-law: 100 ordered pairs, failures=1\n" in out
+    assert "alpha suites: FAILURES PRESENT" in out
+    assert "alpha verification suite failed" in err
+    assert len(calls) == 100
+
+
+def test_alpha_containment_fails_on_one_altered_restriction(monkeypatch,
+                                                           capsys):
+    # one restriction of a conjugation by a Schreier generator, with one
+    # wrong value, must fail the containment suite
+    alpha_apply = cosets.alpha_apply
+    calls = []
+
+    def altered(table, auto):
+        calls.append(auto)
+        image = alpha_apply(table, auto)
+        return with_one_extra_letter(image) if len(calls) == 1 else image
+
+    monkeypatch.setattr(cosets, "alpha_apply", altered)
+    assert run(["alpha", "--cover", "homology2",
+                "--check", "containment"]) == EXIT_BREACH
+    out = capsys.readouterr().out
+    assert "containment: FAILED, index 16\n" in out
+    assert "alpha suites: FAILURES PRESENT" in out
+    assert len(calls) == 1  # the suite stops at the first failure
+
+
+# sha256 of the stdout and of the --out dump of `alpha --cover <cover>
+# --check all --seed 0`: free reduction is unique, so no faster route to
+# the restrictions or their composites may change a byte of either
+ALPHA_DIGESTS = {
+    "homology2": (
+        "58ce3f80949278f083424340c0fd436b64569ee34afe1e3d49cda366058f3494",
+        "e606c7384a846ef9aaaa371139231832ef544efa7cd0f187b198fd21ee1fd33b"),
+    "homology3": (
+        "9256f4d980543037d4a0d24713908a356af8256d8df927eebaf148b866b5f7d1",
+        "8a3c0340a3b6df6fdeba0f477a4ad59d8f67470836b4b48c9f18da16df38db33"),
+}
+
+
+@pytest.mark.parametrize("cover", sorted(ALPHA_DIGESTS))
+def test_alpha_output_bytes_are_pinned(cover, tmp_path, capsys):
+    path = tmp_path / "alpha.json"
+    assert run(["alpha", "--cover", cover, "--check", "all", "--seed", "0",
+                "--out", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(),
+            hashlib.sha256(path.read_bytes()).hexdigest()) == (
+        ALPHA_DIGESTS[cover])
 
 
 @pytest.mark.parametrize("cover", [

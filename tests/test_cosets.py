@@ -14,6 +14,7 @@ from mcglift.autos import (
     inner_auto,
     standard_autgens,
 )
+from mcglift import cosets
 from mcglift.cosets import (
     AutImage,
     CharacteristicViolation,
@@ -184,6 +185,52 @@ def test_inner_compatibility_on_random_subgroup_words(homology_table):
     for _ in range(30):
         u = random_subgroup_word(rng, homology_table, rng.randint(1, 4))
         assert inner_compatibility_holds(homology_table, u, pres)
+
+
+def test_kept_pieces_are_outside_equality_hash_and_repr(homology_table):
+    image = alpha_apply(homology_table, standard_autgens(2)[3].forward)
+    bare = AutImage(homology_table, image.values)
+    assert image == bare and hash(image) == hash(bare)
+    assert repr(image) == repr(bare)
+    # through the pieces or value by value, the same composite
+    for other in (image, bare):
+        assert other.compose(image) == other.compose(bare)
+
+
+def test_restrictions_do_not_depend_on_tables_built_before():
+    # the walks of single letters are memoized on each table: tables of
+    # other covers built and freed in between change no restriction
+    autos = [g.forward for g in standard_autgens(2)]
+    table = CosetTable(mod2_homology_hom(2))
+    want = [alpha_apply(table, auto).values for auto in autos]
+    del table
+    for mask in range(1, 16):
+        CosetTable(c2_functional_hom(2, mask))
+        table = CosetTable(mod2_homology_hom(2))
+        assert [alpha_apply(table, auto).values for auto in autos] == want
+
+
+def with_one_extra_letter(image, index):
+    """The restriction with value `index` times y1: another group element,
+    so a suite comparing it must count it as a mismatch."""
+    values = list(image.values)
+    values[index] += (1,)
+    return AutImage(image.table, tuple(values))
+
+
+@pytest.mark.parametrize("index", [0, 17, 48])
+def test_inner_compatibility_fails_on_one_altered_value(
+        homology_table, index, monkeypatch):
+    # the whole-tuple comparison falls back to the word problem on a
+    # mismatch, and the word problem must then see it
+    pres = SurfacePresentation(2)
+    u = homology_table.words[5] + inverse_word(homology_table.words[9])
+    assert inner_compatibility_holds(homology_table, u, pres)
+    monkeypatch.setattr(
+        cosets, "alpha_apply",
+        lambda table, auto: with_one_extra_letter(
+            alpha_apply(table, auto), index))
+    assert not inner_compatibility_holds(homology_table, u, pres)
 
 
 def test_finite_index_containment(homology_table):

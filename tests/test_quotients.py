@@ -229,8 +229,49 @@ def test_epi_tuples_runs_one_closure_per_image_set(monkeypatch):
 
 
 def test_oracle_needs_character_degrees():
-    with pytest.raises(QuotientError):
-        count_homs_oracle(2, target_psl2(5))
+    # every named target stores its degrees; a target built without them
+    # has no oracle
+    s3 = target_s3()
+    bare = FiniteTarget(s3.elements, s3.generators, "S3 without degrees")
+    with pytest.raises(QuotientError, match="no stored character-degree"):
+        count_homs_oracle(2, bare)
+
+
+def conjugacy_class_count(target):
+    """The number of orbits of the target's elements under conjugation by
+    its generators."""
+    gens = [(g, g.inverse()) for g in target.generators]
+    seen, count = set(), 0
+    for x in target.elements:
+        if x in seen:
+            continue
+        count += 1
+        seen.add(x)
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g, g_inverse in gens:
+                z = g * y * g_inverse
+                if z not in seen:
+                    seen.add(z)
+                    frontier.append(z)
+    return count
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_psl2_character_degrees(p):
+    # the squares of the degrees sum to the order, and there is one degree
+    # per conjugacy class
+    target = target_psl2(p)
+    degrees = target.character_degrees
+    assert sum(d * d for d in degrees) == target.order == p * (p * p - 1) // 2
+    assert len(degrees) == conjugacy_class_count(target) == (p + 5) // 2
+    assert all(target.order % d == 0 for d in degrees)
+
+
+def test_psl2_5_has_the_degrees_of_a5():
+    assert sorted(target_psl2(5).character_degrees) == sorted(
+        target_a5().character_degrees)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 7])
