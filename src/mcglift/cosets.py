@@ -26,15 +26,26 @@ walks are shifted by T into word-order pieces: an opening T·φ(t_c) per
 coset, walked as its tree parent's opening and one letter's image, a
 middle m_x per coset and letter, and a closing φ(t_{x·c})^-1·H per
 landing coset.  A table entry's value is closing + middle + opening,
-reduced again only where a junction cancels.
+reduced again only where a junction cancels.  H and T come from one sort
+of the images forward and one of them reversed: a set of words shares
+the head that its least and greatest words share, so leaving out a word
+that is neither keeps both and cannot change H (nor, reversed, T).
+
+Many cosets share an opening: all d of a conjugation by a subgroup word
+are one word, and a composite of two standard generators has about half
+as many distinct openings as cosets.  Each distinct opening is built,
+retraced and mapped once, and the cosets that share it share its
+tuples.  A closing is the retrace joined to a link, the walk of T·H;
+when every link is empty, as for every conjugation (T·H = u^-1·u), the
+closings are the retraces.
 
 The restriction keeps those pieces, so composition ψ∘φ maps each of φ's
-openings once through ψ's signed table of images, takes each retrace as
-the inverse of its mapped opening and each closing as a mapped retrace
-joined to the mapped walk of T·H, and maps each entry's middle, most of
-them a single letter and so one lookup.  The three images are joined at
-their two junctions.  A restriction without pieces, such as a composite,
-is composed value by value.
+distinct openings once through ψ's signed table of images, takes each
+retrace as the inverse of its mapped opening and each closing as a
+mapped retrace joined to the mapped walk of T·H, and maps each entry's
+middle, most of them a single letter and so one lookup.  The three
+images are joined at their two junctions.  A restriction without
+pieces, such as a composite, is composed value by value.
 
 Expansion of a rewritten word telescopes back to the original word
 reduced, so round-trip identities hold freely; equalities involving
@@ -191,6 +202,17 @@ class CosetTable:
             short[letter,] = tuple((c, (e,) if e else ()) for c, e in row)
         return short
 
+    @cached_property
+    def _entries(self):
+        """Per generator letter x, in order, the non-tree entries
+        (c, x·c, i) in coset order, i indexing the entry's Schreier
+        generator: what a pass over the Schreier generators letter by
+        letter reads, without the tree entries."""
+        return {x: tuple((c, up, number - 1)
+                         for c, (up, number) in enumerate(self.steps[x])
+                         if number)
+                for x in range(1, 2 * self.genus + 1)}
+
     def walks(self, word):
         """`_walk` of the reduced word from each of the d cosets, in order;
         the empty word and a single letter come from a memo on the table."""
@@ -246,6 +268,36 @@ def _joined(left, right):
     return left[:len(left) - k] + right[k:]
 
 
+def _distinct(words):
+    """The distinct words in order of first appearance, and for each word
+    the index of its first appearance among them."""
+    first = {}
+    index = [first.setdefault(w, len(first)) for w in words]
+    return list(first), index
+
+
+def _retraced(distinct, index):
+    """Per coset, from the distinct words and each coset's index among
+    them: its word, the word retraced (its inverse) and the word's first
+    letter, which cancels the last of the retrace at a junction, 0 for an
+    empty word.  Each is built once per distinct word, and the cosets
+    that share a word share its tuples."""
+    retraces = list(map(inverse_word, distinct))
+    firsts = [word[0] if word else 0 for word in distinct]
+    return ([distinct[i] for i in index], [retraces[i] for i in index],
+            [firsts[i] for i in index])
+
+
+def _closings(retraces, firsts, links):
+    """Each retrace joined to its link, and the letter that cancels the
+    last of each, 0 for an empty word.  When every link is empty, these
+    are the retraces themselves and the firsts of the retraced words."""
+    if not any(links):
+        return retraces, firsts
+    closings = list(map(_joined, retraces, links))
+    return closings, [-word[-1] if word else 0 for word in closings]
+
+
 def rewrite(table, word):
     """Express a subgroup element as a word over the Schreier generators.
 
@@ -293,8 +345,9 @@ class AutImage:
     opening and the link that turns the retraced opening into a closing,
     and per Schreier generator of pair (c, x) its middle and the index of
     its closing, or of its retrace past the first d, so that the value is
-    that word + middle + opening c, freely reduced.  `compose` maps each
-    of these once, not every value letter by letter."""
+    that word + middle + opening c, freely reduced.  Cosets with equal
+    openings hold one tuple.  `compose` maps each distinct opening once,
+    not every value letter by letter."""
 
     table: CosetTable
     values: tuple
@@ -328,9 +381,12 @@ class AutImage:
 
     def compose(self, other):
         """self after other, as maps on the subgroup.  When other keeps its
-        pieces, each piece word and each middle is mapped once (a
-        one-letter middle is one lookup in self's signed table) and the
-        three images are joined at their two junctions; otherwise each
+        pieces, each distinct opening is mapped and its image inverted
+        once, for every coset it opens; each link and each middle is
+        mapped once (a one-letter middle is one lookup in self's signed
+        table), and when every link is empty the closings are the inverted
+        images themselves.  The three images of an entry are joined at
+        their two junctions, and only where one cancels.  Otherwise each
         value of other is mapped whole.  Free reduction is unique, so both
         give the same reduced words."""
         if other.table is not self.table:
@@ -339,14 +395,21 @@ class AutImage:
             return AutImage(self.table, tuple(map(self._image, other.values)))
         openings, links, ends, middles = other._pieces
         images, image = self.signed, self._image
-        rights = list(map(image, openings))
-        retraces = list(map(inverse_word, rights))
-        lefts = list(map(_joined, retraces, map(image, links))) + retraces
-        return AutImage(self.table, tuple(
-            _joined(_joined(lefts[end], images[middle[0]]
-                            if len(middle) == 1 else image(middle)),
-                    rights[c])
-            for (c, _), end, middle in zip(self.table.pairs, ends, middles)))
+        distinct, index = _distinct(openings)
+        rights, retraces, firsts = _retraced(list(map(image, distinct)),
+                                             index)
+        closings, lasts = _closings(
+            retraces, firsts, list(map(image, links)) if any(links) else links)
+        lefts, cancels = closings + retraces, lasts + firsts
+        values = []
+        for (c, _), end, middle in zip(self.table.pairs, ends, middles):
+            middle = images[middle[0]] if len(middle) == 1 else image(middle)
+            if (middle[0] == cancels[end] or middle[-1] == -firsts[c]
+                    if middle else cancels[end] == firsts[c]):
+                values.append(_joined(_joined(lefts[end], middle), rights[c]))
+            else:
+                values.append(lefts[end] + middle + rights[c])
+        return AutImage(self.table, tuple(values))
 
     def is_identity_on_generators(self, presentation=None):
         table = self.table
@@ -369,29 +432,58 @@ class AutImage:
         return {labels[i]: fmt(v) for i, v in enumerate(self.values)}
 
 
-def _common_length(words):
-    """The length of the longest head that all the words share: the head
-    shared by the lexicographically least and greatest of them."""
-    first, last = min(words), max(words)
+def _common_length(first, last):
+    """The length of the longest head that two words share."""
     for n, (a, b) in enumerate(zip(first, last)):
         if a != b:
             return n
     return min(len(first), len(last))
 
 
+def _heads_left_out(words):
+    """The length of the head shared by all of at least two words, and for
+    each i of the head shared by all but word i.  A set of words shares
+    the head its lexicographically least and greatest words share, so one
+    sort finds every one: leaving out a word that is neither the least nor
+    the greatest keeps both, and leaving out the least or the greatest
+    keeps the next one in order in its place."""
+    order = sorted(range(len(words)), key=words.__getitem__)
+    first, last = order[0], order[-1]
+    whole = _common_length(words[first], words[last])
+    left_out = [whole] * len(words)
+    left_out[first] = _common_length(words[order[1]], words[last])
+    left_out[last] = _common_length(words[first], words[order[-2]])
+    return whole, left_out
+
+
 def _shared_segments(words):
     """Split the words as H·m·T: the longest head H and tail T shared by
     all of them, or by all but one.  Returns (H, T, skip), skip being the
-    index of the word left out, or None; the tail is cut short where it
-    would overlap the head in the shortest word."""
+    index of the word left out, or None, and the first of these in that
+    order (None, then 0, 1, ...) among the choices that share the most;
+    the tail is cut short where it would overlap the head in the shortest
+    word.
+
+    The words are sorted once forward and once reversed.  Words share the
+    head that their least and greatest share, so leaving out a word that
+    is neither cannot change H, and leaving out one of them puts the next
+    word in order in its place; so for T with the words reversed, and for
+    the cut with the shortest word.  Each choice thus reads one of at
+    most three lengths for H and three for T, found before any choice is
+    compared."""
+    head, heads = _heads_left_out(words)
+    tail, tails = _heads_left_out([w[::-1] for w in words])
+    lengths = list(map(len, words))
+    shortest, second = sorted(lengths)[:2]
+    shortests = [shortest] * len(words)
+    shortests[lengths.index(shortest)] = second
     best, segments = 0, ((), (), None)
-    for skip in (None, *range(len(words))):
-        kept = [w for i, w in enumerate(words) if i != skip]
-        head = _common_length(kept)
-        tail = min(_common_length([w[::-1] for w in kept]),
-                   min(map(len, kept)) - head)
+    for skip, head, tail, shortest in (
+            (None, head, tail, shortest),
+            *zip(range(len(words)), heads, tails, shortests)):
+        tail = min(tail, shortest - head)
         if head + tail > best:
-            w = kept[0]
+            w = words[1 if skip == 0 else 0]
             best, segments = head + tail, (w[:head], w[len(w) - tail:], skip)
     return segments
 
@@ -414,6 +506,12 @@ def alpha_apply(table, auto):
       of T·H (kept for each coset it starts from) that ends on o_{x·c},
       followed by the opening of x·c retraced; for conjugation T·H is
       empty and each closing is its retrace.
+
+    Each distinct opening is retraced once, with the letters that cancel
+    at its junctions, and cosets with equal openings share one tuple of
+    each.  When every link, the walk of T·H ending on o_c, is empty, the
+    closings are the retraces themselves: so for every conjugation and
+    for most composites of two standard generators.
 
     The entry's value is closing + middle + opening, joined again only
     where a junction cancels, so H and T are walked once per coset, not
@@ -439,11 +537,13 @@ def alpha_apply(table, auto):
     # each middle walked from every coset
     middles = {x + 1: table.walks(w[len(head):len(w) - len(tail)])
                for x, w in enumerate(auto.images) if x != skip}
-    # the letters walked whole: any left out, and those entering the tree
-    entering = {rep[0] for rep in reps[1:]}
-    wholes = {letter: conjugate_word(auto.apply_letter(letter), tail)
-              for letter in entering.union(range(1, 2 * table.genus + 1))
-              if letter not in middles}
+    # the letters walked whole: any left out, from every coset, and any
+    # inverse letter entering the tree, from where it enters
+    wholes = {x: table.walks(conjugate_word(auto.apply_letter(x), tail))
+              for x in range(1, 2 * table.genus + 1) if x not in middles}
+    inverse_rows = {letter: rows(conjugate_word(auto.apply_letter(letter),
+                                                tail))
+                    for letter in {rep[0] for rep in reps[1:] if rep[0] < 0}}
 
     # the walk of T·H from each coset, none for conjugation; starts[o] is
     # the coset from which it ends on o
@@ -452,34 +552,51 @@ def alpha_apply(table, auto):
     for e, (end, _) in enumerate(bridges):
         starts[end] = e
 
-    # the openings, by the transversal pass
-    openings = [_walk(rows(tail), 0)]
+    # the openings, by the transversal pass: each distinct opening once, in
+    # order of first appearance, and per coset the index of its opening
+    # and the coset o_c it reaches; an empty piece leaves the opening of
+    # the tree parent as it is
+    o, word = _walk(rows(tail), 0)
+    distinct, first = [word], {word: 0}
+    reached, index = [o], [0]
     for c in range(1, d):
         letter = reps[c][0]
-        o, word = openings[steps[-letter][c][0]]
+        parent = steps[-letter][c][0]
+        o = reached[parent]
         if letter in middles:
             o, middle = middles[letter][o]
             o, piece = bridges[o]
-            piece = _joined(piece, middle)
+            if piece and middle and piece[-1] == -middle[0]:
+                piece = _joined(piece, middle)
+            else:
+                piece += middle
+        elif letter > 0:
+            o, piece = wholes[letter][o]
         else:
-            o, piece = _walk(rows(wholes[letter]), o)
-        openings.append((o, _joined(piece, word)))
-    reached = [o for o, _ in openings]
-    openings = [word for _, word in openings]
+            o, piece = _walk(inverse_rows[letter], o)
+        i = index[parent]
+        if piece:
+            word = distinct[i]
+            if word and piece[-1] == -word[0]:
+                word = _joined(piece, word)
+            else:
+                word = piece + word
+            i = first.setdefault(word, len(distinct))
+            if i == len(distinct):
+                distinct.append(word)
+        reached.append(o)
+        index.append(i)
 
-    # the retraces and closings, and where a middle must land to start one:
-    # closing c is retrace c joined to links[c], the walk of T·H ending on
-    # o_c
-    retraces = [tuple([-e for e in reversed(word)]) for word in openings]
+    # per coset its opening, retrace and first letter, built once per
+    # distinct opening; 0 stands for an empty word's letter, so two empty
+    # words meeting is a false alarm that only costs a join
+    openings, retraces, firsts = _retraced(distinct, index)
+
+    # the closings, and where a middle must land to start one: closing c
+    # is retrace c joined to links[c], the walk of T·H ending on o_c
     landings = [starts[o] for o in reached]
     links = [bridges[landing][1] for landing in landings]
-    closings = list(map(_joined, retraces, links))
-    # the letters that cancel at a junction: firsts[c], the first letter of
-    # opening c, cancels the last of retrace c, and lasts[c] the last of
-    # closing c; 0 stands for an empty word, so two empty words meeting is
-    # a false alarm that only costs a join
-    firsts = [word[0] if word else 0 for word in openings]
-    lasts = [-word[-1] if word else 0 for word in closings]
+    closings, lasts = _closings(retraces, firsts, links)
 
     # the table entries, letter by letter: closing + middle + opening,
     # joined again only where a junction cancels; for compose, each entry
@@ -489,30 +606,28 @@ def alpha_apply(table, auto):
     kept_middles = [None] * table.count
     kept_ends = [0] * table.count
     escapes = []
-    for x in range(1, 2 * table.genus + 1):
+    for x, entries in table._entries.items():
         if x in middles:
             walks, goals, ends, cancel, offset = (middles[x], landings,
                                                   closings, lasts, 0)
         else:
-            walks, goals, ends, cancel, offset = (table.walks(wholes[x]),
-                                                  reached, retraces, firsts,
-                                                  d)
-        for c, (up, number) in enumerate(steps[x]):
-            if number:
-                o, middle = walks[reached[c]]
-                if o != goals[up]:
-                    escapes.append(number)
-                    continue
-                kept_middles[number - 1] = middle
-                kept_ends[number - 1] = offset + up
-                left, right = ends[up], openings[c]
-                if (middle[0] == cancel[up] or middle[-1] == -firsts[c]
-                        if middle else cancel[up] == firsts[c]):
-                    values[number - 1] = _joined(_joined(left, middle), right)
-                else:
-                    values[number - 1] = left + middle + right
+            walks, goals, ends, cancel, offset = (wholes[x], reached,
+                                                  retraces, firsts, d)
+        for c, up, i in entries:
+            o, middle = walks[reached[c]]
+            if o != goals[up]:
+                escapes.append(i)
+                continue
+            kept_middles[i] = middle
+            kept_ends[i] = offset + up
+            left, right = ends[up], openings[c]
+            if (middle[0] == cancel[up] or middle[-1] == -firsts[c]
+                    if middle else cancel[up] == firsts[c]):
+                values[i] = _joined(_joined(left, middle), right)
+            else:
+                values[i] = left + middle + right
     if escapes:
-        w = table.words[min(escapes) - 1]
+        w = table.words[min(escapes)]
         raise CharacteristicViolation(
             f"automorphism {auto.name} moves the subgroup: image of "
             f"{format_word(w)} reaches coset "

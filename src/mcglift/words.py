@@ -20,6 +20,7 @@ loop below decides triviality.
 from __future__ import annotations
 
 import re
+from operator import neg
 
 Word = tuple
 
@@ -52,7 +53,8 @@ def cyclic_reduce(word):
 
 
 def inverse_word(word):
-    return tuple(-letter for letter in reversed(word))
+    """The inverse of a word, as a tuple: its letters reversed and negated."""
+    return tuple(map(neg, reversed(word)))
 
 
 def conjugate_word(word, by):

@@ -636,6 +636,92 @@ def test_violation_names_the_first_escape_in_table_order():
     assert out_of_letter_order > 0
 
 
+def shared_segments_by_rescans(words):
+    """The head, tail and word left out that `_shared_segments` finds, by
+    rescanning the words for every choice of the word left out, or none:
+    the route it took before it sorted the words once each way, kept here
+    as an independent reference."""
+    def common_length(words):
+        first, last = min(words), max(words)
+        for n, (a, b) in enumerate(zip(first, last)):
+            if a != b:
+                return n
+        return min(len(first), len(last))
+
+    best, segments = 0, ((), (), None)
+    for skip in (None, *range(len(words))):
+        kept = [w for i, w in enumerate(words) if i != skip]
+        head = common_length(kept)
+        tail = min(common_length([w[::-1] for w in kept]),
+                   min(map(len, kept)) - head)
+        if head + tail > best:
+            w = kept[0]
+            best, segments = head + tail, (w[:head], w[len(w) - tail:], skip)
+    return segments
+
+
+# two letters and their inverses, so that words repeat and choices tie
+few_letters = st.sampled_from((1, -1, 2, -2))
+short_words = st.lists(few_letters, max_size=3).map(tuple)
+
+
+@st.composite
+def segment_word_lists(draw):
+    """2-8 words, each H·m·T for one drawn head H and tail T and a short
+    middle m, an empty word, or a repeat of an earlier word (so the least,
+    the greatest or the shortest may come twice); then maybe one odd word
+    drawn on its own in place of one of them."""
+    head, tail = draw(short_words), draw(short_words)
+    words = []
+    for _ in range(draw(st.integers(2, 8))):
+        kind = draw(st.sampled_from(("shared", "shared", "empty", "repeat")))
+        if kind == "empty":
+            words.append(())
+        elif kind == "repeat" and words:
+            words.append(draw(st.sampled_from(words)))
+        else:
+            words.append(head + draw(short_words) + tail)
+    if draw(st.booleans()):
+        words[draw(st.integers(0, len(words) - 1))] = draw(
+            st.lists(few_letters, max_size=8).map(tuple))
+    return words
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=segment_word_lists())
+def test_shared_segments_match_the_rescans(words):
+    assert cosets._shared_segments(words) == shared_segments_by_rescans(words)
+
+
+def test_shared_segments_break_ties_as_the_rescans_do():
+    # every word kept shares the head (1,), and so does every choice of a
+    # word left out: the first choice, none, is taken
+    words = [(1, 2), (1, -2), (1,)]
+    assert cosets._shared_segments(words) == shared_segments_by_rescans(
+        words) == ((1,), (), None)
+    # leaving out word 0 shares the head (1,) and leaving out word 2 the
+    # tail (1,): word 0, the first, is the one left out
+    words = [(2, 1), (1, 1), (1, 2)]
+    assert cosets._shared_segments(words) == shared_segments_by_rescans(
+        words) == ((1,), (), 0)
+
+
+def test_shared_segments_of_the_alpha_suites_match_the_rescans(
+        homology3_table):
+    # the image tuples of the 225 hom-law composites and the 321
+    # containment conjugations of alpha --cover homology3
+    gens = standard_autgens(3)
+    autos = [g1.forward.compose(g2.forward) for g1 in gens for g2 in gens]
+    autos += [inner_auto(3, u) for u in homology3_table.words]
+    assert len(autos) == 225 + 321
+    skips = set()
+    for auto in autos:
+        segments = cosets._shared_segments(auto.images)
+        assert segments == shared_segments_by_rescans(auto.images), auto.name
+        skips.add(segments[2])
+    assert None in skips and len(skips) > 1
+
+
 # -- composition of restrictions ----------------------------------------------
 
 
@@ -690,6 +776,33 @@ def test_compose_is_the_substitution(composition_table, data):
     identity = tuple((j + 1,) for j in range(table.count))
     assert a.compose(a_inverse).values == substituted(a, a_inverse) == identity
     assert a_inverse.compose(a).values == substituted(a_inverse, a) == identity
+
+
+def test_compose_with_the_identity_restriction(composition_table):
+    # each generator restriction after the identity's and before it
+    table = composition_table
+    identity = alpha_apply(table, identity_auto(table.genus))
+    for g in standard_autgens(table.genus):
+        image = alpha_apply(table, g.forward)
+        assert image.compose(identity).values == image.values, g.name
+        assert identity.compose(image).values == image.values, g.name
+
+
+@pytest.mark.parametrize("index", [0, 7, 20])
+def test_compose_with_a_conjugation(composition_table, index):
+    # conjugation by a Schreier word opens every coset with one word, kept
+    # as one tuple; composed with each generator restriction, either way
+    # round, it is still the substitution of its values
+    table = composition_table
+    conjugation = alpha_apply(
+        table, inner_auto(table.genus, table.words[index]))
+    openings = conjugation._pieces[0]
+    assert len(openings) == table.d and len(set(map(id, openings))) == 1
+    for g in standard_autgens(table.genus):
+        image = alpha_apply(table, g.forward)
+        for a, b in ((conjugation, image), (image, conjugation)):
+            assert a.compose(b).values == tuple(map(a._image, b.values)) == (
+                substituted(a, b)), g.name
 
 
 def out_of_range_letters(count):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcglift.words import (
     SurfacePresentation,
@@ -61,6 +63,25 @@ def test_inverse_and_conjugate():
     assert free_reduce(w + inverse_word(w)) == ()
     assert conjugate_word((2,), (1,)) == (1, 2, -1)
     assert conjugate_word((1,), (1,)) == (1,)
+
+
+# any words over the genus-3 letters, reduced or not
+words = st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6)),
+                 max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=words, v=words)
+def test_inverse_word_properties(u, v):
+    # a tuple from a list or a tuple alike, an involution, the reverse
+    # order on a concatenation, and an inverse under free reduction
+    for word in (u, tuple(u)):
+        inverse = inverse_word(word)
+        assert type(inverse) is tuple and len(inverse) == len(word)
+        assert inverse_word(inverse) == tuple(word)
+    assert inverse_word(u + v) == inverse_word(v) + inverse_word(u)
+    assert free_reduce(tuple(u) + inverse_word(u)) == ()
+    assert free_reduce(inverse_word(u) + tuple(u)) == ()
 
 
 def test_parse_format_roundtrip():
