@@ -27,6 +27,7 @@ precomposing again, and records the induced index permutations as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .budgets import ORBIT_CAP
@@ -204,9 +205,18 @@ def _flip_auto(genus):
 
 def standard_autgens(genus):
     """The standard generator list: a-twists, b-twists, neck twists, the
-    flip, and conjugations by each generator.  Deterministic order."""
+    flip, and conjugations by each generator.  Deterministic order.
+
+    The generators are built once per genus and shared: every call returns
+    a new list of the same frozen `AutGen`s, so a caller may change its
+    list, and each automorphism's relator image is reduced only once."""
     if genus < 2:
         raise AutError(f"genus must be >= 2, got {genus}")
+    return list(_standard_autgens(genus))
+
+
+@lru_cache(maxsize=None)
+def _standard_autgens(genus):
     gens = []
     for i in range(1, genus + 1):
         ai, bi = 2 * i - 1, 2 * i
@@ -237,7 +247,7 @@ def standard_autgens(genus):
             inner_auto(genus, (x,), f"inn-{label}"),
             inner_auto(genus, (-x,), f"inn-{label}~"),
         ))
-    return gens
+    return tuple(gens)
 
 
 def _program(genus, autos):

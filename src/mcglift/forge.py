@@ -28,7 +28,8 @@ and distinct `order_fingerprints` (a collision falls back to a closure in
 Q x Q), give all of Q^k.  Condition (a) is checked factor-wise, since
 N(B x ... x B) = N(B) x ... x N(B) in Q^k, by two routes on one factor:
 `normalizer_is_self_borel` shows B is the stabilizer of the one point it
-fixes, and scans PSL2(F_p) for a normalizing element outside B.
+fixes, and scans PSL2(F_p), on image tuples, for a normalizing element
+outside B.  No product permutation is built on this route.
 
 Neither route builds a stabilizer chain at any size: the one-factor Borel
 subgroup is a set of p(p-1)/2 elements, and G and H are held as generators
@@ -46,8 +47,12 @@ share; r commuting involutions with independent signs certify |H| = 2^r.
 Both routes share one private run record, `_Run`: it checks the genus and
 the seed epimorphism, and holds the generator set, seed material, k, the
 characteristic entry and the stage timings.  The shared rules live on it:
-`subdirect_image` applies the point budget (PARTIAL when it runs out, INVALID
-for a bad member list), `check_a` runs the route's structural check of
+`check_subdirect` runs `check_subdirect_members` (agreement in genus and
+target, every factor onto the target, the point budget) and stops the run
+PARTIAL when the budget runs out, INVALID for a bad member list;
+`subdirect_image` runs the same checks under the same rule and then builds
+the product permutations, which only the S3 route reads, so the hall route
+runs the checks alone.  `check_a` runs the route's structural check of
 condition (a) (PARTIAL when the hall route's factor scan needs more than the
 enum budget), and `certificate` the VALID rule and the one certificate
 build, for a finished run or one its steps stopped by raising `_Stop`.
@@ -93,11 +98,13 @@ class SubdirectError(ForgeError):
     pass
 
 
-def build_subdirect_image(members, point_cap=DEFAULT.points):
-    """The product images of the surface generators under the product
-    homomorphism of a member list, as permutations of k blocks of the
-    target's degree.  Per-factor surjectivity is verified and the point
-    count checked against the budget before any permutation is built."""
+def check_subdirect_members(members, point_cap=DEFAULT.points):
+    """The checks a product image rests on, run before anything is built:
+    the member list is not empty and agrees in genus and target, every
+    member maps onto the target (`is_surjective`), and the k blocks of
+    the target's degree fit the point budget.  Returns the members as a
+    list.  A bad list raises SubdirectError, too many points
+    EnumerationBoundExceeded."""
     members = list(members)
     if not members:
         raise SubdirectError("empty member list")
@@ -114,10 +121,21 @@ def build_subdirect_image(members, point_cap=DEFAULT.points):
         raise EnumerationBoundExceeded(
             f"{k * deg} points exceed the point budget {point_cap}"
         )
-    elements = target.elements
+    return members
+
+
+def build_subdirect_image(members, point_cap=DEFAULT.points):
+    """The product images of the surface generators under the product
+    homomorphism of a member list, as permutations of k blocks of the
+    target's degree, built once `check_subdirect_members` has passed.
+    Only the S3 route builds them; the hall route runs the checks alone,
+    since Hall's lemma gives its order and it reads no product
+    permutation."""
+    members = check_subdirect_members(members, point_cap)
+    elements = members[0].target.elements
     return tuple(
         Permutation.from_blocks([elements[m.idx[i]].images for m in members])
-        for i in range(genus2))
+        for i in range(len(members[0].idx)))
 
 
 # -- S3 products in block form ----------------------------------------------
@@ -691,11 +709,21 @@ class _Run:
         finally:
             self.timing[key] = round(time.time() - start, 3)
 
+    def check_subdirect(self, members, budgets):
+        """`check_subdirect_members` under the point-budget rule: more than
+        `budgets.points` points stops the run PARTIAL, a member list with no
+        product image stops it INVALID.  The hall route runs only this."""
+        self._subdirect(check_subdirect_members, members, budgets)
+
     def subdirect_image(self, members, budgets):
-        """The point-budget rule: more than `budgets.points` points stops the
-        run PARTIAL, a member list with no product image stops it INVALID."""
+        """The product permutations, after the checks of `check_subdirect`
+        under the same rule."""
+        return self._subdirect(build_subdirect_image, members, budgets)
+
+    @staticmethod
+    def _subdirect(step, members, budgets):
         try:
-            return build_subdirect_image(members, point_cap=budgets.points)
+            return step(members, point_cap=budgets.points)
         except EnumerationBoundExceeded as e:
             raise _Stop("subdirect-image", e, status="PARTIAL") from e
         except SubdirectError as e:
@@ -837,17 +865,33 @@ def order_fingerprints(members):
     order of PSL2(p) is at most p, and p(p²-1)/2 elements fit the closure
     bound only for p < 256.  Automorphisms keep element orders, so
     distinct fingerprints prove two members Aut(target)-inequivalent.
-    Reads the index tables and the permutation orders of the target's
-    elements, never `aut_reps()`."""
+
+    The words come level by level: level n+1 extends each word of level n
+    in turn by the letters 1, -1, 2, -2, ..., skipping the inverse of its
+    last letter.  A word's image is its prefix's times its last letter's,
+    one lookup in the member's `letter_rows`, so a member costs one
+    lookup per word.  Reads the index tables and the permutation orders of
+    the target's elements, never `aut_reps()`."""
+    target = members[0].target
     letters = [x for i in range(1, len(members[0].idx) + 1) for x in (i, -i)]
-    words, level = [], [()]
-    for _ in range(3):
-        level = [w + (x,) for w in level for x in letters
-                 if not w or x != -w[-1]]
-        words += level
-    orders = [e.order() for e in members[0].target.elements]
-    return [bytes(map(orders.__getitem__, m.evaluate_indices(words)))
-            for m in members]
+    # extend[w]: the letters that may follow last letter w (0 for the empty
+    # word); levels[n]: the last letter of each word of length n, in order
+    extend = {w: [x for x in letters if x != -w] for w in [0] + letters}
+    levels = [[0]]
+    for _ in range(2):
+        levels.append([x for w in levels[-1] for x in extend[w]])
+    orders = [e.order() for e in target.elements]
+    fingerprints = []
+    for member in members:
+        rows = member.letter_rows()
+        after = {w: [rows[x] for x in xs] for w, xs in extend.items()}
+        values, images = [target.identity_index], []
+        for lasts in levels:
+            values = [row[v] for v, w in zip(values, lasts)
+                      for row in after[w]]
+            images += values
+        fingerprints.append(bytes(map(orders.__getitem__, images)))
+    return fingerprints
 
 
 def pair_closure_order(target, first, second, bound):
@@ -936,8 +980,9 @@ def _hall_steps(run, p, members, collection, budgets):
 
     target = run.seed_epi.target
     with run.stage("group_s"):
-        # the point budget and the per-factor surjectivity come first
-        run.subdirect_image(members, budgets)
+        # the point budget and the per-factor surjectivity come first; no
+        # product permutation is built, Hall's lemma giving the order
+        run.check_subdirect(members, budgets)
         try:
             _check_hall_fingerprints(members, budgets.enum)
         except EnumerationBoundExceeded as e:
@@ -983,17 +1028,24 @@ def _borel_is_point_stabilizer(target, borel):
 
 def _borel_normalizer_scan(target, borel, bound):
     """Route 2 of the hall check (a): True when no element of Q outside B
-    conjugates both of B's generators into B.  Scans Q's element list, with
-    B held as a set; more than `bound` elements raise
+    conjugates both of B's generators into B.  Scans Q's element list,
+    with B held as a set of image tuples; each conjugate x g x^-1 is
+    composed on image tuples, (x g x^-1)(i) = x(g(x^-1(i))), and no
+    permutation is built.  More than `bound` elements raise
     EnumerationBoundExceeded."""
     if target.order > bound:
         raise EnumerationBoundExceeded(
             f"group order {target.order} exceeds enumeration bound {bound}")
-    inside = borel.elements
+    inside = {b.images for b in borel.elements}
+    gens = [g.images for g in borel.generators]
     for x in target.elements:
+        x = x.images
         if x not in inside:
-            xi = x.inverse()
-            if all(x * g * xi in inside for g in borel.generators):
+            xi = [0] * len(x)
+            for i, y in enumerate(x):
+                xi[y] = i
+            if all(tuple(map(x.__getitem__, map(g.__getitem__, xi)))
+                   in inside for g in gens):
                 return False
     return True
 

@@ -14,8 +14,9 @@ used, and kept on the target; a target never builds a whole |Q|^2 or
 |Aut| x |Q| table up front.  A conjugation column composes image tuples and
 looks each conjugate up by its tuple.  `Permutation` stays the type at the
 edges (cycle strings, product groups, coset sets) and is the independent
-route: `FiniteHom.evaluate` multiplies permutations, and `autos.orbit`
-compares it with the table route on the seed of every closure.
+route: `FiniteHom.evaluate` composes the images' point tuples, never the
+tables, and `autos.orbit` compares it with the table route on the seed of
+every closure.
 
 `canonical_key` reduces an index tuple modulo Aut(target) to the least of
 its images: per coordinate, the least column entry over the automorphisms
@@ -313,9 +314,9 @@ class FiniteHom:
     Sorting by `idx` is sorting by image tuples, since the target's elements
     are sorted that way.  `evaluate_index` walks a word through the
     target's right-multiplication rows, which the hom looks up once and
-    keeps; `evaluate` multiplies permutations and is the independent route
-    that cross-checks it.  The hom is surjective when the closure of its
-    images inside the target is the whole target."""
+    keeps; `evaluate` composes the images' point tuples and is the
+    independent route that cross-checks it.  The hom is surjective when the
+    closure of its images inside the target is the whole target."""
 
     __slots__ = ("target", "idx", "_rows")
 
@@ -362,15 +363,24 @@ class FiniteHom:
 
     def evaluate(self, word):
         """Image of a word, as a permutation; letters multiply left to
-        right.  The permutation route, kept apart from the tables."""
-        result = self.target.identity
-        images = self.images
+        right.  The permutation route, kept apart from the tables: it reads
+        the generator images' point tuples, never the index tables, and
+        composes them as `Permutation` products do, (r * p)(x) = r(p(x)),
+        inverting a generator's tuple at an inverse letter.  Only the final
+        tuple is wrapped as a `Permutation`, unvalidated, as a product of
+        permutations is."""
+        elements = self.target.elements
+        images = [elements[i].images for i in self.idx]
+        result = self.target.identity.images
         for letter in word:
             p = images[abs(letter) - 1]
             if letter < 0:
-                p = p.inverse()
-            result = result * p
-        return result
+                inverse = [0] * len(p)
+                for i, x in enumerate(p):
+                    inverse[x] = i
+                p = inverse
+            result = tuple(map(result.__getitem__, p))
+        return Permutation._trusted(result)
 
     def evaluate_index(self, word):
         """Element index of the image of a word, by table lookups."""
@@ -378,7 +388,7 @@ class FiniteHom:
 
     def evaluate_indices(self, words):
         """Element indices of the images of several words."""
-        rows = self._letter_rows()
+        rows = self.letter_rows()
         e = self.target.identity_index
         out = []
         for word in words:
@@ -388,9 +398,10 @@ class FiniteHom:
             out.append(r)
         return out
 
-    def _letter_rows(self):
+    def letter_rows(self):
         """rows[letter] for letter in +-1..+-2g: the right-multiplication
-        row of that letter's image, looked up once per hom.  Negative
+        row of that letter's image, looked up once per hom, so the image of
+        a word w + (x,) is rows[x][image of w].  Negative
         letters index from the end, where the inverse rows sit in reverse
         order, so a letter outside +-1..+-2g would read a wrong row:
         `SurfaceAuto` rejects such letters when it is built."""

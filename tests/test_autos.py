@@ -44,6 +44,20 @@ def test_standard_autgen_roster():
         standard_autgens(1)
 
 
+@pytest.mark.parametrize("genus", [2, 3])
+def test_standard_autgens_are_built_once_per_genus(genus):
+    first, second = standard_autgens(genus), standard_autgens(genus)
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    # a caller's list is its own: changing it leaves the next call alone
+    first.pop()
+    first.reverse()
+    assert standard_autgens(genus) == second
+    for small in (1, 0, 1):
+        with pytest.raises(AutError, match=f"genus must be >= 2, got {small}"):
+            standard_autgens(small)
+
+
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_every_direction_preserves_the_relation(genus):
     pres = SurfacePresentation(genus)

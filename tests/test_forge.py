@@ -538,6 +538,51 @@ def test_order_fingerprints_are_distinct_on_200_classes():
     assert len(set(fingerprints)) == 200
 
 
+def reference_fingerprints(members):
+    """The 456 reduced words of length 1 to 3 at genus 2, listed level by
+    level, each evaluated letter by letter, as element-order bytes."""
+    letters = [x for i in range(1, len(members[0].idx) + 1) for x in (i, -i)]
+    words, level = [], [()]
+    for _ in range(3):
+        level = [w + (x,) for w in level for x in letters
+                 if not w or x != -w[-1]]
+        words += level
+    assert len(words) == 456
+    orders = [e.order() for e in members[0].target.elements]
+    return [bytes(orders[i] for i in m.evaluate_indices(words))
+            for m in members]
+
+
+def test_levelled_fingerprints_match_the_word_by_word_reference():
+    # the whole closure modulo Aut(PSL2(5)), all 1440 classes, and 200
+    # classes at p = 7
+    p5 = orbit(standard_epi(2, target_psl2(5)), standard_autgens(2),
+               mod_target_auts=True)
+    assert p5.complete and p5.k == 1440
+    p7_members, _ = collect_inequivalent_members(
+        standard_epi(2, target_psl2(7)), standard_autgens(2), 200)
+    assert len(p7_members) == 200
+    for members in (p5.members, p7_members):
+        assert forge.order_fingerprints(members) == reference_fingerprints(
+            members)
+
+
+def test_hall_forge_builds_no_product_permutation(monkeypatch):
+    want = forge_certificate_hall(2, 5, collection=12).stable_dict()
+
+    def refuse(cls, blocks):
+        raise AssertionError("the hall route built a product permutation")
+
+    monkeypatch.setattr(Permutation, "from_blocks", classmethod(refuse))
+    cert = forge_certificate_hall(2, 5, collection=12)
+    assert cert.stable_dict() == want
+    assert (cert.k, cert.G_order, cert.status) == (12, 60**12, "INVALID")
+    assert cert.characteristic["note"] == "collection-truncated"
+    # the S3 route still builds its product permutations
+    with pytest.raises(AssertionError, match="built a product permutation"):
+        forge_certificate_s3(2)
+
+
 def test_colliding_fingerprints_fall_back_to_the_pair_closure(monkeypatch):
     want = forge_certificate_hall(2, 5, collection=4).stable_dict()
     closures = []
@@ -632,6 +677,31 @@ def test_hall_check_a_routes_reject_the_translations(p):
     witness = subgroup_witness(PermGroup(list(target.generators)),
                                PermGroup([translation]))
     assert normalizer_is_self(witness) is False
+
+
+def permutation_normalizer_scan(target, sub):
+    """The normalizer scan on `Permutation` objects: no element of the
+    target outside the subgroup conjugates each generator into it."""
+    for x in target.elements:
+        if x not in sub.elements:
+            xi = x.inverse()
+            if all(x * g * xi in sub.elements for g in sub.generators):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_tuple_borel_scan_matches_the_permutation_scan(p):
+    # B itself, its translations, and its scalings: the scalings fix 0 and
+    # infinity, so x -> -1/x normalizes them from outside
+    target, borel = target_psl2(p), borel_subgroup(p)
+    subgroups = [borel] + [
+        BorelSubgroup((g,), frozenset(mulclose([g])))
+        for g in borel.generators]
+    for sub, want in zip(subgroups, (True, False, False)):
+        scan = forge._borel_normalizer_scan(target, sub, 10**6)
+        assert scan is permutation_normalizer_scan(target, sub) is want
+        assert forge._borel_is_point_stabilizer(target, sub) is want
 
 
 def s3_brute_force(members):

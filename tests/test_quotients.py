@@ -406,6 +406,29 @@ def test_shuffled_images_keep_surjectivity(i, data):
             == hom.is_surjective())
 
 
+_S3_HOMS = enumerate_homs(2, target_s3())
+
+
+def product_route(hom, word):
+    """The image of a word as a product of `Permutation`s, letter by
+    letter: the identity for the empty word, `.inverse()` for a negative
+    letter."""
+    result = hom.target.identity
+    for letter in word:
+        p = hom.images[abs(letter) - 1]
+        result = result * (p.inverse() if letter < 0 else p)
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_S3_HOMS + _PSL5_HOMS),
+       st.lists(st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4)), max_size=24))
+def test_evaluate_is_the_letter_by_letter_product(hom, word):
+    value = hom.evaluate(word)
+    assert isinstance(value, Permutation)
+    assert value == product_route(hom, word)
+
+
 def test_canonical_rep_collapses_conjugates():
     t = target_s3()
     x, y = t.generators
