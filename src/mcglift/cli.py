@@ -306,10 +306,11 @@ def _parse_cover(name):
 def _alpha_budget(genus, check, dump, enum):
     """Each alpha suite makes N restricted images, one per Schreier
     generator of the cover, N = (2g-1)·2^(2g) + 1, for every automorphism
-    it restricts; with G = 5g standard generators those counts are
-    N·(G²+G) for hom-law, 25·N for inner, N² for containment, N·(G+1) for
-    injectivity and G·N for the --out dump.  Any count of a selected
-    suite over the enum budget is exit 2 before any table is built."""
+    it restricts; with G = 5g standard generators those counts are at
+    most N·(G²+G) for hom-law, 25·N for inner, N² for containment,
+    N·(G+1) for injectivity and G·N for the --out dump.  Any count of a
+    selected suite over the enum budget is exit 2 before any table is
+    built."""
     if 2 * genus >= enum.bit_length():
         # every count is at least N > 2^(2g) > enum; decided without
         # writing N out
@@ -354,16 +355,26 @@ def cmd_alpha(args, budgets):
         images = {g.name: alpha_apply(table, g.forward) for g in gens}
 
     if args.check in ("all", "hom-law"):
-        fails = 0
+        # restriction reads only the image tuple, and ordered pairs often
+        # compose to equal ones (ta1∘ta2 = ta2∘ta1): one restriction per
+        # distinct composite, in order of first appearance, against the
+        # composed restrictions of every pair that gives it
+        composites = {}
         for g1 in gens:
             for g2 in gens:
-                left = alpha_apply(table, g1.forward.compose(g2.forward))
-                right = images[g1.name].compose(images[g2.name])
+                auto = g1.forward.compose(g2.forward)
+                composites.setdefault(auto.images, (auto, []))[1].append(
+                    (g1.name, g2.name))
+        fails = 0
+        for auto, pairs in composites.values():
+            left = alpha_apply(table, auto).values
+            for n1, n2 in pairs:
+                right = images[n1].compose(images[n2]).values
                 # the whole tuples first; the word problem only where they
                 # differ
-                if left.values == right.values:
+                if left == right:
                     continue
-                for lv, rv in zip(left.values, right.values):
+                for lv, rv in zip(left, right):
                     if lv != rv and not pres.words_equal(
                             expand(lv, table), expand(rv, table)):
                         fails += 1

@@ -39,13 +39,16 @@ tuples.  A closing is the retrace joined to a link, the walk of T·H;
 when every link is empty, as for every conjugation (T·H = u^-1·u), the
 closings are the retraces.
 
-The restriction keeps those pieces, so composition ψ∘φ maps each of φ's
-distinct openings once through ψ's signed table of images, takes each
-retrace as the inverse of its mapped opening and each closing as a
+The restriction keeps those pieces: its distinct openings once each,
+with each coset's index among them, and per coset its link, per entry
+its middle and which closing it ends on.  Composition ψ∘φ maps each of
+φ's distinct openings once through ψ's signed table of images, takes
+each retrace as the inverse of its mapped opening and each closing as a
 mapped retrace joined to the mapped walk of T·H, and maps each entry's
-middle, most of them a single letter and so one lookup.  The three
-images are joined at their two junctions.  A restriction without
-pieces, such as a composite, is composed value by value.
+middle, most of them a single letter and so one lookup, and an empty
+one not at all.  The three images are joined at their two junctions.
+A restriction without pieces, such as a composite, is composed value by
+value.
 
 Expansion of a rewritten word telescopes back to the original word
 reduced, so round-trip identities hold freely; equalities involving
@@ -213,6 +216,22 @@ class CosetTable:
                          if number)
                 for x in range(1, 2 * self.genus + 1)}
 
+    @cached_property
+    def _letter_names(self):
+        """The name of each signed letter of a Schreier-generator word, yN
+        for generator N and YN for its inverse, formatted once per table."""
+        names = {}
+        for n, label in enumerate(self.labels(), 1):
+            names[n], names[-n] = label, label.upper()
+        return names
+
+    @cached_property
+    def _inverse_tree_letters(self):
+        """The inverse letters that enter a tree edge in the transversal
+        pass: those that begin a transversal word."""
+        return frozenset(rep[0] for rep in self.schreier_reps[1:]
+                         if rep[0] < 0)
+
     def walks(self, word):
         """`_walk` of the reduced word from each of the d cosets, in order;
         the empty word and a single letter come from a memo on the table."""
@@ -266,14 +285,6 @@ def _joined(left, right):
     while k < n and left[-1 - k] == -right[k]:
         k += 1
     return left[:len(left) - k] + right[k:]
-
-
-def _distinct(words):
-    """The distinct words in order of first appearance, and for each word
-    the index of its first appearance among them."""
-    first = {}
-    index = [first.setdefault(w, len(first)) for w in words]
-    return list(first), index
 
 
 def _retraced(distinct, index):
@@ -341,13 +352,14 @@ class AutImage:
     reduced Schreier-generator word per Schreier generator.
 
     A restriction made by `alpha_apply` also keeps the pieces its values
-    were joined from, outside equality, hashing and repr: per coset its
-    opening and the link that turns the retraced opening into a closing,
-    and per Schreier generator of pair (c, x) its middle and the index of
-    its closing, or of its retrace past the first d, so that the value is
-    that word + middle + opening c, freely reduced.  Cosets with equal
-    openings hold one tuple.  `compose` maps each distinct opening once,
-    not every value letter by letter."""
+    were joined from, outside equality, hashing and repr, as (distinct,
+    index, links, ends, middles): the distinct openings in order of first
+    appearance and, per coset c, the index of its opening among them;
+    per coset the link that turns the retraced opening into a closing;
+    and per Schreier generator of pair (c, x) the index of its closing,
+    or of its retrace past the first d, and its middle, so that the value
+    is that word + middle + opening c, freely reduced.  `compose` maps
+    each distinct opening once, not every value letter by letter."""
 
     table: CosetTable
     values: tuple
@@ -393,9 +405,8 @@ class AutImage:
             raise CosetError("composition of restrictions to different tables")
         if other._pieces is None:
             return AutImage(self.table, tuple(map(self._image, other.values)))
-        openings, links, ends, middles = other._pieces
+        distinct, index, links, ends, middles = other._pieces
         images, image = self.signed, self._image
-        distinct, index = _distinct(openings)
         rights, retraces, firsts = _retraced(list(map(image, distinct)),
                                              index)
         closings, lasts = _closings(
@@ -403,7 +414,10 @@ class AutImage:
         lefts, cancels = closings + retraces, lasts + firsts
         values = []
         for (c, _), end, middle in zip(self.table.pairs, ends, middles):
-            middle = images[middle[0]] if len(middle) == 1 else image(middle)
+            if len(middle) == 1:
+                middle = images[middle[0]]
+            elif middle:
+                middle = image(middle)
             if (middle[0] == cancels[end] or middle[-1] == -firsts[c]
                     if middle else cancels[end] == firsts[c]):
                 values.append(_joined(_joined(lefts[end], middle), rights[c]))
@@ -421,15 +435,11 @@ class AutImage:
         )
 
     def as_dict(self):
-        labels = self.table.labels()
-
-        def fmt(word):
-            return "".join(
-                (labels[x - 1] if x > 0 else labels[-x - 1].upper())
-                for x in word
-            ) or "1"
-
-        return {labels[i]: fmt(v) for i, v in enumerate(self.values)}
+        """Each value under its generator's label, as the names of its
+        signed letters joined, "1" for an empty one."""
+        names = self.table._letter_names
+        return {names[n]: "".join(map(names.__getitem__, v)) or "1"
+                for n, v in enumerate(self.values, 1)}
 
 
 def _common_length(first, last):
@@ -515,15 +525,16 @@ def alpha_apply(table, auto):
 
     The entry's value is closing + middle + opening, joined again only
     where a junction cancels, so H and T are walked once per coset, not
-    once per table entry; the returned restriction keeps these pieces for
-    `AutImage.compose`.  A letter whose image is left out of H and T
-    walks T·φ(x)·T^-1 whole, from the opening of c to the retraced
-    opening of x·c, and so does a tree edge entered by an inverse letter
-    in the transversal pass.  A walk lands where its closing starts
-    exactly when φ(x) carries the coset of φ(t_c) to that of φ(t_{x·c});
-    otherwise the image of the generator leaves the subgroup, which
-    falsifies the claim that the subgroup is invariant under the
-    automorphism, and the first such generator in table order is named."""
+    once per table entry; the returned restriction keeps these pieces,
+    each distinct opening once, for `AutImage.compose`.  A letter whose
+    image is left out of H and T walks T·φ(x)·T^-1 whole, from the
+    opening of c to the retraced opening of x·c, and so does a tree edge
+    entered by an inverse letter in the transversal pass.  A walk lands
+    where its closing starts exactly when φ(x) carries the coset of
+    φ(t_c) to that of φ(t_{x·c}); otherwise the image of the generator
+    leaves the subgroup, which falsifies the claim that the subgroup is
+    invariant under the automorphism, and the first such generator in
+    table order is named."""
     if auto.genus != table.genus:
         raise AutError("genus mismatch between table and automorphism")
     steps = table.steps
@@ -543,7 +554,7 @@ def alpha_apply(table, auto):
               for x in range(1, 2 * table.genus + 1) if x not in middles}
     inverse_rows = {letter: rows(conjugate_word(auto.apply_letter(letter),
                                                 tail))
-                    for letter in {rep[0] for rep in reps[1:] if rep[0] < 0}}
+                    for letter in table._inverse_tree_letters}
 
     # the walk of T·H from each coset, none for conjugation; starts[o] is
     # the coset from which it ends on o
@@ -634,7 +645,8 @@ def alpha_apply(table, auto):
             f"{table.apply_word(auto.apply_word(w))}"
         )
     return AutImage(table, tuple(values), (
-        tuple(openings), tuple(links), tuple(kept_ends), tuple(kept_middles)))
+        tuple(distinct), tuple(index), tuple(links), tuple(kept_ends),
+        tuple(kept_middles)))
 
 
 def inner_compatibility_holds(table, u, presentation=None):

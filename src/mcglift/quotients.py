@@ -44,6 +44,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .budgets import DEFAULT
 from .perm import EnumerationBoundExceeded, Permutation, mulclose
@@ -508,18 +510,28 @@ def epi_tuples(target, tuples):
     """The index tuples among `tuples` whose images generate the target,
     in their order.
 
-    Surjectivity depends only on the set of images, so there is one
-    `generates` closure per distinct set: 63 for the 16038 genus-3 S3
-    homomorphisms, 55990 for the 286140 genus-2 A5 ones."""
+    Surjectivity depends only on the set of images, and each set is closed
+    by `generates` at most once.  Runs of tuples that share all but their
+    last two images, as `hom_tuples` lists them, are taken together: when
+    the images of that head generate the target, every tuple under it is
+    an epimorphism and none needs its own set.  Under any other head each
+    tuple is looked up by its set.  So the 16038 genus-3 S3
+    homomorphisms take 56 closures for their 63 image sets, and the
+    286140 genus-2 A5 ones 28020 for their 55990."""
     onto = {}  # image set -> whether it generates the target
-    epis = []
-    for idx in tuples:
-        images = frozenset(idx)
+
+    def generated(images):
         answer = onto.get(images)
         if answer is None:
             answer = onto[images] = generates(target, images)
-        if answer:
-            epis.append(idx)
+        return answer
+
+    epis = []
+    for head, run in groupby(tuples, itemgetter(slice(None, -2))):
+        if generated(frozenset(head)):
+            epis.extend(run)
+        else:
+            epis.extend(idx for idx in run if generated(frozenset(idx)))
     return epis
 
 

@@ -716,6 +716,69 @@ def test_alpha_hom_law_counts_one_altered_composite(monkeypatch, capsys):
     assert len(calls) == 100
 
 
+@pytest.mark.parametrize("cover, gens, composites", [
+    ("homology2", 10, 72), ("homology3", 15, 155)])
+def test_alpha_hom_law_restricts_each_distinct_composite_once(
+        cover, gens, composites, monkeypatch, capsys):
+    # restriction reads only the image tuple: after the standard
+    # generators, one restriction per distinct composite g1∘g2, in order of
+    # first appearance among the ordered pairs
+    alpha_apply = cli.alpha_apply
+    calls = []
+
+    def counted(table, auto):
+        calls.append(auto)
+        return alpha_apply(table, auto)
+
+    monkeypatch.setattr(cli, "alpha_apply", counted)
+    assert run(["alpha", "--cover", cover, "--check", "hom-law"]) == EXIT_OK
+    assert f"hom-law: {gens * gens} ordered pairs, failures=0\n" in (
+        capsys.readouterr().out)
+    standard = standard_autgens(int(cover[-1]))
+    assert [auto.images for auto in calls[:gens]] == [
+        g.forward.images for g in standard]
+    firsts = {}
+    for g1 in standard:
+        for g2 in standard:
+            auto = g1.forward.compose(g2.forward)
+            firsts.setdefault(auto.images, auto.name)
+    assert len(firsts) == composites
+    assert [auto.name for auto in calls[gens:]] == list(firsts.values())
+
+
+@pytest.mark.parametrize("pair", [("ta1", "flip"), ("flip", "tb3")])
+def test_alpha_hom_law_checks_every_pair_of_a_shared_composite(
+        pair, monkeypatch, capsys):
+    # ta1∘flip = flip∘tb3 at genus 3, so both pairs share one restriction,
+    # made for the first; a wrong compose of either pair alone must still
+    # be counted
+    standard = {g.name: g.forward for g in standard_autgens(3)}
+    assert standard["ta1"].compose(standard["flip"]).images == (
+        standard["flip"].compose(standard["tb3"]).images)
+    alpha_apply = cli.alpha_apply
+    compose = cosets.AutImage.compose
+    names = {}
+
+    def named(table, auto):
+        image = alpha_apply(table, auto)
+        names[id(image)] = auto.name
+        return image
+
+    def altered(self, other):
+        image = compose(self, other)
+        if (names.get(id(self)), names.get(id(other))) == pair:
+            return with_one_extra_letter(image)
+        return image
+
+    monkeypatch.setattr(cli, "alpha_apply", named)
+    monkeypatch.setattr(cosets.AutImage, "compose", altered)
+    assert run(["alpha", "--cover", "homology3",
+                "--check", "hom-law"]) == EXIT_BREACH
+    out = capsys.readouterr().out
+    assert "hom-law: 225 ordered pairs, failures=1\n" in out
+    assert "alpha suites: FAILURES PRESENT" in out
+
+
 def test_alpha_containment_fails_on_one_altered_restriction(monkeypatch,
                                                            capsys):
     # one restriction of a conjugation by a Schreier generator, with one

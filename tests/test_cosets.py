@@ -152,6 +152,26 @@ def test_alpha_image_serialization(homology_table):
     assert all(isinstance(v, str) and v for v in inv.as_dict().values())
 
 
+def test_as_dict_names_each_signed_letter(homology_table):
+    # the letter names are formatted once per table; the dump is still
+    # yN for generator N and YN for its inverse, joined, and "1" for an
+    # empty value
+    n = homology_table.count
+    values = ((), (1,), (-1, 2), (n, -n + 1, 3))
+    image = cosets.AutImage(homology_table, values + ((),) * (n - 4))
+    labels = homology_table.labels()
+
+    def by_letter(word):
+        return "".join(labels[x - 1] if x > 0 else labels[-x - 1].upper()
+                       for x in word) or "1"
+
+    d = image.as_dict()
+    assert list(d) == list(labels)
+    assert [d[label] for label in labels[:4]] == [
+        "1", "y1", "Y1y2", f"y{n}Y{n - 1}y3"]
+    assert d == {label: by_letter(v) for label, v in zip(labels, image.values)}
+
+
 def test_alpha_apply_rejects_a_table_of_another_genus(homology_table):
     with pytest.raises(AutError, match="genus mismatch"):
         alpha_apply(homology_table, identity_auto(3))
@@ -791,13 +811,13 @@ def test_compose_with_the_identity_restriction(composition_table):
 @pytest.mark.parametrize("index", [0, 7, 20])
 def test_compose_with_a_conjugation(composition_table, index):
     # conjugation by a Schreier word opens every coset with one word, kept
-    # as one tuple; composed with each generator restriction, either way
-    # round, it is still the substitution of its values
+    # once; composed with each generator restriction, either way round, it
+    # is still the substitution of its values
     table = composition_table
     conjugation = alpha_apply(
         table, inner_auto(table.genus, table.words[index]))
-    openings = conjugation._pieces[0]
-    assert len(openings) == table.d and len(set(map(id, openings))) == 1
+    distinct, index = conjugation._pieces[:2]
+    assert len(distinct) == 1 and index == (0,) * table.d
     for g in standard_autgens(table.genus):
         image = alpha_apply(table, g.forward)
         for a, b in ((conjugation, image), (image, conjugation)):
