@@ -367,14 +367,15 @@ def cmd_alpha(args, budgets):
                     (g1.name, g2.name))
         fails = 0
         for auto, pairs in composites.values():
-            left = alpha_apply(table, auto).values
+            left = alpha_apply(table, auto)
             for n1, n2 in pairs:
-                right = images[n1].compose(images[n2]).values
-                # the whole tuples first; the word problem only where they
-                # differ
+                right = images[n1].compose(images[n2])
+                # the gauges first: with equal openings the cores decide,
+                # and no value is built; otherwise the whole value tuples,
+                # and the word problem only where they differ
                 if left == right:
                     continue
-                for lv, rv in zip(left, right):
+                for lv, rv in zip(left.values, right.values):
                     if lv != rv and not pres.words_equal(
                             expand(lv, table), expand(rv, table)):
                         fails += 1

@@ -17,38 +17,31 @@ from one evaluation of the action per signed letter and coset:
 
 For a subgroup invariant under an automorphism φ, restriction pushes the
 transversal through φ once (Holt–Eick–O'Brien, Handbook of Computational
-Group Theory, 2005).  The Schreier generator t_{x·c}^-1 · x · t_c maps to
-the walk of φ(t_c), continued by the image of x, followed by the inverse
-of the walk of φ(t_{x·c}), and no image word is built.  The generator
+Group Theory, 2005), and keeps the result in gauge form.  The generator
 images mostly share a head H and a tail T, φ(x) = H·m_x·T for all of
-them or all but one (conjugation by u has H = u and T = u^-1), so the
-walks are shifted by T into word-order pieces: an opening T·φ(t_c) per
-coset, walked as its tree parent's opening and one letter's image, a
-middle m_x per coset and letter, and a closing φ(t_{x·c})^-1·H per
-landing coset.  A table entry's value is closing + middle + opening,
-reduced again only where a junction cancels.  H and T come from one sort
-of the images forward and one of them reversed: a set of words shares
-the head that its least and greatest words share, so leaving out a word
-that is neither keeps both and cannot change H (nor, reversed, T).
+them or all but one (conjugation by u has H = u and T = u^-1), and the
+image of the Schreier generator t_{x·c}^-1 · x · t_c is O_{x·c}^-1 · K ·
+O_c: the opening O_c is the walk of T·φ(t_c) from coset 0, built once
+per coset from its tree parent's and ending on a coset o_c, and the core
+K the walk of T·φ(x)·T^-1 from o_c, which ends on o_{x·c} exactly when
+the image stays in the subgroup.  No image word is built: a restriction
+keeps its openings, cosets with equal openings sharing one word, the
+cosets they reach and its cores, and joins its values on first use.
+H and T come from one sort of the images forward and one of them
+reversed: a set of words shares the head that its least and greatest
+words share, so leaving out a word that is neither keeps both and
+cannot change H (nor, reversed, T).
 
-Many cosets share an opening: all d of a conjugation by a subgroup word
-are one word, and a composite of two standard generators has about half
-as many distinct openings as cosets.  Each distinct opening is built,
-retraced and mapped once, and the cosets that share it share its
-tuples.  A closing is the retrace joined to a link, the walk of T·H;
-when every link is empty, as for every conjugation (T·H = u^-1·u), the
-closings are the retraces.
-
-The restriction keeps those pieces: its distinct openings once each,
-with each coset's index among them, and per coset its link, per entry
-its middle and which closing it ends on.  Composition ψ∘φ maps each of
-φ's distinct openings once through ψ's signed table of images, takes
-each retrace as the inverse of its mapped opening and each closing as a
-mapped retrace joined to the mapped walk of T·H, and maps each entry's
-middle, most of them a single letter and so one lookup, and an empty
-one not at all.  The three images are joined at their two junctions.
-A restriction without pieces, such as a composite, is composed value by
-value.
+The gauge telescopes under composition.  With ψ(y) = O^ψ_{x·c}^-1 ·
+K^ψ_y · O^ψ_c for the Schreier generator y of entry (c, x), ψ∘φ has the
+opening O^ψ_{o^φ_c} · ψ(O^φ_c) at coset c, reaching o^ψ of o^φ_c, and
+the core O^ψ_{o^φ_{x·c}} · ψ(K^φ) · O^ψ_{o^φ_c}^-1, which is ψ's core of
+y itself when φ's core is the one letter y^±1 and its entry runs between
+those two reached cosets.  Two restrictions with equal openings have
+equal values exactly when their cores are equal, so restrictions are
+compared gauge to gauge, and values are built only where the openings
+differ.  A restriction given by its values is the trivial gauge: every
+opening empty, every coset reaching itself, the cores the values.
 
 Expansion of a rewritten word telescopes back to the original word
 reduced, so round-trip identities hold freely; equalities involving
@@ -57,8 +50,8 @@ genuinely different words go through the Dehn word-problem engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .autos import (
     AutError,
@@ -232,6 +225,28 @@ class CosetTable:
         return frozenset(rep[0] for rep in self.schreier_reps[1:]
                          if rep[0] < 0)
 
+    @cached_property
+    def _pair_ends(self):
+        """Per table entry (c, x), the cosets c and x·c it runs between."""
+        return tuple((c, self.steps[x][c][0]) for c, x in self.pairs)
+
+    @cached_property
+    def _letter_ends(self):
+        """Per signed letter, the cosets it enters and leaves: (x·c, c) for
+        the Schreier generator of entry (c, x), (c, x·c) for its inverse."""
+        return _Signed([(up, c) for c, up in self._pair_ends],
+                       itemgetter(1, 0))
+
+    @cached_property
+    def _trivial_gauge(self):
+        """Every opening empty and every coset reaching itself."""
+        return ((),) * self.d, tuple(range(self.d))
+
+    @cached_property
+    def _singletons(self):
+        """Each Schreier generator as a one-letter word."""
+        return tuple((j,) for j in range(1, self.count + 1))
+
     def walks(self, word):
         """`_walk` of the reduced word from each of the d cosets, in order;
         the empty word and a single letter come from a memo on the table."""
@@ -287,28 +302,6 @@ def _joined(left, right):
     return left[:len(left) - k] + right[k:]
 
 
-def _retraced(distinct, index):
-    """Per coset, from the distinct words and each coset's index among
-    them: its word, the word retraced (its inverse) and the word's first
-    letter, which cancels the last of the retrace at a junction, 0 for an
-    empty word.  Each is built once per distinct word, and the cosets
-    that share a word share its tuples."""
-    retraces = list(map(inverse_word, distinct))
-    firsts = [word[0] if word else 0 for word in distinct]
-    return ([distinct[i] for i in index], [retraces[i] for i in index],
-            [firsts[i] for i in index])
-
-
-def _closings(retraces, firsts, links):
-    """Each retrace joined to its link, and the letter that cancels the
-    last of each, 0 for an empty word.  When every link is empty, these
-    are the retraces themselves and the firsts of the retraced words."""
-    if not any(links):
-        return retraces, firsts
-    closings = list(map(_joined, retraces, links))
-    return closings, [-word[-1] if word else 0 for word in closings]
-
-
 def rewrite(table, word):
     """Express a subgroup element as a word over the Schreier generators.
 
@@ -326,14 +319,14 @@ def rewrite(table, word):
 
 
 class _Signed(dict):
-    """Words under signed letters: words[i] under i+1, its inverse under
-    -(i+1).  A dict, where a tuple would wrap a negative index: a letter
-    outside ±1..±len(words) raises CosetError, not a wrong word."""
+    """Items under signed letters: items[i] under i+1, its inverse under
+    -(i+1), words by default.  A dict, where a tuple would wrap a negative
+    index: a letter outside ±1..±len(items) raises CosetError, not a wrong
+    item."""
 
-    def __init__(self, words):
-        super().__init__(zip(range(1, len(words) + 1), words))
-        self.update(zip(range(-1, -len(words) - 1, -1),
-                        map(inverse_word, words)))
+    def __init__(self, items, invert=inverse_word):
+        super().__init__(zip(range(1, len(items) + 1), items))
+        self.update(zip(range(-1, -len(items) - 1, -1), map(invert, items)))
 
     def __missing__(self, letter):
         raise CosetError(f"letter {letter} is outside the {len(self) // 2}"
@@ -346,84 +339,116 @@ def expand(rs_word, table):
     return free_reduce([x for letter in rs_word for x in words[letter]])
 
 
-@dataclass(frozen=True)
 class AutImage:
-    """The restriction of an automorphism to the subgroup, recorded as one
-    reduced Schreier-generator word per Schreier generator.
+    """The restriction of an automorphism to the subgroup: one reduced
+    Schreier-generator word per Schreier generator, its `values`, kept in
+    gauge form: per coset c an opening word O_c and a reached coset o_c,
+    and per Schreier generator i, of entry (c, x), a core K_i, so that
+    value i is reduce(O_{x·c}^-1 · K_i · O_c).  The values are joined on
+    first use, and do not depend on the reached cosets, which only say
+    where `compose` may read a core by lookup.  `AutImage(table, values)`
+    is the trivial gauge: every opening empty, every coset reaching
+    itself, the cores the values.
 
-    A restriction made by `alpha_apply` also keeps the pieces its values
-    were joined from, outside equality, hashing and repr, as (distinct,
-    index, links, ends, middles): the distinct openings in order of first
-    appearance and, per coset c, the index of its opening among them;
-    per coset the link that turns the retraced opening into a closing;
-    and per Schreier generator of pair (c, x) the index of its closing,
-    or of its retrace past the first d, and its middle, so that the value
-    is that word + middle + opening c, freely reduced.  `compose` maps
-    each distinct opening once, not every value letter by letter."""
+    Equality, hashing and repr are those of the values.  For fixed
+    openings, K ↦ reduce(O_{x·c}^-1 · K · O_c) is a bijection of the free
+    group, so two restrictions with equal openings have equal values
+    exactly when their cores are equal; `==` then compares the cores and
+    builds no value, and compares the values otherwise."""
 
-    table: CosetTable
-    values: tuple
-    _pieces: tuple = field(default=None, compare=False, repr=False)
+    def __init__(self, table, values):
+        self.table = table
+        self.values = self.cores = tuple(values)
+        self.openings, self.reached = table._trivial_gauge
+
+    @classmethod
+    def _gauged(cls, table, openings, reached, cores):
+        image = cls.__new__(cls)
+        image.table, image.openings = table, openings
+        image.reached, image.cores = reached, cores
+        return image
 
     @cached_property
-    def signed(self):
-        """The image of each signed letter, built once per restriction."""
-        return _Signed(self.values)
+    def values(self):
+        return _assembled(self.table, self.openings, self._retraces,
+                          self.cores)
+
+    def __eq__(self, other):
+        if not isinstance(other, AutImage):
+            return NotImplemented
+        if self.table is not other.table:
+            return False
+        if self.openings == other.openings:
+            return self.cores == other.cores
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash((self.table, self.values))
+
+    def __repr__(self):
+        return f"AutImage(table={self.table!r}, values={self.values!r})"
+
+    @cached_property
+    def _retraces(self):
+        """Each coset's opening retraced, once per distinct opening."""
+        inverses = {word: inverse_word(word) for word in set(self.openings)}
+        return tuple(map(inverses.__getitem__, self.openings))
+
+    @cached_property
+    def _signed_cores(self):
+        return _Signed(self.cores)
+
+    @cached_property
+    def _plan(self):
+        """Per entry (c, x), its core's one letter if that letter's entry
+        runs from o_c to o_{x·c}, else 0: `compose` reads its core there."""
+        ends, reached = self.table._letter_ends, self.reached
+        return tuple(
+            core[0] if len(core) == 1
+            and ends[core[0]] == (reached[up], reached[c]) else 0
+            for (c, up), core in zip(self.table._pair_ends, self.cores))
+
+    def _through(self, word, t):
+        """reduce(O_t · self(word)), each letter's image being its core
+        between the retraced opening of the coset its entry enters and the
+        opening of the one it leaves; where the two openings between one
+        image and the next are one word, they cancel and are not joined."""
+        cores, ends = self._signed_cores, self.table._letter_ends
+        openings, retraces = self.openings, self._retraces
+        out, p = (), t
+        for letter in word:
+            enters, leaves = ends[letter]
+            if openings[p] is not openings[enters]:
+                out = _joined(_joined(out, openings[p]), retraces[enters])
+            out, p = _joined(out, cores[letter]), leaves
+        return _joined(out, openings[p])
 
     def _image(self, word):
-        """The reduced image of a reduced word, letter by letter from the
-        signed table: each image is joined on at its junction, and a
-        one-letter word is its image as it is."""
-        images = self.signed
-        if len(word) == 1:
-            return images[word[0]]
-        out = []
-        for letter in word:
-            w = images[letter]
-            if out and w and out[-1] == -w[0]:
-                out.pop()
-                k = 1
-                while out and k < len(w) and out[-1] == -w[k]:
-                    out.pop()
-                    k += 1
-                out.extend(w[k:])
-            else:
-                out.extend(w)
-        return tuple(out)
+        """The reduced image of a reduced word."""
+        if not word:
+            return ()
+        enters = self.table._letter_ends[word[0]][0]
+        return _joined(self._retraces[enters], self._through(word, enters))
 
     def compose(self, other):
-        """self after other, as maps on the subgroup.  When other keeps its
-        pieces, each distinct opening is mapped and its image inverted
-        once, for every coset it opens; each link and each middle is
-        mapped once (a one-letter middle is one lookup in self's signed
-        table), and when every link is empty the closings are the inverted
-        images themselves.  The three images of an entry are joined at
-        their two junctions, and only where one cancels.  Otherwise each
-        value of other is mapped whole.  Free reduction is unique, so both
-        give the same reduced words."""
+        """self after other, as maps on the subgroup, in gauge form: with
+        ψ = self and φ = other, value i is ψ(O^φ_{x·c})^-1 · ψ(K^φ_i) ·
+        ψ(O^φ_c), so the composite opens coset c with O^ψ_{o^φ_c} ·
+        ψ(O^φ_c), reaching o^ψ of o^φ_c, and has the core O^ψ_{o^φ_{x·c}}
+        · ψ(K^φ_i) · O^ψ_{o^φ_c}^-1: ψ's core of y, one lookup, when K^φ_i
+        is one letter y^±1 whose entry runs between those two cosets (as
+        φ's `_plan` says)."""
         if other.table is not self.table:
             raise CosetError("composition of restrictions to different tables")
-        if other._pieces is None:
-            return AutImage(self.table, tuple(map(self._image, other.values)))
-        distinct, index, links, ends, middles = other._pieces
-        images, image = self.signed, self._image
-        rights, retraces, firsts = _retraced(list(map(image, distinct)),
-                                             index)
-        closings, lasts = _closings(
-            retraces, firsts, list(map(image, links)) if any(links) else links)
-        lefts, cancels = closings + retraces, lasts + firsts
-        values = []
-        for (c, _), end, middle in zip(self.table.pairs, ends, middles):
-            if len(middle) == 1:
-                middle = images[middle[0]]
-            elif middle:
-                middle = image(middle)
-            if (middle[0] == cancels[end] or middle[-1] == -firsts[c]
-                    if middle else cancels[end] == firsts[c]):
-                values.append(_joined(_joined(lefts[end], middle), rights[c]))
-            else:
-                values.append(lefts[end] + middle + rights[c])
-        return AutImage(self.table, tuple(values))
+        table, through, retraces = self.table, self._through, self._retraces
+        cores, reached = self._signed_cores, other.reached
+        return AutImage._gauged(
+            table, tuple(map(through, other.openings, reached)),
+            tuple(map(self.reached.__getitem__, reached)),
+            tuple(cores[letter] if letter else _joined(
+                through(core, reached[up]), retraces[reached[c]])
+                for (c, up), letter, core in zip(
+                    table._pair_ends, other._plan, other.cores)))
 
     def is_identity_on_generators(self, presentation=None):
         table = self.table
@@ -440,6 +465,13 @@ class AutImage:
         names = self.table._letter_names
         return {names[n]: "".join(map(names.__getitem__, v)) or "1"
                 for n, v in enumerate(self.values, 1)}
+
+
+def _assembled(table, openings, retraces, cores):
+    """The values of a gauge: per Schreier generator of entry (c, x), the
+    retraced opening of x·c, the core and the opening of c, joined."""
+    return tuple(_joined(_joined(retraces[up], core), openings[c])
+                 for (c, up), core in zip(table._pair_ends, cores))
 
 
 def _common_length(first, last):
@@ -499,42 +531,34 @@ def _shared_segments(words):
 
 
 def alpha_apply(table, auto):
-    """Restrict the automorphism to the subgroup: push each Schreier
-    generator's image under it back over the Schreier generators.
+    """Restrict the automorphism to the subgroup, in gauge form: push each
+    Schreier generator's image under it back over the Schreier generators.
 
     The image of the Schreier generator of pair (c, x) is
     φ(t_{x·c})^-1 · φ(x) · φ(t_c).  With H and T the longest head and
     tail that all the generator images, or all but one, share, so that
-    φ(x) = H·m_x·T, it is walked through the step table from coset 0 in
-    three pieces, each a coset reached and a reduced word in word order:
+    φ(x) = H·m_x·T, it is (T·φ(t_{x·c}))^-1 · T·H·m_x · T·φ(t_c), walked
+    through the step table from coset 0 in pieces, each a coset reached
+    and a reduced word in word order:
 
     - the opening T·φ(t_c), once per coset c: a transversal pass walks T
       from coset 0, then each coset's opening as its tree parent's
       opening followed by T·φ(letter)·T^-1 = T·H·m_letter, ending on o_c;
-    - the middle m_x, walked from every coset once per x, read from o_c;
-    - the closing φ(t_{x·c})^-1·H, once per landing coset x·c: the walk
-      of T·H (kept for each coset it starts from) that ends on o_{x·c},
-      followed by the opening of x·c retraced; for conjugation T·H is
-      empty and each closing is its retrace.
+      equal openings are kept as one word;
+    - the core of (c, x): the middle m_x, walked from every coset once
+      per x and read from o_c, then its link, the walk of T·H (kept for
+      each coset it starts from) that ends on o_{x·c}; every link is
+      empty for conjugation, where T·H is.
 
-    Each distinct opening is retraced once, with the letters that cancel
-    at its junctions, and cosets with equal openings share one tuple of
-    each.  When every link, the walk of T·H ending on o_c, is empty, the
-    closings are the retraces themselves: so for every conjugation and
-    for most composites of two standard generators.
-
-    The entry's value is closing + middle + opening, joined again only
-    where a junction cancels, so H and T are walked once per coset, not
-    once per table entry; the returned restriction keeps these pieces,
-    each distinct opening once, for `AutImage.compose`.  A letter whose
-    image is left out of H and T walks T·φ(x)·T^-1 whole, from the
-    opening of c to the retraced opening of x·c, and so does a tree edge
+    So H and T are walked once per coset, not once per table entry, and
+    no value is joined here.  A letter whose image is left out of H and T
+    walks T·φ(x)·T^-1 whole, from o_c to o_{x·c}, and so does a tree edge
     entered by an inverse letter in the transversal pass.  A walk lands
-    where its closing starts exactly when φ(x) carries the coset of
-    φ(t_c) to that of φ(t_{x·c}); otherwise the image of the generator
-    leaves the subgroup, which falsifies the claim that the subgroup is
-    invariant under the automorphism, and the first such generator in
-    table order is named."""
+    where its link starts (or on o_{x·c}) exactly when φ(x) carries the
+    coset of φ(t_c) to that of φ(t_{x·c}); otherwise the image of the
+    generator leaves the subgroup, which falsifies the claim that the
+    subgroup is invariant under the automorphism, and the first such
+    generator in table order is named."""
     if auto.genus != table.genus:
         raise AutError("genus mismatch between table and automorphism")
     steps = table.steps
@@ -598,45 +622,27 @@ def alpha_apply(table, auto):
         reached.append(o)
         index.append(i)
 
-    # per coset its opening, retrace and first letter, built once per
-    # distinct opening; 0 stands for an empty word's letter, so two empty
-    # words meeting is a false alarm that only costs a join
-    openings, retraces, firsts = _retraced(distinct, index)
-
-    # the closings, and where a middle must land to start one: closing c
-    # is retrace c joined to links[c], the walk of T·H ending on o_c
+    # the cores, letter by letter: the link of x·c, the walk of T·H ending
+    # on o_{x·c}, joined to the middle, or the whole letter's walk; every
+    # link is empty for a conjugation (T·H = u^-1·u) and for most
+    # composites of two standard generators, and then a core is its middle
     landings = [starts[o] for o in reached]
     links = [bridges[landing][1] for landing in landings]
-    closings, lasts = _closings(retraces, firsts, links)
-
-    # the table entries, letter by letter: closing + middle + opening,
-    # joined again only where a junction cancels; for compose, each entry
-    # keeps its middle and its closing or retrace, as an index into
-    # closings + retraces
-    values = [None] * table.count
-    kept_middles = [None] * table.count
-    kept_ends = [0] * table.count
+    if not any(links):
+        links = None
+    cores = [None] * table.count
     escapes = []
     for x, entries in table._entries.items():
         if x in middles:
-            walks, goals, ends, cancel, offset = (middles[x], landings,
-                                                  closings, lasts, 0)
+            walks, goals, joins = middles[x], landings, links
         else:
-            walks, goals, ends, cancel, offset = (wholes[x], reached,
-                                                  retraces, firsts, d)
+            walks, goals, joins = wholes[x], reached, None
         for c, up, i in entries:
             o, middle = walks[reached[c]]
             if o != goals[up]:
                 escapes.append(i)
-                continue
-            kept_middles[i] = middle
-            kept_ends[i] = offset + up
-            left, right = ends[up], openings[c]
-            if (middle[0] == cancel[up] or middle[-1] == -firsts[c]
-                    if middle else cancel[up] == firsts[c]):
-                values[i] = _joined(_joined(left, middle), right)
             else:
-                values[i] = left + middle + right
+                cores[i] = _joined(joins[up], middle) if joins else middle
     if escapes:
         w = table.words[min(escapes)]
         raise CharacteristicViolation(
@@ -644,31 +650,25 @@ def alpha_apply(table, auto):
             f"{format_word(w)} reaches coset "
             f"{table.apply_word(auto.apply_word(w))}"
         )
-    return AutImage(table, tuple(values), (
-        tuple(distinct), tuple(index), tuple(links), tuple(kept_ends),
-        tuple(kept_middles)))
+    return AutImage._gauged(table, tuple(distinct[i] for i in index),
+                            tuple(reached), tuple(cores))
 
 
 def inner_compatibility_holds(table, u, presentation=None):
     """Whether restricting conjugation-by-u equals conjugation by rewrite(u)
-    on every Schreier generator, for a subgroup word u."""
+    on every Schreier generator, for a subgroup word u: the gauge with
+    every opening rewrite(u)^-1, every coset reaching itself and the cores
+    y1, y2, ..., compared gauge to gauge first."""
     if presentation is None:
         presentation = SurfacePresentation(table.genus)
-    conj = inner_auto(table.genus, u)
-    image = alpha_apply(table, conj)
-    ru = rewrite(table, u)
-    ru_inverse = inverse_word(ru)
-    direct = [ru + (j,) + ru_inverse for j in range(1, table.count + 1)]
-    if ru:
-        # a reduced ru cancels against y_j only if it ends in y_j^±1
-        j = abs(ru[-1]) - 1
-        direct[j] = free_reduce(direct[j])
-    direct = tuple(direct)
-    # the whole tuples first; the word problem only where they differ
-    return image.values == direct or all(
+    image = alpha_apply(table, inner_auto(table.genus, u))
+    direct = AutImage._gauged(
+        table, (inverse_word(rewrite(table, u)),) * table.d,
+        table._trivial_gauge[1], table._singletons)
+    return image == direct or all(
         v == w or presentation.words_equal(expand(v, table),
                                            expand(w, table))
-        for v, w in zip(image.values, direct))
+        for v, w in zip(image.values, direct.values))
 
 
 def verify_finite_index_containment(table, presentation=None):

@@ -28,6 +28,7 @@ from mcglift.cli import (
     write_listing,
 )
 from mcglift.quotients import FiniteHom, enumerate_homs, get_target
+from mcglift.words import free_reduce
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -798,6 +799,107 @@ def test_alpha_containment_fails_on_one_altered_restriction(monkeypatch,
     assert "containment: FAILED, index 16\n" in out
     assert "alpha suites: FAILURES PRESENT" in out
     assert len(calls) == 1  # the suite stops at the first failure
+
+
+def test_alpha_hom_law_counts_one_altered_core(monkeypatch, capsys):
+    # the first composite of the suite, ta1∘ta1, gets one wrong core in
+    # openings equal to those of its direct restriction: the gauges alone
+    # must tell the two apart
+    compose = cosets.AutImage.compose
+    altered = []
+
+    def one_core_altered(self, other):
+        image = compose(self, other)
+        if altered:
+            return image
+        cores = list(image.cores)
+        cores[0] = free_reduce(cores[0] + (1,))
+        altered.append(cosets.AutImage._gauged(
+            image.table, image.openings, image.reached, tuple(cores)))
+        return altered[0]
+
+    monkeypatch.setattr(cosets.AutImage, "compose", one_core_altered)
+    assert run(["alpha", "--cover", "homology2",
+                "--check", "hom-law"]) == EXIT_BREACH
+    out = capsys.readouterr().out
+    assert "hom-law: 100 ordered pairs, failures=1\n" in out
+    assert "alpha suites: FAILURES PRESENT" in out
+    ta1 = standard_autgens(2)[0]
+    assert ta1.name == "ta1"
+    direct = cosets.alpha_apply(altered[0].table,
+                                ta1.forward.compose(ta1.forward))
+    assert altered[0].openings == direct.openings
+    assert altered[0].cores != direct.cores
+
+
+def test_alpha_containment_fails_on_one_altered_opening(monkeypatch, capsys):
+    # one restriction of a conjugation by a Schreier generator, with one
+    # opening times y1 and its cores kept, must fail the containment suite
+    alpha_apply = cosets.alpha_apply
+    calls = []
+
+    def altered(table, auto):
+        calls.append(auto)
+        image = alpha_apply(table, auto)
+        if len(calls) > 1:
+            return image
+        openings = list(image.openings)
+        openings[3] = free_reduce(openings[3] + (1,))
+        return cosets.AutImage._gauged(table, tuple(openings), image.reached,
+                                       image.cores)
+
+    monkeypatch.setattr(cosets, "alpha_apply", altered)
+    assert run(["alpha", "--cover", "homology2",
+                "--check", "containment"]) == EXIT_BREACH
+    out = capsys.readouterr().out
+    assert "containment: FAILED, index 16\n" in out
+    assert "alpha suites: FAILURES PRESENT" in out
+    assert len(calls) == 1  # the suite stops at the first failure
+
+
+@pytest.mark.parametrize("cover, check, pairs, assembled", [
+    ("homology2", "hom-law", 14, 23),
+    ("homology3", "hom-law", 22, 36),
+    ("homology3", "containment", 0, 0),
+])
+def test_alpha_suites_assemble_values_only_where_openings_differ(
+        cover, check, pairs, assembled, monkeypatch, capsys):
+    # Restrictions are compared gauge to gauge, and values are joined only
+    # where the openings differ.  The opening of coset c is the walk of
+    # T·χ(t_c) for alpha_apply of χ = g1∘g2, T the tail its images share,
+    # and of T1·g1(T2)·χ(t_c) for the composite of the restrictions of g1
+    # and g2, with tails T1 and T2: the openings agree where T and
+    # T1·g1(T2) do, and differ on the other pairs, 14 of 100 at genus 2
+    # and 22 of 225 at genus 3, each a twist or a neck composed with a
+    # conjugation by one generator letter, in one order or the other.  Each
+    # such pair joins the values of its composite of restrictions, and
+    # those of its direct restriction once per distinct composite: 9 and
+    # 14 more.
+    # Containment compares each restricted conjugation with conjugation
+    # by rewrite(u), every opening rewrite(u)^-1 on both sides, and joins
+    # no value.
+    assembled_calls = []
+    assemble = cosets._assembled
+
+    def counted(*args):
+        assembled_calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(cosets, "_assembled", counted)
+    assert run(["alpha", "--cover", cover, "--check", check]) == EXIT_OK
+    capsys.readouterr()
+    assert len(assembled_calls) == assembled
+    if check == "hom-law":
+        standard = [g.forward for g in standard_autgens(int(cover[-1]))]
+
+        def tail(auto):
+            return cosets._shared_segments(auto.images)[1]
+
+        differ = [g1.compose(g2).images for g1 in standard for g2 in standard
+                  if tail(g1.compose(g2)) != free_reduce(
+                      tail(g1) + g1.apply_word(tail(g2)))]
+        assert len(differ) == pairs
+        assert len(differ) + len(set(differ)) == assembled
 
 
 # sha256 of the stdout and of the --out dump of `alpha --cover <cover>

@@ -253,6 +253,31 @@ def test_inner_compatibility_fails_on_one_altered_value(
     assert not inner_compatibility_holds(homology_table, u, pres)
 
 
+def with_one_extra_opening_letter(image, coset):
+    """The restriction in its own gauge with the opening of `coset` times
+    y1, its cores and reached cosets kept: the values of every entry
+    leaving or entering that coset change."""
+    openings = list(image.openings)
+    openings[coset] = free_reduce(openings[coset] + (1,))
+    return AutImage._gauged(image.table, tuple(openings), image.reached,
+                            image.cores)
+
+
+@pytest.mark.parametrize("coset", [0, 5, 15])
+def test_inner_compatibility_fails_on_one_altered_opening(
+        homology_table, coset, monkeypatch):
+    # the restriction of a conjugation matches conjugation by rewrite(u)
+    # gauge to gauge; an altered opening must fall back to the values and
+    # the word problem must see the mismatch
+    pres = SurfacePresentation(2)
+    u = homology_table.words[5] + inverse_word(homology_table.words[9])
+    monkeypatch.setattr(
+        cosets, "alpha_apply",
+        lambda table, auto: with_one_extra_opening_letter(
+            alpha_apply(table, auto), coset))
+    assert not inner_compatibility_holds(homology_table, u, pres)
+
+
 def test_finite_index_containment(homology_table):
     ok, d = verify_finite_index_containment(homology_table)
     assert ok is True and d == 16
@@ -811,18 +836,104 @@ def test_compose_with_the_identity_restriction(composition_table):
 @pytest.mark.parametrize("index", [0, 7, 20])
 def test_compose_with_a_conjugation(composition_table, index):
     # conjugation by a Schreier word opens every coset with one word, kept
-    # once; composed with each generator restriction, either way round, it
-    # is still the substitution of its values
+    # once, and every coset reaches itself; composed with each generator
+    # restriction, either way round, it is still the substitution of its
+    # values
     table = composition_table
     conjugation = alpha_apply(
         table, inner_auto(table.genus, table.words[index]))
-    distinct, index = conjugation._pieces[:2]
-    assert len(distinct) == 1 and index == (0,) * table.d
+    assert len(set(map(id, conjugation.openings))) == 1
+    assert conjugation.reached == tuple(range(table.d))
     for g in standard_autgens(table.genus):
         image = alpha_apply(table, g.forward)
         for a, b in ((conjugation, image), (image, conjugation)):
             assert a.compose(b).values == tuple(map(a._image, b.values)) == (
                 substituted(a, b)), g.name
+
+
+# -- the gauge form ------------------------------------------------------------
+
+
+@st.composite
+def restricted(draw, table):
+    """A product of standard generators or a conjugation by a subgroup
+    word, which preserves the subgroup of the table."""
+    gens = [g.forward for g in standard_autgens(table.genus)]
+    if draw(st.booleans()):
+        phi = identity_auto(table.genus)
+        for f in draw(st.lists(st.sampled_from(gens), min_size=1,
+                               max_size=3)):
+            phi = phi.compose(f)
+    else:
+        picks = draw(st.lists(st.tuples(
+            st.sampled_from(table.words), st.booleans()), min_size=1,
+            max_size=3))
+        phi = inner_auto(table.genus, tuple(
+            x for w, inverted in picks
+            for x in (inverse_word(w) if inverted else w)))
+    return phi
+
+
+def values_only(image):
+    return AutImage(image.table, image.values)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_values_are_the_gauge_joined(homology_table, data):
+    table = homology_table
+    image = alpha_apply(table, data.draw(restricted(table)))
+    assert image.values == tuple(
+        free_reduce(inverse_word(image.openings[table.apply_letter(x, c)])
+                    + core + image.openings[c])
+        for (c, x), core in zip(table.pairs, image.cores))
+    bare = values_only(image)
+    assert bare.cores == bare.values == image.values
+    assert set(bare.openings) == {()}
+    assert bare.reached == tuple(range(table.d))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_compose_is_the_image_of_each_value_in_every_gauge(homology_table,
+                                                           data):
+    # each side in its own gauge or the trivial one: the same composite;
+    # and a composite, in the gauge compose gives it, composed again
+    a, b, c = (alpha_apply(homology_table,
+                           data.draw(restricted(homology_table)))
+               for _ in range(3))
+    want = substituted(a, b)
+    for left in (a, values_only(a)):
+        for right in (b, values_only(b)):
+            assert left.compose(right).values == tuple(
+                map(left._image, right.values)) == want
+    ab = a.compose(b)
+    assert ab.compose(c).values == substituted(ab, c)
+    assert c.compose(ab).values == substituted(c, ab)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_equality_is_equality_of_values(homology_table, data):
+    # a composite restricted directly and composed from its factors has
+    # the same values, in the same gauge or another; a core or an opening
+    # altered gives other values in the same openings or other ones
+    table = homology_table
+    phi, psi = (data.draw(restricted(table)) for _ in range(2))
+    a, b = alpha_apply(table, phi), alpha_apply(table, psi)
+    composite = a.compose(b)
+    cores = list(composite.cores)
+    cores[0] = free_reduce(cores[0] + (1,))
+    images = [a, b, composite, alpha_apply(table, phi.compose(psi)),
+              values_only(composite),
+              AutImage._gauged(table, composite.openings,
+                               composite.reached, tuple(cores)),
+              with_one_extra_opening_letter(composite, 0)]
+    for x in images:
+        for y in images:
+            assert (x == y) == (x.values == y.values)
+            if x.values == y.values:
+                assert hash(x) == hash(y)
 
 
 def out_of_range_letters(count):
