@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from .budgets import ORBIT_CAP
@@ -47,6 +48,12 @@ class AutError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
+def _signed_letters(genus):
+    """The letters ±1..±2g of the rank-2g free group, as a set."""
+    return frozenset(chain(range(1, 2 * genus + 1), range(-2 * genus, 0)))
+
+
 class SurfaceAuto:
     """An endomorphism of the rank-2g free group, recorded by generator
     images, intended to descend to the genus-g surface group."""
@@ -58,7 +65,7 @@ class SurfaceAuto:
         n = 2 * genus
         if len(images) != n:
             raise AutError(f"need {n} image words, got {len(images)}")
-        if not all(0 < abs(letter) <= n for w in images for letter in w):
+        if not _signed_letters(genus).issuperset(chain.from_iterable(images)):
             raise AutError(f"image letters must lie in +-1..+-{n}")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "images", images)

@@ -37,7 +37,12 @@ K^ψ_y · O^ψ_c for the Schreier generator y of entry (c, x), ψ∘φ has the
 opening O^ψ_{o^φ_c} · ψ(O^φ_c) at coset c, reaching o^ψ of o^φ_c, and
 the core O^ψ_{o^φ_{x·c}} · ψ(K^φ) · O^ψ_{o^φ_c}^-1, which is ψ's core of
 y itself when φ's core is the one letter y^±1 and its entry runs between
-those two reached cosets.  Two restrictions with equal openings have
+those two reached cosets.  Each distinct opening object W of φ is
+mapped through ψ once per composition, from the coset e that the entry
+of its first letter enters; a coset opened by W and reaching t gets the
+prefix O^ψ_t · O^ψ_e^-1 in front, none where those two openings are one
+word.  Words are appended with `+`, and joined with cancellation only at
+a junction that cancels.  Two restrictions with equal openings have
 equal values exactly when their cores are equal, so restrictions are
 compared gauge to gauge, and values are built only where the openings
 differ.  A restriction given by its values is the trivial gauge: every
@@ -188,6 +193,13 @@ class CosetTable:
     def signed_words(self):
         """Each Schreier generator and its inverse under its signed letter."""
         return _Signed(self.words)
+
+    @cached_property
+    def _signed_lengths(self):
+        """The length of each Schreier generator, and of its inverse, under
+        its signed letter: an inverse is as long as its word, so `int`
+        leaves each length as it is."""
+        return _Signed(tuple(map(len, self.words)), int)
 
     @cached_property
     def _short_walks(self):
@@ -401,34 +413,47 @@ class AutImage:
     @cached_property
     def _plan(self):
         """Per entry (c, x), its core's one letter if that letter's entry
-        runs from o_c to o_{x·c}, else 0: `compose` reads its core there."""
+        runs from o_c to o_{x·c}, else 0: `compose` reads its core there;
+        and the indices of the entries with 0, whose cores it maps."""
         ends, reached = self.table._letter_ends, self.reached
-        return tuple(
+        letters = tuple(
             core[0] if len(core) == 1
             and ends[core[0]] == (reached[up], reached[c]) else 0
             for (c, up), core in zip(self.table._pair_ends, self.cores))
+        return letters, [i for i, letter in enumerate(letters) if not letter]
 
     def _through(self, word, t):
         """reduce(O_t · self(word)), each letter's image being its core
         between the retraced opening of the coset its entry enters and the
         opening of the one it leaves; where the two openings between one
-        image and the next are one word, they cancel and are not joined."""
+        image and the next are one word, they cancel and are not joined.
+        Pieces are appended, and joined only where a junction cancels."""
         cores, ends = self._signed_cores, self.table._letter_ends
         openings, retraces = self.openings, self._retraces
         out, p = (), t
         for letter in word:
             enters, leaves = ends[letter]
             if openings[p] is not openings[enters]:
-                out = _joined(_joined(out, openings[p]), retraces[enters])
-            out, p = _joined(out, cores[letter]), leaves
-        return _joined(out, openings[p])
-
-    def _image(self, word):
-        """The reduced image of a reduced word."""
-        if not word:
-            return ()
-        enters = self.table._letter_ends[word[0]][0]
-        return _joined(self._retraces[enters], self._through(word, enters))
+                piece = openings[p]
+                if out and piece and out[-1] == -piece[0]:
+                    out = _joined(out, piece)
+                else:
+                    out += piece
+                piece = retraces[enters]
+                if out and piece and out[-1] == -piece[0]:
+                    out = _joined(out, piece)
+                else:
+                    out += piece
+            piece = cores[letter]
+            if out and piece and out[-1] == -piece[0]:
+                out = _joined(out, piece)
+            else:
+                out += piece
+            p = leaves
+        piece = openings[p]
+        if out and piece and out[-1] == -piece[0]:
+            return _joined(out, piece)
+        return out + piece
 
     def compose(self, other):
         """self after other, as maps on the subgroup, in gauge form: with
@@ -437,18 +462,42 @@ class AutImage:
         ψ(O^φ_c), reaching o^ψ of o^φ_c, and has the core O^ψ_{o^φ_{x·c}}
         · ψ(K^φ_i) · O^ψ_{o^φ_c}^-1: ψ's core of y, one lookup, when K^φ_i
         is one letter y^±1 whose entry runs between those two cosets (as
-        φ's `_plan` says)."""
+        φ's `_plan` says).
+
+        Each distinct opening object W of φ is mapped once per call: with
+        e the coset that the entry of W's first letter enters, O^ψ_t ·
+        ψ(W) is reduce(O^ψ_t · O^ψ_e^-1) · O^ψ_e · ψ(W), and the prefix
+        is left out where O^ψ_t and O^ψ_e are one word; an empty opening
+        opens with O^ψ_t alone.  `_through` appends its pieces with `+`,
+        and joins them with cancellation only at a junction that cancels."""
         if other.table is not self.table:
             raise CosetError("composition of restrictions to different tables")
         table, through, retraces = self.table, self._through, self._retraces
-        cores, reached = self._signed_cores, other.reached
+        openings, ends = self.openings, table._letter_ends
+        reached = other.reached
+        images = {}  # by id within this call: other.openings holds the words
+        opened = []
+        for word, t in zip(other.openings, reached):
+            if not word:
+                opened.append(openings[t])
+                continue
+            known = images.get(id(word))
+            if known is None:
+                e = ends[word[0]][0]
+                known = images[id(word)] = e, through(word, e)
+            e, image = known
+            if openings[t] is not openings[e]:
+                image = _joined(_joined(openings[t], retraces[e]), image)
+            opened.append(image)
+        letters, mapped = other._plan
+        cores = list(map(self._signed_cores.get, letters))  # None if mapped
+        for i in mapped:
+            c, up = table._pair_ends[i]
+            cores[i] = _joined(through(other.cores[i], reached[up]),
+                               retraces[reached[c]])
         return AutImage._gauged(
-            table, tuple(map(through, other.openings, reached)),
-            tuple(map(self.reached.__getitem__, reached)),
-            tuple(cores[letter] if letter else _joined(
-                through(core, reached[up]), retraces[reached[c]])
-                for (c, up), letter, core in zip(
-                    table._pair_ends, other._plan, other.cores)))
+            table, tuple(opened),
+            tuple(map(self.reached.__getitem__, reached)), tuple(cores))
 
     def is_identity_on_generators(self, presentation=None):
         table = self.table
@@ -470,8 +519,19 @@ class AutImage:
 def _assembled(table, openings, retraces, cores):
     """The values of a gauge: per Schreier generator of entry (c, x), the
     retraced opening of x·c, the core and the opening of c, joined."""
-    return tuple(_joined(_joined(retraces[up], core), openings[c])
-                 for (c, up), core in zip(table._pair_ends, cores))
+    values = []
+    for (c, up), core in zip(table._pair_ends, cores):
+        value, opening = retraces[up], openings[c]
+        if value and core and value[-1] == -core[0]:
+            value = _joined(value, core)
+        else:
+            value += core
+        if value and opening and value[-1] == -opening[0]:
+            value = _joined(value, opening)
+        else:
+            value += opening
+        values.append(value)
+    return tuple(values)
 
 
 def _common_length(first, last):
@@ -692,9 +752,9 @@ def verify_injectivity_mechanism(image, auto, presentation=None, bound=4096):
     table = image.table
     if presentation is None:
         presentation = SurfacePresentation(table.genus)
-    words = table.signed_words
+    lengths = table._signed_lengths
     for v in image.values:
-        if sum(len(words[x]) for x in v) > bound:
+        if sum(map(lengths.__getitem__, v)) > bound:
             raise CosetError(
                 f"restriction image exceeds expansion bound {bound}")
     fixes_sub = image.is_identity_on_generators(presentation)

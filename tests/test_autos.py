@@ -268,12 +268,14 @@ def test_certify_characteristic_detects_deletion():
     assert "direction" in broken["failure"]
 
 
-@pytest.mark.parametrize("letter", [5, -5, 8, -8, 0])
+@pytest.mark.parametrize("letter", [5, -5, 8, -8, 0, 2.5, -0.5])
 def test_auto_letters_outside_the_genus_are_rejected(letter):
     # precompose reads negative letters from the end of a row list, so an
-    # out-of-range letter must never reach it
+    # out-of-range letter must never reach it; a non-integer within the
+    # range is no letter either
     images = [(letter,), (2,), (3,), (4,)]
-    with pytest.raises(AutError):
+    with pytest.raises(AutError,
+                       match=r"image letters must lie in \+-1\.\.\+-4"):
         SurfaceAuto(2, images)
 
 

@@ -4,7 +4,7 @@ automorphisms to finite-index subgroups."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcglift.autos import (
@@ -782,6 +782,22 @@ def substituted(image, other):
         for v in other.values)
 
 
+def gauge_image(image, word):
+    """The reference image of a word under a restriction in its gauge:
+    each letter replaced by its value in gauge form, the retraced opening
+    of the coset its entry enters, its core and the opening of the coset
+    it leaves (all inverted for an inverse letter), the pieces
+    concatenated, then freely reduced."""
+    table, out = image.table, []
+    for letter in word:
+        i = abs(letter) - 1
+        c, x = table.pairs[i]
+        piece = (inverse_word(image.openings[table.apply_letter(x, c)])
+                 + image.cores[i] + image.openings[c])
+        out.extend(piece if letter > 0 else inverse_word(piece))
+    return free_reduce(out)
+
+
 @st.composite
 def invertible_composites(draw, genus):
     """A composite of standard generator directions and conjugations,
@@ -847,7 +863,8 @@ def test_compose_with_a_conjugation(composition_table, index):
     for g in standard_autgens(table.genus):
         image = alpha_apply(table, g.forward)
         for a, b in ((conjugation, image), (image, conjugation)):
-            assert a.compose(b).values == tuple(map(a._image, b.values)) == (
+            assert a.compose(b).values == tuple(
+                gauge_image(a, v) for v in b.values) == (
                 substituted(a, b)), g.name
 
 
@@ -906,10 +923,68 @@ def test_compose_is_the_image_of_each_value_in_every_gauge(homology_table,
     for left in (a, values_only(a)):
         for right in (b, values_only(b)):
             assert left.compose(right).values == tuple(
-                map(left._image, right.values)) == want
+                gauge_image(left, v) for v in right.values) == want
     ab = a.compose(b)
     assert ab.compose(c).values == substituted(ab, c)
     assert c.compose(ab).values == substituted(c, ab)
+
+
+def test_compose_maps_each_distinct_opening_once(homology3_table,
+                                                 monkeypatch):
+    # every composition of two generator restrictions at genus 3 maps each
+    # distinct nonempty opening object of its right factor once, and each
+    # core it does not read by lookup; mapping every coset's opening would
+    # take 64 calls, plus those cores
+    table = homology3_table
+    images = [alpha_apply(table, g.forward) for g in standard_autgens(3)]
+    through = AutImage._through
+    calls = []
+
+    def counted(self, word, t):
+        calls.append(word)
+        return through(self, word, t)
+
+    monkeypatch.setattr(AutImage, "_through", counted)
+    for a in images:
+        for b in images:
+            calls.clear()
+            a.compose(b)
+            distinct = len({id(w) for w in b.openings if w})
+            assert len(calls) <= distinct + len(b._plan[1])
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_compose_joins_the_prefix_of_a_shared_opening(homology_table, data):
+    # the right factor opens several cosets with one word object W and
+    # reaches cosets where the left factor's openings differ: each of
+    # those composite openings is O_t · a(W), the image of W mapped once
+    # behind the prefix of its own reached coset t
+    table = homology_table
+    a = alpha_apply(table, data.draw(st.sampled_from(
+        [g.forward for g in standard_autgens(2)])))
+    b = alpha_apply(table, data.draw(restricted(table)))
+    n = table.count
+    shared = free_reduce(data.draw(st.lists(st.sampled_from(
+        [j for j in range(-n, n + 1) if j]), min_size=1, max_size=4)))
+    assume(shared)
+    sharing = data.draw(st.sets(st.integers(0, table.d - 1), min_size=2))
+    reached = tuple(data.draw(st.lists(st.integers(0, table.d - 1),
+                                       min_size=table.d, max_size=table.d)))
+    origin, x = table.pairs[abs(shared[0]) - 1]
+    enters = table.apply_letter(x, origin) if shared[0] > 0 else origin
+    assume(any(a.openings[reached[c]] != a.openings[enters]
+               for c in sharing))
+    right = AutImage._gauged(
+        table, tuple(shared if c in sharing else w
+                     for c, w in enumerate(b.openings)), reached, b.cores)
+    composite = a.compose(right)
+    image = gauge_image(a, shared)
+    for c in sharing:
+        assert composite.openings[c] == free_reduce(
+            a.openings[reached[c]] + image)
+    assert composite.values == substituted(a, right) == tuple(
+        gauge_image(a, v) for v in right.values)
 
 
 @PROPERTY_SETTINGS
