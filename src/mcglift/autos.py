@@ -36,7 +36,7 @@ from .perm import EnumerationBoundExceeded
 from .quotients import FiniteHom, RelatorViolation, canonical_key
 from .words import (
     SurfacePresentation,
-    conjugate_word,
+    _joined,
     format_word,
     free_reduce,
     inverse_word,
@@ -163,9 +163,13 @@ def identity_auto(genus, name="id"):
 
 
 def inner_auto(genus, word, name=None):
-    """Conjugation x -> w x w^-1 by a fixed word."""
+    """Conjugation x -> w x w^-1 by a fixed word.  The word is reduced
+    once; each image joins it, x and w^-1 at their two junctions, the only
+    places where the reduced word w can cancel."""
     word = free_reduce(word)
-    images = [conjugate_word((i + 1,), word) for i in range(2 * genus)]
+    inverse = inverse_word(word)
+    images = [_joined(_joined(word, (x,)), inverse)
+              for x in range(1, 2 * genus + 1)]
     if name is None:
         name = f"inn[{format_word(word)}]"
     return SurfaceAuto(genus, images, name=name)

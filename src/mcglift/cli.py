@@ -22,6 +22,7 @@ from . import __version__
 from .autos import AutError, identity_auto, standard_autgens
 from .budgets import PROFILES
 from .cosets import (
+    AutImage,
     CosetError,
     alpha_apply,
     certified_homology_table,
@@ -336,6 +337,44 @@ def _alpha_budget(genus, check, dump, enum):
                 f" budget {enum}")
 
 
+def _hom_law_failures(table, gens, images, pres):
+    """The number of values on which the restriction of g1∘g2 and the
+    composite of the restrictions `images` of g1 and g2 differ as group
+    elements, summed over all ordered pairs of the standard generators
+    `gens`.
+
+    Restriction reads only the image tuple, and ordered pairs often
+    compose to equal ones (ta1∘ta2 = ta2∘ta1): one restriction per
+    distinct composite, in order of first appearance, against the composed
+    restrictions of every pair that gives it.  Those are composed from
+    gauge copies of `images`, so the caches that composing fills die when
+    the suite returns."""
+    composites = {}
+    for g1 in gens:
+        for g2 in gens:
+            auto = g1.forward.compose(g2.forward)
+            composites.setdefault(auto.images, (auto, []))[1].append(
+                (g1.name, g2.name))
+    factors = {name: AutImage._gauged(table, image.openings, image.reached,
+                                      image.cores)
+               for name, image in images.items()}
+    fails = 0
+    for auto, pairs in composites.values():
+        left = alpha_apply(table, auto)
+        for n1, n2 in pairs:
+            right = factors[n1].compose(factors[n2])
+            # the gauges first: with equal openings the cores decide, and
+            # no value is built; otherwise the whole value tuples, and the
+            # word problem only where they differ
+            if left == right:
+                continue
+            for lv, rv in zip(left.values, right.values):
+                if lv != rv and not pres.words_equal(expand(lv, table),
+                                                     expand(rv, table)):
+                    fails += 1
+    return fails
+
+
 def cmd_alpha(args, budgets):
     genus = _parse_cover(args.cover)
     if args.genus is not None and args.genus != genus:
@@ -355,30 +394,7 @@ def cmd_alpha(args, budgets):
         images = {g.name: alpha_apply(table, g.forward) for g in gens}
 
     if args.check in ("all", "hom-law"):
-        # restriction reads only the image tuple, and ordered pairs often
-        # compose to equal ones (ta1∘ta2 = ta2∘ta1): one restriction per
-        # distinct composite, in order of first appearance, against the
-        # composed restrictions of every pair that gives it
-        composites = {}
-        for g1 in gens:
-            for g2 in gens:
-                auto = g1.forward.compose(g2.forward)
-                composites.setdefault(auto.images, (auto, []))[1].append(
-                    (g1.name, g2.name))
-        fails = 0
-        for auto, pairs in composites.values():
-            left = alpha_apply(table, auto)
-            for n1, n2 in pairs:
-                right = images[n1].compose(images[n2])
-                # the gauges first: with equal openings the cores decide,
-                # and no value is built; otherwise the whole value tuples,
-                # and the word problem only where they differ
-                if left == right:
-                    continue
-                for lv, rv in zip(left.values, right.values):
-                    if lv != rv and not pres.words_equal(
-                            expand(lv, table), expand(rv, table)):
-                        fails += 1
+        fails = _hom_law_failures(table, gens, images, pres)
         suites["hom-law"] = fails == 0
         lines.append(
             f"hom-law: {len(gens)**2} ordered pairs, failures={fails}")

@@ -15,6 +15,12 @@ from one evaluation of the action per signed letter and coset:
   the signed Schreier generator crossed (0 on a tree entry), so rewriting
   is one lookup per letter with free reduction done on the fly.
 
+Restriction reads words walked from every coset at once.  The table keeps
+those walks in a memo filled on first use, seeded with the empty word and
+the 4g single letters: each distinct word is walked from the d cosets at
+most once per table, so the memo holds at most d pairs (coset, emitted
+word) per distinct word asked for, distinct words × d entries in all.
+
 For a subgroup invariant under an automorphism φ, restriction pushes the
 transversal through φ once (Holt–Eick–O'Brien, Handbook of Computational
 Group Theory, 2005), and keeps the result in gauge form.  The generator
@@ -41,8 +47,10 @@ those two reached cosets.  Each distinct opening object W of φ is
 mapped through ψ once per composition, from the coset e that the entry
 of its first letter enters; a coset opened by W and reaching t gets the
 prefix O^ψ_t · O^ψ_e^-1 in front, none where those two openings are one
-word.  Words are appended with `+`, and joined with cancellation only at
-a junction that cancels.  Two restrictions with equal openings have
+word.  An empty core of φ needs no walk: its composite core is
+O^ψ_{o^φ_{x·c}} · O^ψ_{o^φ_c}^-1 reduced, empty where those openings are
+one word.  Words are appended with `+`, and joined with cancellation only
+at a junction that cancels.  Two restrictions with equal openings have
 equal values exactly when their cores are equal, so restrictions are
 compared gauge to gauge, and values are built only where the openings
 differ.  A restriction given by its values is the trivial gauge: every
@@ -68,6 +76,7 @@ from .autos import (
 from .quotients import FiniteHom, mod2_homology_hom, target_c2
 from .words import (
     SurfacePresentation,
+    _joined,
     conjugate_word,
     format_word,
     free_reduce,
@@ -202,13 +211,13 @@ class CosetTable:
         return _Signed(tuple(map(len, self.words)), int)
 
     @cached_property
-    def _short_walks(self):
-        """`walks` of the empty word and of each one-letter word, read off
-        the step rows once per table."""
-        short = {(): tuple((c, ()) for c in range(self.d))}
+    def _walk_memo(self):
+        """`walks` by word, filled on first use: seeded with the empty word
+        and each one-letter word, read off the step rows."""
+        memo = {(): tuple((c, ()) for c in range(self.d))}
         for letter, row in self.steps.items():
-            short[letter,] = tuple((c, (e,) if e else ()) for c, e in row)
-        return short
+            memo[letter,] = tuple((c, (e,) if e else ()) for c, e in row)
+        return memo
 
     @cached_property
     def _entries(self):
@@ -260,12 +269,17 @@ class CosetTable:
         return tuple((j,) for j in range(1, self.count + 1))
 
     def walks(self, word):
-        """`_walk` of the reduced word from each of the d cosets, in order;
-        the empty word and a single letter come from a memo on the table."""
-        if len(word) < 2:
-            return self._short_walks[word]
-        rows = [self.steps[y] for y in reversed(word)]
-        return [_walk(rows, c) for c in range(self.d)]
+        """`_walk` of the reduced word from each of the d cosets, in order,
+        as a tuple kept in a memo on the table: each distinct word is
+        walked at most once per table, so the memo holds at most d pairs
+        (coset, emitted word) per distinct word asked for, beside the
+        empty word and the 4g single letters it starts with."""
+        memo = self._walk_memo
+        walked = memo.get(word)
+        if walked is None:
+            rows = [self.steps[y] for y in reversed(word)]
+            walked = memo[word] = tuple(_walk(rows, c) for c in range(self.d))
+        return walked
 
     def labels(self):
         return tuple(f"y{i + 1}" for i in range(len(self.pairs)))
@@ -301,17 +315,6 @@ def _walk(rows, c):
                 out.append(e)
     out.reverse()
     return c, tuple(out)
-
-
-def _joined(left, right):
-    """The reduced word left·right of two reduced words: cancel at the
-    junction, and only there."""
-    if not left or not right or left[-1] != -right[0]:
-        return left + right
-    k, n = 1, min(len(left), len(right))
-    while k < n and left[-1 - k] == -right[k]:
-        k += 1
-    return left[:len(left) - k] + right[k:]
 
 
 def rewrite(table, word):
@@ -422,12 +425,14 @@ class AutImage:
             for (c, up), core in zip(self.table._pair_ends, self.cores))
         return letters, [i for i, letter in enumerate(letters) if not letter]
 
-    def _through(self, word, t):
-        """reduce(O_t · self(word)), each letter's image being its core
-        between the retraced opening of the coset its entry enters and the
-        opening of the one it leaves; where the two openings between one
-        image and the next are one word, they cancel and are not joined.
-        Pieces are appended, and joined only where a junction cancels."""
+    def _through(self, word, t, e=None):
+        """reduce(O_t · self(word)), or with a coset e reduce(O_t ·
+        self(word) · O_e^-1), each letter's image being its core between
+        the retraced opening of the coset its entry enters and the opening
+        of the one it leaves; where the two openings between one image and
+        the next, or the last one and O_e^-1, are one word, they cancel and
+        are not joined.  Pieces are appended, and joined only where a
+        junction cancels."""
         cores, ends = self._signed_cores, self.table._letter_ends
         openings, retraces = self.openings, self._retraces
         out, p = (), t
@@ -451,6 +456,14 @@ class AutImage:
                 out += piece
             p = leaves
         piece = openings[p]
+        if e is not None:
+            if piece is openings[e]:
+                return out
+            if out and piece and out[-1] == -piece[0]:
+                out = _joined(out, piece)
+            else:
+                out += piece
+            piece = retraces[e]
         if out and piece and out[-1] == -piece[0]:
             return _joined(out, piece)
         return out + piece
@@ -468,8 +481,14 @@ class AutImage:
         e the coset that the entry of W's first letter enters, O^ψ_t ·
         ψ(W) is reduce(O^ψ_t · O^ψ_e^-1) · O^ψ_e · ψ(W), and the prefix
         is left out where O^ψ_t and O^ψ_e are one word; an empty opening
-        opens with O^ψ_t alone.  `_through` appends its pieces with `+`,
-        and joins them with cancellation only at a junction that cancels."""
+        opens with O^ψ_t alone.  A nonempty core is mapped between both
+        its openings in one pass: the image of its last letter ends on
+        the opening of o^φ_c, its coset in φ's gauge, which then cancels
+        against O^ψ_{o^φ_c}^-1 unjoined.  An empty core K^φ_i is not
+        mapped: its composite core is O^ψ_{o^φ_{x·c}} · O^ψ_{o^φ_c}^-1
+        reduced, empty where those two openings are one word.  `_through`
+        appends its pieces with `+`, and joins them with cancellation only
+        at a junction that cancels."""
         if other.table is not self.table:
             raise CosetError("composition of restrictions to different tables")
         table, through, retraces = self.table, self._through, self._retraces
@@ -493,8 +512,13 @@ class AutImage:
         cores = list(map(self._signed_cores.get, letters))  # None if mapped
         for i in mapped:
             c, up = table._pair_ends[i]
-            cores[i] = _joined(through(other.cores[i], reached[up]),
-                               retraces[reached[c]])
+            core, t, e = other.cores[i], reached[up], reached[c]
+            if core:
+                cores[i] = through(core, t, e)
+            elif openings[t] is openings[e]:
+                cores[i] = ()
+            else:
+                cores[i] = _joined(openings[t], retraces[e])
         return AutImage._gauged(
             table, tuple(opened),
             tuple(map(self.reached.__getitem__, reached)), tuple(cores))
@@ -606,9 +630,10 @@ def alpha_apply(table, auto):
       opening followed by T·φ(letter)·T^-1 = T·H·m_letter, ending on o_c;
       equal openings are kept as one word;
     - the core of (c, x): the middle m_x, walked from every coset once
-      per x and read from o_c, then its link, the walk of T·H (kept for
-      each coset it starts from) that ends on o_{x·c}; every link is
-      empty for conjugation, where T·H is.
+      per table (`CosetTable.walks`) and read from o_c, then its link,
+      the walk of T·H (kept for each coset it starts from) that ends on
+      o_{x·c}, joined with cancellation only where that junction
+      cancels; every link is empty for conjugation, where T·H is.
 
     So H and T are walked once per coset, not once per table entry, and
     no value is joined here.  A letter whose image is left out of H and T
@@ -701,8 +726,14 @@ def alpha_apply(table, auto):
             o, middle = walks[reached[c]]
             if o != goals[up]:
                 escapes.append(i)
+            elif joins:
+                link = joins[up]
+                if link and middle and link[-1] == -middle[0]:
+                    cores[i] = _joined(link, middle)
+                else:
+                    cores[i] = link + middle
             else:
-                cores[i] = _joined(joins[up], middle) if joins else middle
+                cores[i] = middle
     if escapes:
         w = table.words[min(escapes)]
         raise CharacteristicViolation(
@@ -710,7 +741,7 @@ def alpha_apply(table, auto):
             f"{format_word(w)} reaches coset "
             f"{table.apply_word(auto.apply_word(w))}"
         )
-    return AutImage._gauged(table, tuple(distinct[i] for i in index),
+    return AutImage._gauged(table, tuple(map(distinct.__getitem__, index)),
                             tuple(reached), tuple(cores))
 
 

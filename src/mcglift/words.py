@@ -62,6 +62,17 @@ def conjugate_word(word, by):
     return free_reduce(tuple(by) + tuple(word) + inverse_word(by))
 
 
+def _joined(left, right):
+    """The reduced word left·right of two reduced words: cancel at the
+    junction, and only there."""
+    if not left or not right or left[-1] != -right[0]:
+        return left + right
+    k, n = 1, min(len(left), len(right))
+    while k < n and left[-1 - k] == -right[k]:
+        k += 1
+    return left[:len(left) - k] + right[k:]
+
+
 _TOKEN = re.compile(r"([abAB])(\d+)")
 
 

@@ -2,6 +2,8 @@
 on mod-2 homology, orbits of homomorphisms, and closure certification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcglift.autos import (
     AutError,
@@ -15,7 +17,12 @@ from mcglift.autos import (
 )
 from mcglift.perm import EnumerationBoundExceeded, Permutation
 from mcglift.quotients import FiniteHom, target_c2, target_s3
-from mcglift.words import SurfacePresentation, surface_relator
+from mcglift.words import (
+    SurfacePresentation,
+    conjugate_word,
+    free_reduce,
+    surface_relator,
+)
 from oracle import PermGroup
 
 
@@ -90,6 +97,36 @@ def test_inner_by_the_relator_is_trivial():
     conj = inner_auto(2, surface_relator(2))
     assert conj.fixes_generators(pres)
     assert not inner_auto(2, (1,)).fixes_generators(pres)
+
+
+@st.composite
+def conjugating_words(draw):
+    """A genus and a word over its letters, often unreduced, often
+    beginning or ending with some ±x: where w·x·w^-1 cancels."""
+    genus = draw(st.integers(2, 4))
+    letters = st.sampled_from(
+        [x for x in range(-2 * genus, 2 * genus + 1) if x])
+    word = draw(st.lists(letters, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):  # cancelling pairs
+        y, at = draw(letters), draw(st.integers(0, len(word)))
+        word[at:at] = [y, -y]
+    edge = draw(letters)
+    if draw(st.booleans()):
+        word.insert(0, edge)
+    if draw(st.booleans()):
+        word.append(draw(st.sampled_from([edge, -edge])))
+    return genus, tuple(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=conjugating_words())
+def test_inner_auto_images_are_the_conjugates(drawn):
+    # each image is joined at its two junctions only; it must be the full
+    # free reduction of w·x·w^-1 for every generator letter x
+    genus, word = drawn
+    reduced = free_reduce(word)
+    assert inner_auto(genus, word).images == tuple(
+        conjugate_word((x,), reduced) for x in range(1, 2 * genus + 1))
 
 
 def test_apply_word_free_reduces():

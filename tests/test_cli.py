@@ -752,7 +752,8 @@ def test_alpha_hom_law_checks_every_pair_of_a_shared_composite(
         pair, monkeypatch, capsys):
     # ta1∘flip = flip∘tb3 at genus 3, so both pairs share one restriction,
     # made for the first; a wrong compose of either pair alone must still
-    # be counted
+    # be counted.  The suite composes gauge copies of the generator
+    # restrictions, which keep their cores: the factors are named by those
     standard = {g.name: g.forward for g in standard_autgens(3)}
     assert standard["ta1"].compose(standard["flip"]).images == (
         standard["flip"].compose(standard["tb3"]).images)
@@ -762,12 +763,12 @@ def test_alpha_hom_law_checks_every_pair_of_a_shared_composite(
 
     def named(table, auto):
         image = alpha_apply(table, auto)
-        names[id(image)] = auto.name
+        names[id(image.cores)] = auto.name
         return image
 
     def altered(self, other):
         image = compose(self, other)
-        if (names.get(id(self)), names.get(id(other))) == pair:
+        if (names.get(id(self.cores)), names.get(id(other.cores))) == pair:
             return with_one_extra_letter(image)
         return image
 
@@ -900,6 +901,40 @@ def test_alpha_suites_assemble_values_only_where_openings_differ(
                       tail(g1) + g1.apply_word(tail(g2)))]
         assert len(differ) == pairs
         assert len(differ) + len(set(differ)) == assembled
+
+
+def test_alpha_hom_law_walks_each_distinct_word_once(monkeypatch, capsys):
+    # the 170 restrictions of the homology3 hom-law suite ask the table for
+    # the walks of 86 distinct words of two letters or more, each walked
+    # from all 64 cosets once; the other 170 walks start from one coset
+    # (the transversal tail and the inverse tree letters).  Walking every
+    # word each time it is asked for took 16042 walks.
+    walk, walks = cosets._walk, cosets.CosetTable.walks
+    counts = {"walks": 0, "other": 0}
+    asked = set()
+    inside = []
+
+    def counted_walk(rows, c):
+        counts["walks" if inside else "other"] += 1
+        return walk(rows, c)
+
+    def counted_walks(table, word):
+        asked.add(word)
+        inside.append(word)
+        try:
+            return walks(table, word)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cosets, "_walk", counted_walk)
+    monkeypatch.setattr(cosets.CosetTable, "walks", counted_walks)
+    assert run(["alpha", "--cover", "homology3", "--check", "hom-law"]) == (
+        EXIT_OK)
+    capsys.readouterr()
+    multi = sum(1 for word in asked if len(word) >= 2)
+    assert multi == 86
+    assert counts == {"walks": 64 * multi, "other": 170}
+    assert counts["walks"] + counts["other"] == 5674
 
 
 # sha256 of the stdout and of the --out dump of `alpha --cover <cover>

@@ -218,9 +218,11 @@ def test_kept_pieces_are_outside_equality_hash_and_repr(homology_table):
 
 
 def test_restrictions_do_not_depend_on_tables_built_before():
-    # the walks of single letters are memoized on each table: tables of
-    # other covers built and freed in between change no restriction
+    # walks are memoized on each table: tables of other covers built and
+    # freed in between change no restriction, of a standard generator or
+    # of a composite, whose middles are longer
     autos = [g.forward for g in standard_autgens(2)]
+    autos += [a.compose(b) for a in autos for b in (autos[0], autos[4])]
     table = CosetTable(mod2_homology_hom(2))
     want = [alpha_apply(table, auto).values for auto in autos]
     del table
@@ -228,6 +230,27 @@ def test_restrictions_do_not_depend_on_tables_built_before():
         CosetTable(c2_functional_hom(2, mask))
         table = CosetTable(mod2_homology_hom(2))
         assert [alpha_apply(table, auto).values for auto in autos] == want
+
+
+def test_walks_are_walked_once_per_table(monkeypatch):
+    # a multi-letter word is walked from every coset on its first call, as
+    # `_walk` reads its rows, and read from the memo on every later one
+    table = CosetTable(mod2_homology_hom(2))
+    walk = cosets._walk
+    calls = []
+
+    def counted(rows, c):
+        calls.append(c)
+        return walk(rows, c)
+
+    monkeypatch.setattr(cosets, "_walk", counted)
+    for word in table.words[:6] + ((1, 2, -1), (4, 3, -4, -4, 2)):
+        calls.clear()
+        walked = table.walks(word)
+        assert calls == list(range(table.d))
+        rows = [table.steps[y] for y in reversed(word)]
+        assert walked == tuple(walk(rows, c) for c in range(table.d))
+        assert table.walks(word) is walked and len(calls) == table.d
 
 
 def with_one_extra_letter(image, index):
@@ -933,16 +956,17 @@ def test_compose_maps_each_distinct_opening_once(homology3_table,
                                                  monkeypatch):
     # every composition of two generator restrictions at genus 3 maps each
     # distinct nonempty opening object of its right factor once, and each
-    # core it does not read by lookup; mapping every coset's opening would
-    # take 64 calls, plus those cores
+    # nonempty core it does not read by lookup; an empty core is joined
+    # from two openings without a walk.  Mapping every coset's opening
+    # would take 64 calls, plus those cores
     table = homology3_table
     images = [alpha_apply(table, g.forward) for g in standard_autgens(3)]
     through = AutImage._through
     calls = []
 
-    def counted(self, word, t):
+    def counted(self, word, t, e=None):
         calls.append(word)
-        return through(self, word, t)
+        return through(self, word, t, e)
 
     monkeypatch.setattr(AutImage, "_through", counted)
     for a in images:
@@ -950,7 +974,8 @@ def test_compose_maps_each_distinct_opening_once(homology3_table,
             calls.clear()
             a.compose(b)
             distinct = len({id(w) for w in b.openings if w})
-            assert len(calls) <= distinct + len(b._plan[1])
+            assert len(calls) <= distinct + sum(
+                1 for i in b._plan[1] if b.cores[i])
 
 
 @PROPERTY_SETTINGS
