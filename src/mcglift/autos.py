@@ -56,9 +56,11 @@ def _signed_letters(genus):
 
 class SurfaceAuto:
     """An endomorphism of the rank-2g free group, recorded by generator
-    images, intended to descend to the genus-g surface group."""
+    images, intended to descend to the genus-g surface group.  Its `name`
+    is given as a string, or as a function of no arguments that makes the
+    string when the name is first read."""
 
-    __slots__ = ("genus", "images", "name", "_relator")
+    __slots__ = ("genus", "images", "_name", "_relator")
 
     def __init__(self, genus, images, name=""):
         images = tuple(tuple(w) for w in images)
@@ -69,11 +71,19 @@ class SurfaceAuto:
             raise AutError(f"image letters must lie in +-1..+-{n}")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_name", name)
         object.__setattr__(self, "_relator", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceAuto is immutable")
+
+    @property
+    def name(self):
+        name = self._name
+        if callable(name):
+            name = name()
+            object.__setattr__(self, "_name", name)
+        return name
 
     def apply_letter(self, letter):
         if letter > 0:
@@ -165,13 +175,17 @@ def identity_auto(genus, name="id"):
 def inner_auto(genus, word, name=None):
     """Conjugation x -> w x w^-1 by a fixed word.  The word is reduced
     once; each image joins it, x and w^-1 at their two junctions, the only
-    places where the reduced word w can cancel."""
+    places where the reduced word w can cancel.  Without a `name` it is
+    "inn[w]", formatted only if something reads it: of the many
+    conjugations a containment suite restricts, only a message naming one
+    that moves the subgroup does."""
     word = free_reduce(word)
     inverse = inverse_word(word)
     images = [_joined(_joined(word, (x,)), inverse)
               for x in range(1, 2 * genus + 1)]
     if name is None:
-        name = f"inn[{format_word(word)}]"
+        def name():
+            return f"inn[{format_word(word)}]"
     return SurfaceAuto(genus, images, name=name)
 
 

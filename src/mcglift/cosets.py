@@ -73,6 +73,7 @@ from .autos import (
     orbit,
     standard_autgens,
 )
+from .perm import _gathered
 from .quotients import FiniteHom, mod2_homology_hom, target_c2
 from .words import (
     SurfacePresentation,
@@ -407,7 +408,7 @@ class AutImage:
     def _retraces(self):
         """Each coset's opening retraced, once per distinct opening."""
         inverses = {word: inverse_word(word) for word in set(self.openings)}
-        return tuple(map(inverses.__getitem__, self.openings))
+        return _gathered(inverses, self.openings)
 
     @cached_property
     def _signed_cores(self):
@@ -486,9 +487,9 @@ class AutImage:
         the opening of o^φ_c, its coset in φ's gauge, which then cancels
         against O^ψ_{o^φ_c}^-1 unjoined.  An empty core K^φ_i is not
         mapped: its composite core is O^ψ_{o^φ_{x·c}} · O^ψ_{o^φ_c}^-1
-        reduced, empty where those two openings are one word.  `_through`
-        appends its pieces with `+`, and joins them with cancellation only
-        at a junction that cancels."""
+        reduced, empty where those two openings are one word.  `_through`,
+        and the prefix of a mapped opening, append their pieces with `+`,
+        and join them with cancellation only at a junction that cancels."""
         if other.table is not self.table:
             raise CosetError("composition of restrictions to different tables")
         table, through, retraces = self.table, self._through, self._retraces
@@ -506,7 +507,17 @@ class AutImage:
                 known = images[id(word)] = e, through(word, e)
             e, image = known
             if openings[t] is not openings[e]:
-                image = _joined(_joined(openings[t], retraces[e]), image)
+                # O^ψ_t · O^ψ_e^-1 · image, joined with cancellation only
+                # at a junction that cancels
+                prefix, piece = openings[t], retraces[e]
+                if prefix and piece and prefix[-1] == -piece[0]:
+                    prefix = _joined(prefix, piece)
+                else:
+                    prefix += piece
+                if prefix and image and prefix[-1] == -image[0]:
+                    image = _joined(prefix, image)
+                else:
+                    image = prefix + image
             opened.append(image)
         letters, mapped = other._plan
         cores = list(map(self._signed_cores.get, letters))  # None if mapped
@@ -519,9 +530,8 @@ class AutImage:
                 cores[i] = ()
             else:
                 cores[i] = _joined(openings[t], retraces[e])
-        return AutImage._gauged(
-            table, tuple(opened),
-            tuple(map(self.reached.__getitem__, reached)), tuple(cores))
+        return AutImage._gauged(table, tuple(opened),
+                                _gathered(self.reached, reached), tuple(cores))
 
     def is_identity_on_generators(self, presentation=None):
         table = self.table
@@ -741,7 +751,7 @@ def alpha_apply(table, auto):
             f"{format_word(w)} reaches coset "
             f"{table.apply_word(auto.apply_word(w))}"
         )
-    return AutImage._gauged(table, tuple(map(distinct.__getitem__, index)),
+    return AutImage._gauged(table, _gathered(distinct, index),
                             tuple(reached), tuple(cores))
 
 

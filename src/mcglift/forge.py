@@ -65,7 +65,8 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress, count, repeat
+from operator import add, eq, floordiv, ne, sub as minus
 
 from .autos import certify_characteristic, orbit, standard_autgens
 from .budgets import COLLECTION_CAP, DEFAULT
@@ -75,6 +76,7 @@ from .perm import (
     PermError,
     Permutation,
     Sylow2Stalled,
+    _gathered,
     two_part,
 )
 from .quotients import (
@@ -159,31 +161,45 @@ def s3_block_count(group):
     `group` are read, so any record that has them will do."""
     if group.degree % 3:
         return None
-    blocks = tuple(x // 3 for x in range(group.degree))
+    blocks = tuple(map(floordiv, range(group.degree), repeat(3)))
     for g in group.generators:
-        if tuple(map(blocks.__getitem__, g.images)) != blocks:
+        if _gathered(blocks, g.images) != blocks:
             return None
     return group.degree // 3
 
 
+def _strided(images, k):
+    """The images of the first k blocks as three tuples, the images of each
+    block's first, second and third point, by strided slices."""
+    n = 3 * k
+    return images[0:n:3], images[1:n:3], images[2:n:3]
+
+
 def _block_sign_vector(p, k):
     """Per-block parity as a bitmask: bit j set iff the restriction to block j
-    is a transposition."""
-    mask = 0
-    for j in range(k):
-        lo = 3 * j
-        a, b, c = p.images[lo], p.images[lo + 1], p.images[lo + 2]
-        # parity of the restriction: even iff it is a 3-cycle or identity
-        fixed = (a == lo) + (b == lo + 1) + (c == lo + 2)
-        if fixed == 1:
-            mask |= 1 << j
-    return mask
+    is a transposition, that is, fixes exactly one of its three points (a
+    3-cycle fixes none, the identity all three).  The fixed points of each
+    block are counted in C: the images of its first, second and third
+    points, read from strided slices, are compared with those points by
+    `map(eq, ...)` and the three comparisons added, one byte per block;
+    `_ODD` translates each count to its binary digit, reversed so block j
+    is bit j."""
+    n = 3 * k
+    first, second, third = (map(eq, column, range(i, n, 3))
+                            for i, column in enumerate(_strided(p.images, k)))
+    fixed = bytes(map(add, map(add, first, second), third))
+    return int(b"0" + fixed[::-1].translate(_ODD), 2)
 
 
 # translation tables that turn a bytes row over {0, 1, 2}, reversed, into the
-# binary digits of its 1s and of its 2s
+# binary digits of its 1s and of its 2s; and a row of per-block fixed-point
+# counts over {0, 1, 2, 3} into the digits of the blocks with one
 _ONES = bytes.maketrans(b"\0\1\2", b"010")
 _TWOS = bytes.maketrans(b"\0\1\2", b"001")
+_ODD = bytes.maketrans(b"\0\1\2\3", b"0100")
+
+# the restrictions to one block that are transpositions
+_TRANSPOSITIONS = frozenset({(1, 0, 2), (2, 1, 0), (0, 2, 1)})
 
 
 def _independent_rows(rows, p):
@@ -259,7 +275,8 @@ def sylow2_s3(group, seed=0):
     chosen, p = y x is a 3-cycle exactly on the blocks where y and x are
     distinct transpositions and has order <= 2 elsewhere, so
     x <- p^2 x p^-2 turns x into y on those blocks and leaves it alone on
-    the rest.
+    the rest.  Every element of S3^k has order dividing 6, so p^-2 is
+    taken as p^4, one more product of p^2, instead of an inverse.
 
     The result is then checked: each involution squares to the identity,
     the r of them commute pairwise, and their sign vectors are
@@ -295,7 +312,8 @@ def sylow2_s3(group, seed=0):
         x = gens[i] * gens[i] * gens[i]
         for y in hgens:
             p = y * x
-            x = p * p * x * (p * p).inverse()
+            p2 = p * p
+            x = p2 * x * (p2 * p2)
         hgens.append(x)
 
     if not all((x * x).is_identity() for x in hgens):
@@ -331,6 +349,15 @@ def normalizer_is_self_s3(group, sub):
     fire.  Either case puts an element of order 3 into the restriction of H
     to that block, so 3 divides |H| and the order check above has already
     raised.  Only a stand-in subgroup record reaches them.
+
+    Each H generator's images are read as per-block triples of its
+    restrictions, zipped from the strided slices of its image tuple less
+    each block's first point; the blocks it moves are found in C,
+    `compress(count(), map(ne, triples, repeat((0, 1, 2))))`, and only
+    those run the per-block checks, in block order, so an error names the
+    same block as a check of every block.  A restriction other than the
+    identity passes the first check when it is one of the three
+    transpositions of {0, 1, 2}.
     """
     k = s3_block_count(group)
     if k is None:
@@ -342,14 +369,13 @@ def normalizer_is_self_s3(group, sub):
             f"subgroup order {sub.order} is not the 2-part of {group.order}"
         )
     chosen = [None] * k
+    firsts = range(0, 3 * k, 3)
     for p in sub.generators:
-        signs = _block_sign_vector(p, k)
-        for j in range(k):
-            lo = 3 * j
-            rest = tuple(p.images[lo + i] - lo for i in range(3))
-            if rest == (0, 1, 2):
-                continue
-            if sorted(rest) != [0, 1, 2] or not signs >> j & 1:
+        triples = tuple(zip(*(map(minus, column, firsts)
+                              for column in _strided(p.images, k))))
+        for j in compress(count(), map(ne, triples, repeat((0, 1, 2)))):
+            rest = triples[j]
+            if rest not in _TRANSPOSITIONS:
                 raise StructuralFormError(
                     f"subgroup restriction to block {j} is not an involution"
                 )
@@ -890,7 +916,7 @@ def order_fingerprints(members):
             values = [row[v] for v, w in zip(values, lasts)
                       for row in after[w]]
             images += values
-        fingerprints.append(bytes(map(orders.__getitem__, images)))
+        fingerprints.append(bytes(_gathered(orders, images)))
     return fingerprints
 
 
@@ -1044,8 +1070,7 @@ def _borel_normalizer_scan(target, borel, bound):
             xi = [0] * len(x)
             for i, y in enumerate(x):
                 xi[y] = i
-            if all(tuple(map(x.__getitem__, map(g.__getitem__, xi)))
-                   in inside for g in gens):
+            if all(_gathered(x, _gathered(g, xi)) in inside for g in gens):
                 return False
     return True
 

@@ -5,7 +5,14 @@ Composition convention, used everywhere in this package:
     (p * q)(x) = p(q(x))        -- q acts first.
 
 A `Permutation` is immutable and stored as its image tuple; products and
-inverses of permutations skip the validation of the constructor.
+inverses of permutations skip the validation of the constructor, and its
+hash is taken on first use, since most products are never hashed.  A
+product is a gather, the first factor's images read at the second's:
+`_gathered` reads them by one `operator.itemgetter` call, which runs the
+per-point loop in C, where `map(seq.__getitem__, ...)` calls a method
+wrapper per point at three to five times the cost (3 to 1080 points).
+The package gathers through it wherever it builds a tuple of one
+sequence read at the entries of another.
 
 `Permutation.from_blocks` builds every block-diagonal permutation (block j
 is the points n*j ... n*j+n-1): product images, the S3 odd basis and sign
@@ -22,9 +29,19 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from operator import add
+from operator import add, itemgetter
 
 from .budgets import DEFAULT
+
+
+def _gathered(seq, indices):
+    """tuple(seq[i] for i in indices), for a sized `indices`, by one
+    `itemgetter` call.  With one index `itemgetter` returns the bare item,
+    and with none it cannot be built, so fewer than two go through
+    `map`."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    return tuple(map(seq.__getitem__, indices))
 
 
 class PermError(ValueError):
@@ -52,7 +69,7 @@ class Permutation:
                 raise PermError(f"not a permutation: {images!r}")
             seen[x] = True
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, images):
@@ -60,7 +77,7 @@ class Permutation:
         inverses of permutations come here and skip the validation."""
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
-        object.__setattr__(p, "_hash", hash(images))
+        object.__setattr__(p, "_hash", None)
         return p
 
     def __setattr__(self, name, value):
@@ -143,12 +160,14 @@ class Permutation:
         return self.images[x]
 
     def __mul__(self, other):
+        """self * other, other acting first: self's image tuple gathered at
+        other's images by `_gathered`, one `itemgetter` call from degree 2
+        up."""
         if not isinstance(other, Permutation):
             return NotImplemented
         if other.degree != self.degree:
             raise PermError("degree mismatch")
-        return Permutation._trusted(
-            tuple(map(self.images.__getitem__, other.images)))
+        return Permutation._trusted(_gathered(self.images, other.images))
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -192,6 +211,8 @@ class Permutation:
         return self.images < other.images
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.images))
         return self._hash
 
     def __repr__(self):

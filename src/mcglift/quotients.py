@@ -48,7 +48,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .budgets import DEFAULT
-from .perm import EnumerationBoundExceeded, Permutation, mulclose
+from .perm import EnumerationBoundExceeded, Permutation, _gathered, mulclose
 from .words import surface_relator
 
 
@@ -128,14 +128,15 @@ class FiniteTarget:
         column = self._conj.get(x)
         if column is None:
             if self._aut_pairs is None:
-                self._aut_pairs = [(t.images.__getitem__, t.inverse().images)
+                self._aut_pairs = [(t.images, t.inverse().images)
                                    for t in self.aut_reps()]
                 self._by_images = {p.images: i
                                    for i, p in enumerate(self.elements)}
-            index, p = self._by_images, self.elements[x].images.__getitem__
+            index, p = self._by_images, self.elements[x].images
             # (t x t^-1)(i) = t(x(t^-1(i))), composed on image tuples
             column = self._conj[x] = tuple(
-                index[tuple(map(t, map(p, ti)))] for t, ti in self._aut_pairs)
+                index[_gathered(t, _gathered(p, ti))]
+                for t, ti in self._aut_pairs)
         return column
 
     def least_conjugate(self, x):
@@ -381,7 +382,7 @@ class FiniteHom:
                 for i, x in enumerate(p):
                     inverse[x] = i
                 p = inverse
-            result = tuple(map(result.__getitem__, p))
+            result = _gathered(result, p)
         return Permutation._trusted(result)
 
     def evaluate_index(self, word):
@@ -631,7 +632,7 @@ def canonical_key(target, idx):
         if len(survivors) == 1:
             key.append(column[survivors[0]])
             continue
-        best = min(map(column.__getitem__, survivors))
+        best = min(_gathered(column, survivors))
         survivors = [t for t in survivors if column[t] == best]
         key.append(best)
     return tuple(key)

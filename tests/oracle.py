@@ -7,6 +7,9 @@ compare the structural routes against: `PermGroup` gives exact orders and
 membership by sifting, `sylow2` grows a Sylow 2-subgroup element by element,
 and `normalizer_is_self` scans the ambient group for N_G(H) = H.
 `borel_witness` is the Borel subgroup of PSL2(F_p) as a chain of the factor.
+`block_sign_vector_by_blocks` and `normalizer_blocks_by_loop` read the
+block signs and the S3 normalizer's per-block checks one block at a time,
+the reference for `forge`'s strided reads.
 
 The chain works on raw image tuples and wraps them as `Permutation` only at
 its public edges.  Each strong generator's inverse is stored once, beside
@@ -25,6 +28,7 @@ import random
 from dataclasses import dataclass
 
 from mcglift.budgets import DEFAULT
+from mcglift.forge import StructuralFormError
 from mcglift.perm import (
     EnumerationBoundExceeded,
     PermError,
@@ -375,3 +379,48 @@ def borel_witness(p):
     ambient = PermGroup(list(target_psl2(p).generators), degree=p + 1)
     sub = PermGroup(list(borel_subgroup(p).generators), degree=p + 1)
     return subgroup_witness(ambient, sub)
+
+
+# -- S3 blocks, one block at a time -----------------------------------------
+
+
+def block_sign_vector_by_blocks(p, k):
+    """Per-block parity as a bitmask: bit j set iff the images of block j's
+    three points fix exactly one of them."""
+    mask = 0
+    for j in range(k):
+        lo = 3 * j
+        a, b, c = p.images[lo], p.images[lo + 1], p.images[lo + 2]
+        fixed = (a == lo) + (b == lo + 1) + (c == lo + 2)
+        if fixed == 1:
+            mask |= 1 << j
+    return mask
+
+
+def normalizer_blocks_by_loop(k, hgens):
+    """The per-block checks of the S3 normalizer check on H generators
+    `hgens` over k blocks, every block of every generator in turn: True,
+    or the StructuralFormError of the first check that fails."""
+    chosen = [None] * k
+    for p in hgens:
+        signs = block_sign_vector_by_blocks(p, k)
+        for j in range(k):
+            lo = 3 * j
+            rest = tuple(p.images[lo + i] - lo for i in range(3))
+            if rest == (0, 1, 2):
+                continue
+            if sorted(rest) != [0, 1, 2] or not signs >> j & 1:
+                raise StructuralFormError(
+                    f"subgroup restriction to block {j} is not an involution"
+                )
+            if chosen[j] is None:
+                chosen[j] = rest
+            elif chosen[j] != rest:
+                raise StructuralFormError(
+                    f"block {j} sees two distinct involutions; subgroup is not"
+                    " inside a product of the chosen 2-Sylows"
+                )
+    if any(c is None for c in chosen):
+        missing = [j for j, c in enumerate(chosen) if c is None]
+        raise StructuralFormError(f"no subgroup generator hits blocks {missing}")
+    return True

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcglift import autos
 from mcglift.autos import (
     AutError,
     SurfaceAuto,
@@ -127,6 +128,20 @@ def test_inner_auto_images_are_the_conjugates(drawn):
     reduced = free_reduce(word)
     assert inner_auto(genus, word).images == tuple(
         conjugate_word((x,), reduced) for x in range(1, 2 * genus + 1))
+
+
+def test_inner_auto_formats_its_name_only_when_read(monkeypatch):
+    calls = []
+    real = autos.format_word
+    monkeypatch.setattr(autos, "format_word",
+                        lambda word: calls.append(word) or real(word))
+    auto = inner_auto(2, (1, 2, 2, -2, -1, -3))
+    assert calls == []
+    assert auto.name == "inn[a1b1A1A2]"
+    assert auto.compose(identity_auto(2)).name == "inn[a1b1A1A2]*id"
+    assert calls == [(1, 2, -1, -3)]
+    assert inner_auto(2, (1,), "named").name == "named"
+    assert repr(auto).startswith("SurfaceAuto(inn[a1b1A1A2]: ")
 
 
 def test_apply_word_free_reduces():

@@ -17,6 +17,7 @@ from mcglift.autos import standard_autgens
 from mcglift.forge import (
     BlockGroup,
     StructuralFormError,
+    _block_sign_vector,
     _independent_rows,
     build_subdirect_image,
     collect_inequivalent_members,
@@ -34,7 +35,14 @@ from mcglift.perm import (
     two_part,
 )
 from mcglift.quotients import target_c2k, target_psl2
-from oracle import PermGroup, normalizer_is_self, subgroup_witness, sylow2
+from oracle import (
+    PermGroup,
+    block_sign_vector_by_blocks,
+    normalizer_blocks_by_loop,
+    normalizer_is_self,
+    subgroup_witness,
+    sylow2,
+)
 
 
 def perm(text, degree):
@@ -698,6 +706,15 @@ def test_sylow2_structural_reads_generators_and_order_only():
         sylow2_s3(short)
 
 
+def test_s3_block_count_at_degree_0_and_3():
+    # no points gathers through `map`, three through `itemgetter`
+    assert s3_block_count(BlockGroup((Permutation(()),), 0, 1)) == 0
+    assert s3_block_count(BlockGroup((), 0, 1)) == 0
+    s3 = BlockGroup((perm("(0 1)", 3), perm("(0 1 2)", 3)), 3, 6)
+    assert s3_block_count(s3) == 1
+    assert s3_block_count(BlockGroup((perm("()", 2),), 2, 1)) is None
+
+
 def test_sylow2_structural_stalls_on_dependent_involution_signs(monkeypatch):
     # a sign map that reads every involution as even: the generators below
     # all have order 6, so r still comes out right, but the involutions'
@@ -739,6 +756,35 @@ def test_normalizer_in_s3():
 
 
 S3_IMAGES = list(itertools.permutations(range(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), degree=st.sampled_from([0, 1, 2, 3, 7, 1080]))
+def test_product_gathers_the_first_factor_at_the_second(data, degree):
+    # fewer than two points gather through `map`, more through `itemgetter`
+    a = data.draw(st.permutations(range(degree)))
+    b = data.draw(st.permutations(range(degree)))
+    product = Permutation(a) * Permutation(b)
+    gathered = tuple(a[i] for i in b)
+    assert product.images == gathered
+    # the hash, taken on first use, is that of a checked permutation
+    assert hash(product) == hash(Permutation(gathered))
+    assert product in {Permutation(gathered)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), k=st.integers(0, 40))
+def test_block_sign_vector_matches_the_per_block_loop(data, k):
+    blocks = data.draw(st.lists(st.sampled_from(S3_IMAGES),
+                                min_size=k, max_size=k))
+    p = Permutation.from_blocks(blocks) if k else Permutation(())
+    # swaps of points, mostly of two blocks, take p out of block form
+    points = st.integers(0, max(3 * k - 1, 0))
+    for a, b in data.draw(st.lists(st.tuples(points, points), max_size=4)):
+        if a != b:
+            p = p * Permutation.from_cycles(3 * k, [(a, b)])
+    for j in range(k + 1):
+        assert _block_sign_vector(p, j) == block_sign_vector_by_blocks(p, j)
 
 
 def random_block_element(rng, k):
@@ -853,6 +899,59 @@ def test_normalizer_structural_rejects_foreign_subgroup_generators(
     with pytest.raises(StructuralFormError) as e:
         normalizer_is_self_s3(group, sub)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("hgens, message", [
+    (["(0 1)(3 4)(6 7)", "(0 1)(6 8)"],
+     "block 2 sees two distinct involutions; subgroup is not inside a"
+     " product of the chosen 2-Sylows"),
+    (["(0 1)(3 4)(6 7 8)"],
+     "subgroup restriction to block 2 is not an involution"),
+    # (3 6) joins blocks 1 and 2: block 1 is the first it breaks
+    (["(0 1)(3 6)"], "subgroup restriction to block 1 is not an involution"),
+    (["(0 1)", "(0 1)(6 7)"], "no subgroup generator hits blocks [1]"),
+])
+def test_normalizer_structural_names_a_later_block(hgens, message):
+    group = s3_product_group(3)
+    sub = SimpleNamespace(order=two_part(group.order),
+                          generators=[perm(g, 9) for g in hgens])
+    with pytest.raises(StructuralFormError) as e:
+        normalizer_is_self_s3(group, sub)
+    assert str(e.value) == message
+
+
+def test_normalizer_structural_matches_the_per_block_loop():
+    # stand-in H generators, in and out of block form: the moved blocks
+    # read from strided triples give the answer, or the error text, of
+    # every block checked in turn
+    rng = random.Random(33)
+    outcomes = set()
+    for _ in range(400):
+        k = rng.randint(1, 5)
+        group = s3_product_group(k)
+        preferred = [rng.choice(S3_IMAGES[1:]) for _ in range(k)]
+        hgens = []
+        for _ in range(rng.randint(1, 3)):
+            blocks = [rng.choice([(0, 1, 2), (0, 1, 2), preferred[j],
+                                  preferred[j], rng.choice(S3_IMAGES)])
+                      for j in range(k)]
+            p = Permutation.from_blocks(blocks)
+            if rng.random() < 0.2:
+                a, b = rng.sample(range(3 * k), 2)
+                p = p * Permutation.from_cycles(3 * k, [(a, b)])
+            hgens.append(p)
+        sub = SimpleNamespace(order=two_part(group.order), generators=hgens)
+        try:
+            expected = normalizer_blocks_by_loop(k, hgens)
+        except StructuralFormError as e:
+            expected = str(e)
+        try:
+            got = normalizer_is_self_s3(group, sub)
+        except StructuralFormError as e:
+            got = str(e)
+        assert got == expected, hgens
+        outcomes.add(expected if expected is True else expected.split()[0])
+    assert outcomes == {True, "subgroup", "block", "no"}
 
 
 def test_normalizer_enumeration_negative():
