@@ -11,10 +11,12 @@ exhibiting a finite quotient where its image is visibly nontrivial.
 import random
 
 from mcglift import (
+    FiniteHom,
     SurfacePresentation,
-    enumerate_epis,
+    epi_tuples,
     format_word,
     free_reduce,
+    hom_tuples,
     inverse_word,
     mod2_homology_hom,
     parse_word,
@@ -52,8 +54,13 @@ print("\n[a1,b1] == [a2,b2]^-1:", pres.words_equal(lhs, rhs))
 
 # Dehn reduction shortens; it never certifies nontriviality by itself.
 # For that, map to a finite group: any homomorphic image that is not the
-# identity proves the word was nontrivial upstream.
-witnesses = [mod2_homology_hom(2)] + list(enumerate_epis(2, target_s3()))
+# identity proves the word was nontrivial upstream.  The S3 epimorphisms
+# come as index tuples, each image's index in the target's element list,
+# and `FiniteHom.from_indices` wraps one to evaluate words.
+s3 = target_s3()
+epis = epi_tuples(s3, hom_tuples(2, s3))
+witnesses = [mod2_homology_hom(2)] + [
+    FiniteHom.from_indices(s3, idx) for idx in epis]
 print("\nwitness stock:", len(witnesses), "finite-quotient homomorphisms")
 
 rng = random.Random(7)

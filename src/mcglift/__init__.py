@@ -21,10 +21,7 @@ from .quotients import (
     FiniteTarget,
     borel_subgroup,
     count_homs_oracle,
-    enumerate_epis,
-    enumerate_homs,
     epi_tuples,
-    epis_among,
     generates,
     hom_tuples,
     mod2_homology_hom,
@@ -33,7 +30,6 @@ from .quotients import (
     target_c2k,
     target_psl2,
     target_s3,
-    target_trivial,
 )
 from .autos import (
     AutGen,
@@ -43,7 +39,6 @@ from .autos import (
     identity_auto,
     inner_auto,
     orbit,
-    precompose,
     standard_autgens,
 )
 from .cosets import (

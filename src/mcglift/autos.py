@@ -13,11 +13,11 @@ tuples: each expanded member walks the distinct image words and relator
 images of every generator direction through the target's multiplication
 rows in one pass, images are keyed by their tuples (or their canonical
 keys modulo target automorphisms), and only a newly admitted member is
-wrapped as a `FiniteHom`.  `precompose` is the same evaluation for one
-direction.  On the start of every closure, `orbit` checks the table route
-against permutation products first.  As it expands each member, `orbit`
-records the index of the member's image under every generator direction,
-and returns that action table with the sorted members.
+wrapped as a `FiniteHom`.  On the start of every closure, `orbit` checks
+the table route against permutation products first.  As it expands each
+member, `orbit` records the index of the member's image under every
+generator direction, and returns that action table with the sorted
+members.
 Closure of a member set under every generator (and inverse) is exactly what
 makes the intersection of the member kernels invariant under those
 automorphisms; `certify_characteristic` reads the table, without
@@ -32,10 +32,9 @@ from itertools import chain
 from operator import itemgetter
 
 from .budgets import ORBIT_CAP
-from .perm import EnumerationBoundExceeded
+from .perm import EnumerationBoundExceeded, _inverted
 from .quotients import FiniteHom, RelatorViolation, canonical_key
 from .words import (
-    SurfacePresentation,
     _joined,
     format_word,
     free_reduce,
@@ -112,25 +111,6 @@ class SurfaceAuto:
                                self.apply_word(surface_relator(self.genus)))
         return self._relator
 
-    def preserves_relator(self, presentation=None):
-        """True when the relator maps to a trivial word of the surface group,
-        i.e. into the normal closure of the relator: the descent condition."""
-        if presentation is None:
-            presentation = SurfacePresentation(self.genus)
-        return presentation.is_trivial(self.relator_image())
-
-    def mod2_matrix(self):
-        """Columns (as bitmasks over F2) of the induced map on first mod-2
-        homology; bit i of column j is the parity of generator i+1 in the
-        image of generator j+1."""
-        cols = []
-        for w in self.images:
-            mask = 0
-            for letter in w:
-                mask ^= 1 << (abs(letter) - 1)
-            cols.append(mask)
-        return tuple(cols)
-
     def fixes_generators(self, presentation):
         return all(
             presentation.words_equal(self.images[i], ((i + 1),))
@@ -159,10 +139,6 @@ class AutGen:
     name: str
     forward: SurfaceAuto
     backward: SurfaceAuto
-
-    @property
-    def genus(self):
-        return self.forward.genus
 
     def directions(self):
         return ((self.name, self.forward), (self.name + "~", self.backward))
@@ -312,15 +288,6 @@ def _images_under(hom, program):
     return [values[i:i + n] for i in range(0, len(values), n)]
 
 
-def precompose(hom, auto):
-    """The homomorphism hom∘auto, by table lookups: the one-direction case
-    of the evaluation `orbit` runs for every direction at once.  Its
-    relator image is hom(auto(relator)), read through the same rows as its
-    generator images; raises RelatorViolation for a broken auto."""
-    [idx] = _images_under(hom, _program(hom.genus, [auto]))
-    return FiniteHom.from_indices(hom.target, idx)
-
-
 @dataclass(frozen=True)
 class OrbitRecord:
     """Closure of one homomorphism under the generator set, sorted.
@@ -349,8 +316,8 @@ def orbit(seed, gens=None, mod_target_auts=False, cap=ORBIT_CAP,
     recording the action of every direction on the members.
 
     The closure runs on index tuples.  Each expanded member evaluates the
-    image words and relator images of every direction in one pass, as
-    `precompose` does for one; an image is reduced to its
+    image words and relator images of every direction in one pass through
+    the target's rows; an image is reduced to its
     `canonical_key` when `mod_target_auts` is set, and only an image not
     seen before is wrapped as a `FiniteHom`.  A generator of another genus
     raises AutError before anything is evaluated, and a direction that
@@ -456,11 +423,8 @@ def certify_characteristic(record, members):
                 "direction": label, "member": None,
                 "escaped_to": "not a bijection"}}
         permutations[label] = tuple(images)
-    preimages = {}  # label -> the inverse of its bijection
-    for label, perm in permutations.items():
-        inverse = preimages[label] = [0] * len(perm)
-        for i, j in enumerate(perm):
-            inverse[j] = i
+    preimages = {label: _inverted(perm)  # the inverse of each bijection
+                 for label, perm in permutations.items()}
     witnesses = {}
     for m in range(len(sources)):
         for label, inverse in preimages.items():

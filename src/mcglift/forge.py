@@ -77,6 +77,7 @@ from .perm import (
     Permutation,
     Sylow2Stalled,
     _gathered,
+    _inverted,
     two_part,
 )
 from .quotients import (
@@ -1067,9 +1068,7 @@ def _borel_normalizer_scan(target, borel, bound):
     for x in target.elements:
         x = x.images
         if x not in inside:
-            xi = [0] * len(x)
-            for i, y in enumerate(x):
-                xi[y] = i
+            xi = _inverted(x)
             if all(_gathered(x, _gathered(g, xi)) in inside for g in gens):
                 return False
     return True

@@ -12,17 +12,18 @@ product is a gather, the first factor's images read at the second's:
 per-point loop in C, where `map(seq.__getitem__, ...)` calls a method
 wrapper per point at three to five times the cost (3 to 1080 points).
 The package gathers through it wherever it builds a tuple of one
-sequence read at the entries of another.
+sequence read at the entries of another, and inverts an image tuple
+through `_inverted` wherever it needs the inverse's points.
 
 `Permutation.from_blocks` builds every block-diagonal permutation (block j
 is the points n*j ... n*j+n-1): product images, the S3 odd basis and sign
 images, and the C2^k basis.
 
 `mulclose` lists the group a few permutations generate, within a bound on
-its size: the element lists of the quotient targets, the Borel subgroup of
-one PSL2(F_p) factor, and pair images in Q x Q.  No stabilizer chain is
-built anywhere in the package; orders of large groups come from the linear
-routes and Hall's lemma in `forge`.
+its size: the element lists of the quotient targets and the Borel subgroup
+of one PSL2(F_p) factor.  No stabilizer chain is built anywhere in the
+package; orders of large groups come from the linear routes and Hall's
+lemma in `forge`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,15 @@ def _gathered(seq, indices):
     if len(indices) > 1:
         return itemgetter(*indices)(seq)
     return tuple(map(seq.__getitem__, indices))
+
+
+def _inverted(images):
+    """The image tuple of the inverse of the permutation whose image tuple
+    is `images`: point images[i] goes back to i."""
+    inverse = [0] * len(images)
+    for i, x in enumerate(images):
+        inverse[x] = i
+    return tuple(inverse)
 
 
 class PermError(ValueError):
@@ -110,15 +120,25 @@ class Permutation:
 
     @staticmethod
     def from_cycles(degree, cycles):
+        """The permutation of 0 ... degree-1 with the given disjoint cycles.
+        A point outside that range, or one that appears twice, raises
+        PermError."""
         images = list(range(degree))
+        seen = set()
         for cyc in cycles:
             for i, x in enumerate(cyc):
+                if not 0 <= x < degree or x in seen:
+                    raise PermError(f"cycle point {x} is out of range"
+                                    f" 0..{degree - 1} or repeated")
+                seen.add(x)
                 images[x] = cyc[(i + 1) % len(cyc)]
         return Permutation(images)
 
     @staticmethod
     def parse(text, degree):
-        """Parse cycle notation like "(0 1 2)(3 4)" or "()" for the identity."""
+        """Parse cycle notation like "(0 1 2)(3 4)" or "()" for the identity.
+        It inverts `cycle_string`, which certificates write, so they can be
+        read back."""
         text = text.strip().replace(",", " ")
         cycles = []
         depth = 0
@@ -170,10 +190,7 @@ class Permutation:
         return Permutation._trusted(_gathered(self.images, other.images))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Permutation._trusted(tuple(inv))
+        return Permutation._trusted(_inverted(self.images))
 
     def is_identity(self):
         return self.images == tuple(range(len(self.images)))

@@ -1,10 +1,10 @@
 """Finite quotient targets of surface groups and their homomorphism sets.
 
 Targets are concrete permutation groups: S3 on 3 points, C2 on 2 points, A5
-on 5 points, PSL2(F_p) on the p+1 points of the projective line, elementary
-abelian 2-groups on paired points, and the trivial group.  A homomorphism
-from the genus-g surface group is a 2g-tuple of target elements whose product
-of commutators is the identity.
+on 5 points, PSL2(F_p) on the p+1 points of the projective line, and
+elementary abelian 2-groups on paired points.  A homomorphism from the
+genus-g surface group is a 2g-tuple of target elements whose product of
+commutators is the identity.
 
 Inside the hot loops a target element is its index in the target's sorted
 element list, and a homomorphism is the tuple of its images' indices.
@@ -36,8 +36,8 @@ A homomorphism is surjective when the closure of its generator images under
 multiplication is the whole target: `generates` on the index tuple.  The
 closure lies inside the target, whose elements are listed anyway, so no
 stabilizer chain is needed.  `epi_tuples` runs one closure per distinct image
-set.  `enumerate_homs`, `epis_among` and `enumerate_epis` wrap the same
-tuples in `FiniteHom`s; the `enumerate` command reads the tuples alone.
+set.  The `enumerate` command reads the tuples alone; a caller that wants
+`FiniteHom`s wraps a tuple with `FiniteHom.from_indices`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,13 @@ from itertools import groupby
 from operator import itemgetter
 
 from .budgets import DEFAULT
-from .perm import EnumerationBoundExceeded, Permutation, _gathered, mulclose
+from .perm import (
+    EnumerationBoundExceeded,
+    Permutation,
+    _gathered,
+    _inverted,
+    mulclose,
+)
 from .words import surface_relator
 
 
@@ -153,12 +159,6 @@ class FiniteTarget:
 
     def __repr__(self):
         return f"FiniteTarget({self.name}, order={self.order})"
-
-
-@lru_cache(maxsize=None)
-def target_trivial():
-    e = Permutation.identity(1)
-    return FiniteTarget([e], [], "1", character_degrees=(1,))
 
 
 @lru_cache(maxsize=None)
@@ -378,10 +378,7 @@ class FiniteHom:
         for letter in word:
             p = images[abs(letter) - 1]
             if letter < 0:
-                inverse = [0] * len(p)
-                for i, x in enumerate(p):
-                    inverse[x] = i
-                p = inverse
+                p = _inverted(p)
             result = _gathered(result, p)
         return Permutation._trusted(result)
 
@@ -534,30 +531,6 @@ def epi_tuples(target, tuples):
         else:
             epis.extend(idx for idx in run if generated(frozenset(idx)))
     return epis
-
-
-def enumerate_homs(genus, target, budget=DEFAULT.tuples):
-    """The homomorphisms of `hom_tuples`, in its order, as `FiniteHom`s."""
-    return [FiniteHom.from_indices(target, idx)
-            for idx in hom_tuples(genus, target, budget)]
-
-
-def epis_among(homs):
-    """The surjective homomorphisms among `homs`, in their order:
-    `epi_tuples` over the index tuples of each target's homs."""
-    by_target = {}
-    for h in homs:
-        by_target.setdefault(h.target, []).append(h.idx)
-    onto = {target: set(epi_tuples(target, tuples))
-            for target, tuples in by_target.items()}
-    return [h for h in homs if h.idx in onto[h.target]]
-
-
-def enumerate_epis(genus, target, budget=DEFAULT.tuples):
-    """The surjective homomorphisms of `hom_tuples`, in its order, as
-    `FiniteHom`s."""
-    return [FiniteHom.from_indices(target, idx)
-            for idx in epi_tuples(target, hom_tuples(genus, target, budget))]
 
 
 def count_homs_oracle(genus, target):

@@ -77,7 +77,9 @@ _TOKEN = re.compile(r"([abAB])(\d+)")
 
 
 def parse_word(text, genus=None):
-    """Parse strings like "a1b2A1" or "a1 b2 A1" (capitals are inverses)."""
+    """Parse strings like "a1b2A1" or "a1 b2 A1" (capitals are inverses).
+    It inverts `format_word`, which certificates and messages write, so a
+    word they name can be read back."""
     stripped = text.replace(" ", "").replace("*", "")
     consumed = 0
     out = []

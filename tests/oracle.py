@@ -9,7 +9,9 @@ and `normalizer_is_self` scans the ambient group for N_G(H) = H.
 `borel_witness` is the Borel subgroup of PSL2(F_p) as a chain of the factor.
 `block_sign_vector_by_blocks` and `normalizer_blocks_by_loop` read the
 block signs and the S3 normalizer's per-block checks one block at a time,
-the reference for `forge`'s strided reads.
+the reference for `forge`'s strided reads.  `as_homs` wraps index tuples
+as `FiniteHom`s, and `mod2_columns` reads an automorphism's action on
+mod-2 homology off its image words.
 
 The chain works on raw image tuples and wraps them as `Permutation` only at
 its public edges.  Each strong generator's inverse is stored once, beside
@@ -36,7 +38,7 @@ from mcglift.perm import (
     Sylow2Stalled,
     two_part,
 )
-from mcglift.quotients import borel_subgroup, target_psl2
+from mcglift.quotients import FiniteHom, borel_subgroup, target_psl2
 
 
 class MembershipError(PermError):
@@ -424,3 +426,25 @@ def normalizer_blocks_by_loop(k, hgens):
         missing = [j for j, c in enumerate(chosen) if c is None]
         raise StructuralFormError(f"no subgroup generator hits blocks {missing}")
     return True
+
+
+# -- homomorphisms and automorphisms ----------------------------------------
+
+
+def as_homs(target, tuples):
+    """The index tuples, as from `hom_tuples` or `epi_tuples`, wrapped as
+    `FiniteHom`s over `target`, in their order."""
+    return [FiniteHom.from_indices(target, idx) for idx in tuples]
+
+
+def mod2_columns(auto):
+    """Columns, as bitmasks over F2, of the map an automorphism induces on
+    first mod-2 homology: bit i of column j is the parity of generator i+1
+    in the image of generator j+1."""
+    columns = []
+    for word in auto.images:
+        mask = 0
+        for letter in word:
+            mask ^= 1 << (abs(letter) - 1)
+        columns.append(mask)
+    return tuple(columns)

@@ -28,8 +28,8 @@ from mcglift.perm import Permutation
 from mcglift.quotients import (
     FiniteHom,
     count_homs_oracle,
-    enumerate_epis,
-    enumerate_homs,
+    epi_tuples,
+    hom_tuples,
     mod2_homology_hom,
     target_a5,
     target_c2,
@@ -45,6 +45,7 @@ from mcglift.words import (
 )
 from oracle import (
     PermGroup,
+    as_homs,
     borel_witness,
     normalizer_is_self,
     subgroup_witness,
@@ -78,8 +79,8 @@ def random_reduced_word(rng, genus, length, root=None):
 
 def test_criterion_01_counting_oracles():
     t0 = time.perf_counter()
-    homs = enumerate_homs(2, target_s3())
-    epis = enumerate_epis(2, target_s3())
+    homs = hom_tuples(2, target_s3())
+    epis = epi_tuples(target_s3(), homs)
     s3_elapsed = time.perf_counter() - t0
     assert len(homs) == 486 == count_homs_oracle(2, target_s3())
     # inclusion-exclusion over the proper subgroups of the order-6 target
@@ -89,7 +90,7 @@ def test_criterion_01_counting_oracles():
     assert s3_elapsed < 1.0, f"S3 enumeration took {s3_elapsed:.2f}s"
 
     t0 = time.perf_counter()
-    a5_homs = enumerate_homs(2, target_a5())
+    a5_homs = hom_tuples(2, target_a5())
     a5_elapsed = time.perf_counter() - t0
     assert len(a5_homs) == 286140 == count_homs_oracle(2, target_a5())
     assert a5_elapsed < 60.0, f"A5 enumeration took {a5_elapsed:.2f}s"
@@ -221,7 +222,8 @@ def test_criterion_07_word_problem_trials():
         assert pres.is_trivial(word)
 
     quotients = [mod2_homology_hom(2)]
-    quotients += enumerate_epis(2, target_s3())
+    s3 = target_s3()
+    quotients += as_homs(s3, epi_tuples(s3, hom_tuples(2, s3)))
 
     def quotient_witness(word):
         for hom in quotients:

@@ -32,7 +32,8 @@ from mcglift.cosets import (
 from mcglift.quotients import (
     FiniteHom,
     RelatorViolation,
-    enumerate_homs,
+    epi_tuples,
+    hom_tuples,
     mod2_homology_hom,
     target_a5,
     target_c2,
@@ -46,6 +47,7 @@ from mcglift.words import (
     inverse_word,
     surface_relator,
 )
+from oracle import as_homs, mod2_columns
 
 
 def c2_functional_hom(genus, mask):
@@ -519,7 +521,7 @@ def test_single_functional_kernel_violation(mask, auto):
     # coset it reaches
     table = CosetTable(c2_functional_hom(2, mask))
     composed = 0
-    for j, column in enumerate(auto.mod2_matrix()):
+    for j, column in enumerate(mod2_columns(auto)):
         composed |= (bin(mask & column).count("1") & 1) << j
     if composed == mask:
         alpha_apply(table, auto)
@@ -560,7 +562,7 @@ def assert_violation_names_first_escape(table, auto):
 def test_single_functional_kernel_violation_genus3(mask, auto):
     table = CosetTable(c2_functional_hom(3, mask))
     composed = 0
-    for j, column in enumerate(auto.mod2_matrix()):
+    for j, column in enumerate(mod2_columns(auto)):
         composed |= (bin(mask & column).count("1") & 1) << j
     assert assert_violation_names_first_escape(table, auto) == (
         composed != mask)
@@ -570,7 +572,7 @@ def test_s3_kernel_violations_name_the_reached_coset():
     # a kernel onto S3 has six cosets, so a violation can reach any of
     # cosets 1..5, not only coset 1 as for an order-2 quotient
     s3 = target_s3()
-    epi = next(h for h in enumerate_homs(2, s3) if h.is_surjective())
+    epi = as_homs(s3, epi_tuples(s3, hom_tuples(2, s3)))[0]
     table = CosetTable(epi)
     assert table.d == 6
     moved = sum(assert_violation_names_first_escape(table, auto)
@@ -584,11 +586,11 @@ def test_s3_kernel_violations_name_the_reached_coset():
 def s3_kernel_table():
     """The first genus-2 kernel onto S3 whose spanning tree enters a coset
     by an inverse letter, which a homology cover's tree never does."""
-    for hom in enumerate_homs(2, target_s3()):
-        if hom.is_surjective():
-            table = CosetTable(hom)
-            if any(rep[0] < 0 for rep in table.schreier_reps[1:]):
-                return table
+    s3 = target_s3()
+    for hom in as_homs(s3, epi_tuples(s3, hom_tuples(2, s3))):
+        table = CosetTable(hom)
+        if any(rep[0] < 0 for rep in table.schreier_reps[1:]):
+            return table
     raise AssertionError("no S3 kernel table with an inverse tree edge")
 
 
@@ -679,7 +681,7 @@ def test_factored_violation_names_the_first_escape(mask, auto, u,
     phi = phi.compose(auto) if inner_first else auto.compose(phi)
     table = CosetTable(c2_functional_hom(3, mask))
     composed = 0
-    for j, column in enumerate(auto.mod2_matrix()):
+    for j, column in enumerate(mod2_columns(auto)):
         composed |= (bin(mask & column).count("1") & 1) << j
     assert assert_violation_names_first_escape(table, phi) == (
         composed != mask)
@@ -691,7 +693,7 @@ def test_violation_names_the_first_escape_in_table_order():
     # which on these S3 kernels is sometimes not the escaping entry with
     # the least letter
     s3 = target_s3()
-    epis = [h for h in enumerate_homs(2, s3) if h.is_surjective()][:20]
+    epis = as_homs(s3, epi_tuples(s3, hom_tuples(2, s3))[:20])
     out_of_letter_order = 0
     for hom in epis:
         table = CosetTable(hom)

@@ -98,6 +98,15 @@ def test_products_skip_validation_but_the_constructor_does_not():
     assert p * p.inverse() == Permutation.identity(5)
 
 
+@pytest.mark.parametrize("text, degree", [
+    ("(5)", 3), ("(0 5)", 3), ("(3)", 3), ("(0 1)(0 1)", 2),
+    ("(0 1 2)(2 3)", 4), ("(0 1 0)", 2)])
+def test_parse_rejects_points_out_of_range_or_repeated(text, degree):
+    with pytest.raises(PermError, match="out of range 0..%d or repeated"
+                       % (degree - 1)):
+        Permutation.parse(text, degree)
+
+
 def test_cycle_roundtrip_and_order():
     p = perm("(0 1 2)(3 4)", 6)
     assert Permutation.parse(p.cycle_string(), 6) == p

@@ -21,13 +21,14 @@ from mcglift.quotients import (
     RelatorViolation,
     canonical_key,
     canonical_rep_mod_auts,
-    enumerate_homs,
+    hom_tuples,
     target_a5,
     target_c2,
     target_c2k,
     target_psl2,
     target_s3,
 )
+from oracle import as_homs
 
 TARGETS = {
     "S3": target_s3,
@@ -179,7 +180,7 @@ def test_canonical_key_is_the_least_tuple_on_psl2_11(idx):
 
 
 def test_sorting_by_indices_is_sorting_by_image_tuples():
-    homs = enumerate_homs(2, target_s3()) + HOMS[10:]
+    homs = as_homs(target_s3(), hom_tuples(2, target_s3())) + HOMS[10:]
     random.Random(7).shuffle(homs)
     by_idx = sorted(homs, key=lambda h: (h.target.name, h.key()))
     by_tuples = sorted(homs, key=lambda h: (
